@@ -176,7 +176,7 @@ fn drive_sharded(
                             q.pop_front().unwrap();
                         node.wait(lock, ticket, TIMEOUT).expect("grant");
                         lat.push(t0.elapsed().as_micros() as u64);
-                        node.release_async(lock, ticket).expect("release");
+                        node.release(lock, ticket).expect("release");
                     };
                     for _ in 0..ops_per_thread {
                         match mix {

@@ -211,6 +211,10 @@ where
         match &self.port {
             #[cfg(feature = "legacy-threads")]
             Port::Legacy(p) => p.events.send(event).map_err(|_| NetError::Closed),
+            // The worker's queue is shared with its other nodes and
+            // outlives this one, so a stopped or killed node has to
+            // refuse here.
+            Port::Mux(_) if !self.running.load(Ordering::SeqCst) => Err(NetError::Closed),
             Port::Mux(p) => p.send(event),
         }
     }
@@ -281,8 +285,7 @@ where
         self.send(LoopEvent::TryRequest { lock, mode, ticket, done: tx })?;
         let granted = rx.recv().map_err(|_| NetError::Closed)??;
         if granted {
-            // Consume the grant notification eagerly.
-            self.grants.discard(ticket);
+            self.grants.claim_confirmed(ticket)?;
             Ok(Some(ticket))
         } else {
             Ok(None)
@@ -313,15 +316,19 @@ where
         rx.recv().map_err(|_| NetError::Closed)?
     }
 
-    /// Releases a granted lock.
+    /// Releases a granted lock. Does not block: the ticket is checked
+    /// against this node's record of granted tickets on the calling
+    /// thread, and the release itself is posted to the protocol loop
+    /// one-way.
     ///
     /// # Errors
     ///
-    /// [`NetError::Protocol`] if `ticket` holds nothing.
+    /// [`NetError::Protocol`] (`NotHeld`) if `ticket` is unknown, not
+    /// granted yet, already released, or was granted on another lock;
+    /// [`NetError::Closed`] if the node has shut down.
     pub fn release(&self, lock: LockId, ticket: Ticket) -> Result<(), NetError> {
-        let (tx, rx) = unbounded();
-        self.send(LoopEvent::Release { lock, ticket, done: tx })?;
-        rx.recv().map_err(|_| NetError::Closed)?
+        self.grants.retire(lock, ticket)?;
+        self.send(LoopEvent::Release { lock, ticket })
     }
 
     /// Upgrades a held `U` to `W`, blocking until the upgrade completes.
@@ -989,6 +996,66 @@ mod tests {
         let err = cluster.node(0).release(LockId(0), Ticket(999)).unwrap_err();
         assert!(matches!(err, NetError::Protocol(_)), "{err}");
         cluster.shutdown();
+    }
+
+    pub(crate) fn not_held(r: Result<(), NetError>) -> bool {
+        matches!(r, Err(NetError::Protocol(hlock_core::ProtocolError::NotHeld { .. })))
+    }
+
+    #[test]
+    fn release_is_validated_locally_and_leaves_no_grant_behind() {
+        let cluster = Cluster::spawn_hierarchical(2, 2, ProtocolConfig::default()).unwrap();
+        let timeout = Duration::from_secs(10);
+        let (home, node) = (cluster.node(0), cluster.node(1));
+        // Not granted yet: the home's W keeps node 1's request pending.
+        let hold = home.acquire(LockId(0), Mode::Write, timeout).unwrap();
+        let pending = node.request(LockId(0), Mode::Write).unwrap();
+        assert!(not_held(node.release(LockId(0), pending)));
+        // Timeout → cancel: whether or not the grant raced the cancel,
+        // nothing stays behind (checked at the end).
+        assert!(node.wait(pending, Duration::from_millis(50)).is_err());
+        node.cancel(LockId(0), pending).unwrap();
+        home.release(LockId(0), hold).unwrap();
+        // An acquire that gives up at once cancels behind itself — or
+        // hands back a ticket, should the grant win the race.
+        match node.acquire(LockId(0), Mode::Write, Duration::ZERO) {
+            Ok(t) => node.release(LockId(0), t).unwrap(),
+            Err(e) => assert!(matches!(e, NetError::Timeout { .. }), "{e}"),
+        }
+        // Wrong lock, then the right one, then once too often.
+        let t = node.acquire(LockId(0), Mode::Read, timeout).unwrap();
+        assert!(not_held(node.release(LockId(1), t)));
+        node.release(LockId(0), t).unwrap();
+        assert!(not_held(node.release(LockId(0), t)));
+        // A local grant is claimed by `try_acquire` itself.
+        let t = home.try_acquire(LockId(1), Mode::Write).unwrap().expect("home grants locally");
+        home.release(LockId(1), t).unwrap();
+        for _ in 0..50 {
+            let t = node.acquire(LockId(1), Mode::Write, timeout).unwrap();
+            node.release(LockId(1), t).unwrap();
+        }
+        assert_eq!(home.grants.len() + node.grants.len(), 0, "an entry outlived its ticket");
+        // A dead node refuses even a ticket it granted.
+        let t = node.acquire(LockId(0), Mode::Read, timeout).unwrap();
+        node.kill();
+        assert!(matches!(node.release(LockId(0), t), Err(NetError::Closed)));
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn release_posted_right_before_kill_or_shutdown_is_harmless() {
+        let timeout = Duration::from_secs(10);
+        for kill in [false, true] {
+            let cluster = Cluster::spawn_hierarchical(2, 1, ProtocolConfig::default()).unwrap();
+            let t = cluster.node(1).acquire(LockId(0), Mode::Write, timeout).unwrap();
+            cluster.node(1).release(LockId(0), t).unwrap();
+            if kill {
+                cluster.kill(1);
+            }
+            // Joins the workers: a panic over the queued release, or a
+            // worker parked on an elided wake-up, would surface here.
+            cluster.shutdown();
+        }
     }
 
     #[test]

@@ -8,7 +8,10 @@
 //! state machine, its listener, its inbound connections and its
 //! outgoing links all live in one slot and are only ever touched by
 //! that worker thread — no locks around protocol state. API calls reach
-//! the worker through a command channel plus a pipe-based [`Waker`].
+//! the worker through its command queue plus a pipe-based [`Waker`]
+//! whose `pending` flag elides the pipe write for every call but the
+//! first of a burst; the worker applies a whole burst of events before
+//! it runs one dispatch step per touched node (see [`Worker::run`]).
 //!
 //! Outgoing links are dialed lazily on first send and carry a bounded
 //! [`Outbox`] (queue-and-flush with partial-write cursors); when the
@@ -287,35 +290,83 @@ impl Poller {
 }
 
 /// Wakes a worker blocked in [`Poller::wait`] from another thread: a
-/// self-pipe whose read end is registered at [`WAKER_TOKEN`].
+/// self-pipe whose read end is registered at [`WAKER_TOKEN`], plus a
+/// `pending` flag that lets all but the first wake-up of a burst skip
+/// the `write(2)`.
+///
+/// Protocol. A producer enqueues its event and *then* calls
+/// [`Waker::wake`], which swaps `pending` to `true` and writes the pipe
+/// byte only if it was `false`. The worker, on pipe readiness, reads the
+/// pipe, swaps `pending` back to `false` ([`Waker::consume`]) and only
+/// *then* drains the queue.
+///
+/// No wake-up is lost. `pending` is `true` exactly from a flip until the
+/// `consume` that follows the flipper's byte, and that `consume` always
+/// comes: the byte is in the pipe (or about to be written) and readiness
+/// is level-triggered. So a producer whose swap found `true` knows a
+/// `consume` is still ahead of it in `pending`'s modification order. All
+/// accesses are `SeqCst` read-modify-writes, so that `consume` reads from
+/// the producer's swap (or a later one in its release sequence) and the
+/// queue drain after it sees the event enqueued before the swap. A
+/// producer whose swap found `false` writes the byte itself.
 pub(crate) struct Waker {
+    read_fd: RawFd,
     write_fd: RawFd,
+    pending: AtomicBool,
 }
 
 impl Waker {
-    /// Returns the waker plus the nonblocking read end to register.
-    fn new() -> std::io::Result<(Waker, RawFd)> {
+    /// Both pipe ends are nonblocking; the caller registers the read end.
+    fn new() -> std::io::Result<Waker> {
         let mut fds = [0 as sys::c_int; 2];
         if unsafe { sys::pipe(fds.as_mut_ptr()) } < 0 {
             return Err(std::io::Error::last_os_error());
         }
-        set_nonblocking_fd(fds[0])?;
-        set_nonblocking_fd(fds[1])?;
-        Ok((Waker { write_fd: fds[1] }, fds[0]))
+        // Owned from here on, so an early return closes both ends.
+        let waker = Waker { read_fd: fds[0], write_fd: fds[1], pending: AtomicBool::new(false) };
+        set_nonblocking_fd(waker.read_fd)?;
+        set_nonblocking_fd(waker.write_fd)?;
+        Ok(waker)
     }
 
     pub(crate) fn wake(&self) {
+        if !self.pending.swap(true, Ordering::SeqCst) {
+            self.write_byte();
+        }
+    }
+
+    /// Wakes the worker for a signal that does not travel through the
+    /// command queue (the pool's `running` flag), which the argument
+    /// above does not cover: always writes.
+    fn force(&self) {
+        self.pending.swap(true, Ordering::SeqCst);
+        self.write_byte();
+    }
+
+    fn write_byte(&self) {
         let byte = [1u8];
         // A full pipe already guarantees a pending wakeup.
         unsafe {
             let _ = sys::write(self.write_fd, byte.as_ptr(), 1);
         }
     }
+
+    /// Worker side, on pipe readiness and before draining the queue. One
+    /// read suffices: elision keeps at most a byte or two in the pipe,
+    /// and level-triggered readiness re-announces anything left.
+    fn consume(&self) {
+        let mut sink = [0u8; 64];
+        unsafe {
+            let _ = sys::read(self.read_fd, sink.as_mut_ptr(), sink.len());
+        }
+        self.pending.swap(false, Ordering::SeqCst);
+    }
 }
 
 impl Drop for Waker {
     fn drop(&mut self) {
         unsafe {
+            let _ = sys::close(self.read_fd);
             let _ = sys::close(self.write_fd);
         }
     }
@@ -394,11 +445,15 @@ struct NodeCore<P: ConcurrencyProtocol> {
 /// The transport half of a slot.
 struct NodeIo<M> {
     me: NodeId,
-    cmds: Receiver<LoopEvent<M>>,
-    /// Loopback sender: transport-raised events (`LinkUp`, `Suspect`)
-    /// are queued like any other command so they flow through
-    /// `apply_event` exactly as on the legacy transport.
-    self_tx: Sender<LoopEvent<M>>,
+    /// Loopback sender onto the worker's command queue: transport-raised
+    /// events (`LinkUp`, `Suspect`) are queued like any other command so
+    /// they flow through `apply_event` exactly as on the legacy
+    /// transport. No wake-up needed: the worker raises them itself and
+    /// drains the queue before it parks.
+    self_tx: Sender<Command<M>>,
+    /// Whether events were applied since the last dispatch step (the
+    /// slot is then listed in [`Worker::dirty`]).
+    dirty: bool,
     grants: Arc<GrantTable>,
     counters: Arc<Counters>,
     runtime_mirror: Arc<Mutex<RuntimeCounters>>,
@@ -468,6 +523,9 @@ struct NodeState<P: ConcurrencyProtocol> {
     core: NodeCore<P>,
     io: NodeIo<P::Message>,
 }
+
+/// One entry of a worker's command queue: the addressed slot + its event.
+type Command<M> = (usize, LoopEvent<M>);
 
 /// What a registered token points at.
 enum Tok {
@@ -562,7 +620,7 @@ where
                             let _ = self
                                 .io
                                 .self_tx
-                                .send(LoopEvent::Suspect { dead: vec![to], done: None });
+                                .send((slot, LoopEvent::Suspect { dead: vec![to], done: None }));
                         }
                         let at = Instant::now() + link.backoff.delay();
                         *self.seq += 1;
@@ -634,8 +692,14 @@ where
 
 struct Worker<P: ConcurrencyProtocol> {
     poller: Poller,
-    waker_rx: RawFd,
+    waker: Arc<Waker>,
+    /// Every API call and loopback event for any of this worker's nodes.
+    cmds: Receiver<Command<P::Message>>,
     slots: Vec<Option<NodeState<P>>>,
+    /// Slots with events applied but not yet dispatched.
+    dirty: Vec<usize>,
+    /// Scratch for inbound socket reads.
+    read_buf: Vec<u8>,
     tokens: HashMap<u64, Tok>,
     next_token: u64,
     deadlines: BinaryHeap<Reverse<(Instant, u64)>>,
@@ -649,6 +713,13 @@ where
     P: ConcurrencyProtocol + Inspect + Send + 'static,
     P::Message: WireCodec + Send + 'static,
 {
+    /// One iteration: wait for readiness, apply what arrived — inbound
+    /// frames, due timers, then the command queue until it is empty —
+    /// and run one dispatch step per node touched. Everything applied
+    /// in between shares that step, so a caller's back-to-back
+    /// `release`, `release`, `request` leave as one coalesced frame.
+    /// The waker's flag is cleared before the queue is drained; see
+    /// [`Waker`] for why that order loses no wake-up.
     fn run(mut self) {
         let mut ready: Vec<Readiness> = Vec::with_capacity(256);
         while self.running.load(Ordering::SeqCst) {
@@ -662,21 +733,21 @@ where
             if !self.running.load(Ordering::SeqCst) {
                 break;
             }
-            let batch: Vec<Readiness> = ready.drain(..).collect();
-            for ev in batch {
+            for &ev in &ready {
                 if ev.token == WAKER_TOKEN {
-                    let mut sink = [0u8; 64];
-                    while unsafe { sys::read(self.waker_rx, sink.as_mut_ptr(), sink.len()) } > 0 {}
-                    continue;
+                    self.waker.consume();
+                } else {
+                    self.handle_readiness(ev);
                 }
-                self.handle_readiness(ev);
             }
             self.fire_deadlines();
             self.drain_commands();
         }
-        unsafe {
-            let _ = sys::close(self.waker_rx);
-        }
+        // What callers posted before the shutdown still counts: a one-way
+        // `release` right before `Cluster::shutdown` is applied (and
+        // observed) like the blocking one it replaced, then each node's
+        // `Stop`.
+        self.drain_commands();
         // Slots (and their observers) drop here, before the thread is
         // joined — `Cluster::shutdown` leaves no live observer clones.
     }
@@ -699,11 +770,9 @@ where
                 true
             }),
             Some(&Tok::Inbound(slot)) => self.with_slot(slot, |w, node| {
-                let keep = w.service_inbound(slot, node, ev);
-                if keep {
-                    Self::flush_link_events(&mut node.core, &mut node.io);
-                }
-                keep
+                w.service_inbound(slot, node, ev);
+                Self::flush_link_events(&mut node.core, &mut node.io);
+                true
             }),
             Some(&Tok::Outbound(slot, peer)) => self.with_slot(slot, |w, node| {
                 w.service_outbound(slot, node, peer, ev);
@@ -736,15 +805,14 @@ where
         }
     }
 
-    /// Reads an inbound connection dry and delivers every complete frame
-    /// through `apply_event` + a dispatch step, one frame at a time —
-    /// the same cadence as the legacy event loop. Returns whether the
-    /// node slot survives (it always does here; only commands kill it).
-    fn service_inbound(&mut self, slot: usize, node: &mut NodeState<P>, ev: Readiness) -> bool {
+    /// Reads what one readiness event announced on an inbound connection
+    /// and applies every complete frame through `apply_event`; the
+    /// dispatch step is left to the end of the worker iteration.
+    fn service_inbound(&mut self, slot: usize, node: &mut NodeState<P>, ev: Readiness) {
         use std::io::Read;
-        let mut conn = match node.io.inbound.remove(&ev.token) {
-            Some(c) => c,
-            None => return true,
+        let NodeState { core, io } = node;
+        let Some(conn) = io.inbound.get_mut(&ev.token) else {
+            return;
         };
         // A failed event with data still readable (EPOLLIN|EPOLLHUP —
         // peer closed after sending) must drain the tail frames first,
@@ -753,40 +821,45 @@ where
         let dbg = mux_debug();
         let mut dead = ev.failed && !ev.readable;
         if dead {
-            node.io.link_events.push((conn.peer, LinkDownReason::Hangup));
+            io.link_events.push((conn.peer, LinkDownReason::Hangup));
             if dbg {
-                eprintln!("mux-debug: inbound at {:?} pure-failed event", node.io.me);
+                eprintln!("mux-debug: inbound at {:?} pure-failed event", io.me);
             }
         }
-        let mut chunk = [0u8; 16 * 1024];
         while !dead {
-            match conn.stream.read(&mut chunk) {
+            match conn.stream.read(&mut self.read_buf) {
                 Ok(0) => {
                     dead = true;
-                    node.io.link_events.push((conn.peer, LinkDownReason::Eof));
+                    io.link_events.push((conn.peer, LinkDownReason::Eof));
                     if dbg {
-                        eprintln!(
-                            "mux-debug: inbound at {:?} from {:?} EOF",
-                            node.io.me, conn.peer
-                        );
+                        eprintln!("mux-debug: inbound at {:?} from {:?} EOF", io.me, conn.peer);
                     }
                 }
-                Ok(n) => conn.dec.extend(&chunk[..n]),
+                Ok(n) => {
+                    conn.dec.extend(&self.read_buf[..n]);
+                    // Readiness is level-triggered: whatever a short read
+                    // left in the socket is announced again, so asking
+                    // twice only buys a `WouldBlock`. A hang-up is the
+                    // exception — its tail has to be read to EOF now.
+                    if n < self.read_buf.len() && !ev.failed {
+                        break;
+                    }
+                }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e) => {
                     dead = true;
-                    node.io.link_events.push((conn.peer, LinkDownReason::ReadFailed));
+                    io.link_events.push((conn.peer, LinkDownReason::ReadFailed));
                     if dbg {
                         eprintln!(
                             "mux-debug: inbound at {:?} from {:?} read err {e}",
-                            node.io.me, conn.peer
+                            io.me, conn.peer
                         );
                     }
                 }
             }
         }
-        let mut keep_node = true;
+        let mut applied = false;
         loop {
             if conn.peer.is_none() {
                 match conn.dec.next_hello() {
@@ -794,9 +867,9 @@ where
                     Ok(None) => break,
                     Err(e) => {
                         dead = true;
-                        node.io.link_events.push((conn.peer, LinkDownReason::DecodeFailed));
+                        io.link_events.push((conn.peer, LinkDownReason::DecodeFailed));
                         if dbg {
-                            eprintln!("mux-debug: inbound at {:?} hello err {e:?}", node.io.me);
+                            eprintln!("mux-debug: inbound at {:?} hello err {e:?}", io.me);
                         }
                         break;
                     }
@@ -805,39 +878,44 @@ where
             match conn.dec.next::<P::Message>() {
                 Ok(Some((from, messages))) => {
                     debug_assert_eq!(Some(from), conn.peer);
-                    if let Some(rec) = node.io.recorder.as_ref() {
+                    if let Some(rec) = io.recorder.as_ref() {
                         // Merge the sender's wire stamp so this node's
                         // flight-recorder clock orders after the send.
-                        let now = node.core.epoch.elapsed().as_micros() as u64;
+                        let now = core.epoch.elapsed().as_micros() as u64;
                         rec.observe_remote(conn.dec.last_hlc(), now);
                     }
-                    keep_node =
-                        self.protocol_event(slot, node, LoopEvent::Incoming(from, messages));
-                    if !keep_node {
-                        break;
-                    }
+                    let post = apply_event(
+                        &mut core.protocol,
+                        &mut core.runtime,
+                        &mut core.fx,
+                        &io.grants,
+                        LoopEvent::Incoming(from, messages),
+                    );
+                    debug_assert!(matches!(post, PostEvent::Handled));
+                    applied = true;
                 }
                 Ok(None) => break,
                 Err(e) => {
                     dead = true;
-                    node.io.link_events.push((conn.peer, LinkDownReason::DecodeFailed));
+                    io.link_events.push((conn.peer, LinkDownReason::DecodeFailed));
                     if dbg {
                         eprintln!(
                             "mux-debug: inbound at {:?} from {:?} decode err {e:?}",
-                            node.io.me, conn.peer
+                            io.me, conn.peer
                         );
                     }
                     break;
                 }
             }
         }
-        if dead || !keep_node {
+        if dead {
             self.poller.remove(conn.stream.as_raw_fd());
             self.tokens.remove(&ev.token);
-        } else {
-            node.io.inbound.insert(ev.token, conn);
+            io.inbound.remove(&ev.token);
         }
-        keep_node
+        if applied {
+            self.mark_dirty(slot, io);
+        }
     }
 
     fn service_outbound(
@@ -877,7 +955,7 @@ where
                         let _ = node
                             .io
                             .self_tx
-                            .send(LoopEvent::Suspect { dead: vec![peer], done: None });
+                            .send((slot, LoopEvent::Suspect { dead: vec![peer], done: None }));
                     }
                     return;
                 }
@@ -902,7 +980,7 @@ where
                         link.state = LinkState::Established { stream, token: tok };
                         self.poller.modify(fd, tok, false, !drained);
                         if was_redial {
-                            let _ = node.io.self_tx.send(LoopEvent::LinkUp(peer));
+                            let _ = node.io.self_tx.send((slot, LoopEvent::LinkUp(peer)));
                         }
                     }
                     Err(_) => {
@@ -919,7 +997,7 @@ where
                             let _ = node
                                 .io
                                 .self_tx
-                                .send(LoopEvent::Suspect { dead: vec![peer], done: None });
+                                .send((slot, LoopEvent::Suspect { dead: vec![peer], done: None }));
                         }
                     }
                 }
@@ -969,7 +1047,7 @@ where
                     let me = node.io.me;
                     node.core.fx.emit_with(|| ProtocolEvent::TimerFired { node: me, token });
                     node.core.protocol.on_timer(token, &mut node.core.fx);
-                    w.step(slot, node);
+                    w.mark_dirty(slot, &mut node.io);
                     true
                 }),
                 Some(Dl::Redial { slot, peer }) => self.with_slot(slot, |w, node| {
@@ -1009,8 +1087,10 @@ where
                 let at = Instant::now() + link.backoff.delay();
                 self.schedule(at, Dl::Redial { slot, peer });
                 if suspect {
-                    let _ =
-                        node.io.self_tx.send(LoopEvent::Suspect { dead: vec![peer], done: None });
+                    let _ = node
+                        .io
+                        .self_tx
+                        .send((slot, LoopEvent::Suspect { dead: vec![peer], done: None }));
                 }
             }
         }
@@ -1022,30 +1102,46 @@ where
         self.deadlines.push(Reverse((at, self.seq)));
     }
 
+    /// Applies the queued commands and dispatches, until the queue is
+    /// empty and no node is dirty (a dispatch can raise loopback events:
+    /// `Suspect`, `LinkUp`).
     fn drain_commands(&mut self) {
-        for i in 0..self.slots.len() {
-            self.with_slot(i, |w, node| loop {
-                match node.io.cmds.try_recv() {
-                    Ok(ev) => {
-                        if !w.protocol_event(i, node, ev) {
-                            return false;
-                        }
+        loop {
+            while let Ok((slot, ev)) = self.cmds.try_recv() {
+                self.with_slot(slot, |w, node| w.command(slot, node, ev));
+            }
+            if self.dirty.is_empty() {
+                return;
+            }
+            while let Some(slot) = self.dirty.pop() {
+                self.with_slot(slot, |w, node| {
+                    // A bracketed command may have stepped it already.
+                    if node.io.dirty {
+                        w.step(slot, node);
                     }
-                    Err(_) => return true,
-                }
-            });
+                    true
+                });
+            }
         }
     }
 
-    /// Routes one [`LoopEvent`] through the shared `apply_event`
-    /// semantics, handles the transport-owned leftovers, then runs a
-    /// dispatch step. Returns whether the slot survives.
-    fn protocol_event(
-        &mut self,
-        slot: usize,
-        node: &mut NodeState<P>,
-        ev: LoopEvent<P::Message>,
-    ) -> bool {
+    fn mark_dirty(&mut self, slot: usize, io: &mut NodeIo<P::Message>) {
+        if !io.dirty {
+            io.dirty = true;
+            self.dirty.push(slot);
+        }
+    }
+
+    /// Routes one command through the shared `apply_event` semantics and
+    /// handles the transport-owned leftovers. Events that may share a
+    /// dispatch step only mark the node dirty; the others are bracketed
+    /// by their own steps (see [`LoopEvent::defers_dispatch`]). Returns
+    /// whether the slot survives.
+    fn command(&mut self, slot: usize, node: &mut NodeState<P>, ev: LoopEvent<P::Message>) -> bool {
+        let defers = ev.defers_dispatch();
+        if !defers && node.io.dirty {
+            self.step(slot, node);
+        }
         let NodeState { core, io } = node;
         match apply_event(&mut core.protocol, &mut core.runtime, &mut core.fx, &io.grants, ev) {
             PostEvent::Handled => {}
@@ -1093,7 +1189,11 @@ where
                 return false;
             }
         }
-        self.step(slot, node);
+        if defers {
+            self.mark_dirty(slot, &mut node.io);
+        } else {
+            self.step(slot, node);
+        }
         true
     }
 
@@ -1117,10 +1217,12 @@ where
         }
     }
 
-    /// One dispatch step after a protocol interaction: flush effects to
-    /// the wire, mirror runtime counters, surface backpressure events.
+    /// One dispatch step covering every event applied to the node since
+    /// the previous one: flush effects to the wire, mirror runtime
+    /// counters, surface backpressure events.
     fn step(&mut self, slot: usize, node: &mut NodeState<P>) {
         let NodeState { core, io } = node;
+        io.dirty = false;
         let me = io.me;
         let mut host = MuxHost {
             slot,
@@ -1177,15 +1279,20 @@ where
 // Public-ish surface: port, handle, spawn.
 // ---------------------------------------------------------------------
 
-/// The mux transport's per-node plumbing, held by [`NodeHandle`].
+/// The mux transport's per-node plumbing, held by [`NodeHandle`]: the
+/// owning worker's command queue and waker, plus the node's slot there.
 pub(crate) struct MuxPort<M> {
-    pub(crate) cmds: Sender<LoopEvent<M>>,
-    pub(crate) waker: Arc<Waker>,
+    cmds: Sender<Command<M>>,
+    slot: usize,
+    waker: Arc<Waker>,
 }
 
 impl<M> MuxPort<M> {
+    /// Enqueue, then wake — in that order (see [`Waker`]). The queue
+    /// outlives a killed node, so [`NodeHandle`] checks its own `running`
+    /// flag first; this fails only once the whole pool is gone.
     pub(crate) fn send(&self, ev: LoopEvent<M>) -> Result<(), NetError> {
-        self.cmds.send(ev).map_err(|_| NetError::Closed)?;
+        self.cmds.send((self.slot, ev)).map_err(|_| NetError::Closed)?;
         self.waker.wake();
         Ok(())
     }
@@ -1199,10 +1306,13 @@ pub(crate) struct MuxHandle {
 }
 
 impl MuxHandle {
+    /// Stops the pool. `running` is not a queued command, so the wake-up
+    /// is forced rather than elided; should even that byte go missing,
+    /// the 200 ms cap on every poll bounds the wait.
     pub(crate) fn shutdown(mut self) {
         self.running.store(false, Ordering::SeqCst);
         for w in &self.wakers {
-            w.wake();
+            w.force();
         }
         for t in self.threads.drain(..) {
             let _ = t.join();
@@ -1259,15 +1369,21 @@ where
     let running = Arc::new(AtomicBool::new(true));
     let mut workers = Vec::with_capacity(width);
     let mut wakers = Vec::with_capacity(width);
+    let mut queues = Vec::with_capacity(width);
     for _ in 0..width {
         let mut poller = Poller::new()?;
-        let (waker, waker_rx) = Waker::new()?;
-        poller.add(waker_rx, WAKER_TOKEN, true, false);
-        wakers.push(Arc::new(waker));
+        let waker = Arc::new(Waker::new()?);
+        poller.add(waker.read_fd, WAKER_TOKEN, true, false);
+        wakers.push(waker.clone());
+        let (tx, cmds) = unbounded::<Command<P::Message>>();
+        queues.push(tx);
         workers.push(Worker::<P> {
             poller,
-            waker_rx,
+            waker,
+            cmds,
             slots: Vec::new(),
+            dirty: Vec::new(),
+            read_buf: vec![0u8; 16 * 1024],
             tokens: HashMap::new(),
             next_token: WAKER_TOKEN,
             deadlines: BinaryHeap::new(),
@@ -1295,7 +1411,6 @@ where
         worker.tokens.insert(listener_token, Tok::Listener(slot));
         worker.poller.add(listener.as_raw_fd(), listener_token, true, false);
 
-        let (tx, rx) = unbounded::<LoopEvent<P::Message>>();
         let grants = Arc::new(GrantTable::default());
         let counters = Arc::new(Counters::default());
         let runtime_mirror = Arc::new(Mutex::new(RuntimeCounters::default()));
@@ -1311,8 +1426,8 @@ where
             core: NodeCore { protocol, runtime: HostRuntime::new(), fx, observer, epoch },
             io: NodeIo {
                 me: id,
-                cmds: rx,
-                self_tx: tx.clone(),
+                self_tx: queues[w].clone(),
+                dirty: false,
                 grants: grants.clone(),
                 counters: counters.clone(),
                 runtime_mirror: runtime_mirror.clone(),
@@ -1337,11 +1452,87 @@ where
             runtime: runtime_mirror,
             next_ticket: AtomicU64::new(1),
             running: Arc::new(AtomicBool::new(true)),
-            port: Port::Mux(MuxPort { cmds: tx, waker: wakers[w].clone() }),
+            port: Port::Mux(MuxPort { cmds: queues[w].clone(), slot, waker: wakers[w].clone() }),
         }));
     }
 
     let threads =
         workers.into_iter().map(|worker| std::thread::spawn(move || worker.run())).collect();
     Ok((handles, MuxHandle { running, wakers, threads }))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicUsize;
+
+    /// Producers post events the way [`MuxPort::send`] does — enqueue,
+    /// then [`Waker::wake`] — and wait for each to be applied before
+    /// posting the next, so the consumer's queue keeps running dry and it
+    /// parks in [`Poller::wait`] over and over. The consumer follows
+    /// [`Worker::run`]'s order (consume, then drain) but, unlike the
+    /// worker, drains *only* when the pipe fires: the worker's 200 ms
+    /// poll cap would turn a lost wake-up into a slow one, here it
+    /// strands the event for good and the deadline catches it. Producers
+    /// finish at different times, so the run ends with a single producer
+    /// whose stranded event nobody else's wake-up could rescue.
+    #[test]
+    fn elided_wake_ups_never_strand_an_event() {
+        const PRODUCERS: usize = 4;
+        const DEADLINE: Duration = Duration::from_secs(20);
+        let events = |producer: usize| 4_000 * (producer + 1);
+
+        let waker = Arc::new(Waker::new().unwrap());
+        let mut poller = Poller::new().unwrap();
+        poller.add(waker.read_fd, WAKER_TOKEN, true, false);
+        let (tx, rx) = unbounded::<usize>();
+        let applied: Vec<AtomicUsize> = (0..PRODUCERS).map(|_| AtomicUsize::new(0)).collect();
+        let stop = AtomicBool::new(false);
+        let total: usize = (0..PRODUCERS).map(events).sum();
+
+        std::thread::scope(|scope| {
+            let (waker, applied, stop) = (&waker, &applied, &stop);
+            let consumer = scope.spawn(move || {
+                let mut ready = Vec::new();
+                let mut seen = 0;
+                while seen < total && !stop.load(Ordering::SeqCst) {
+                    poller.wait(&mut ready, Duration::from_millis(200));
+                    if ready.iter().any(|ev| ev.token == WAKER_TOKEN) {
+                        waker.consume();
+                        while let Ok(producer) = rx.try_recv() {
+                            applied[producer].fetch_add(1, Ordering::SeqCst);
+                            seen += 1;
+                        }
+                    }
+                }
+                seen
+            });
+            let producers: Vec<_> = (0..PRODUCERS)
+                .map(|producer| {
+                    let tx = tx.clone();
+                    scope.spawn(move || {
+                        for i in 0..events(producer) {
+                            tx.send(producer).unwrap();
+                            waker.wake();
+                            let posted = Instant::now();
+                            while applied[producer].load(Ordering::SeqCst) <= i {
+                                if posted.elapsed() > DEADLINE {
+                                    stop.store(true, Ordering::SeqCst);
+                                    waker.force();
+                                    return Err(i);
+                                }
+                                std::thread::yield_now();
+                            }
+                        }
+                        Ok(())
+                    })
+                })
+                .collect();
+            for (producer, handle) in producers.into_iter().enumerate() {
+                let outcome = handle.join().unwrap();
+                assert_eq!(outcome, Ok(()), "producer {producer}: an event was never applied");
+            }
+            assert_eq!(consumer.join().unwrap(), total);
+        });
+    }
 }

@@ -148,10 +148,11 @@ impl<T> BoundedQueue<T> {
 }
 
 /// A lock-addressed operation forwarded from the API surface through the
-/// router to the owning shard worker.
+/// router to the owning shard worker. `Release` is one-way: the caller
+/// retired the ticket from the shard's [`GrantTable`] first.
 enum ShardOp {
     Request { mode: Mode, ticket: Ticket, priority: Priority },
-    Release { ticket: Ticket, done: Option<Sender<Result<(), NetError>>> },
+    Release { ticket: Ticket },
     Upgrade { ticket: Ticket, done: Sender<Result<(), NetError>> },
     Cancel { ticket: Ticket, done: Sender<Result<(), NetError>> },
     Downgrade { ticket: Ticket, mode: Mode, done: Sender<Result<(), NetError>> },
@@ -288,35 +289,35 @@ impl ShardedNodeHandle {
         self.send_op(lock, ShardOp::TryRequest { mode, ticket, done: tx })?;
         let granted = rx.recv().map_err(|_| NetError::Closed)??;
         if granted {
-            self.grants[self.shard_of(lock)].discard(ticket);
+            self.grants[self.shard_of(lock)].claim_confirmed(ticket)?;
             Ok(Some(ticket))
         } else {
             Ok(None)
         }
     }
 
-    /// Releases a granted lock.
+    /// Releases a granted lock. Does not block: the ticket is checked
+    /// against the owning shard's record of granted tickets on the
+    /// calling thread (same contract as [`crate::NodeHandle::release`]),
+    /// and the release is queued for the shard worker one-way.
     ///
     /// # Errors
     ///
-    /// [`NetError::Protocol`] if `ticket` holds nothing.
+    /// [`NetError::Protocol`] (`NotHeld`) if `ticket` is unknown, not
+    /// granted yet, already released, or was granted on another lock;
+    /// [`NetError::Closed`] if the node has shut down.
     pub fn release(&self, lock: LockId, ticket: Ticket) -> Result<(), NetError> {
-        let (tx, rx) = unbounded();
-        self.send_op(lock, ShardOp::Release { ticket, done: Some(tx) })?;
-        rx.recv().map_err(|_| NetError::Closed)?
+        self.grants[self.shard_of(lock)].retire(lock, ticket)?;
+        self.send_op(lock, ShardOp::Release { ticket })
     }
 
-    /// Fire-and-forget release: enqueues the release and returns without
-    /// waiting for the shard worker to apply it. Misuse (an unknown or
-    /// unheld ticket) is silently dropped, so prefer
-    /// [`ShardedNodeHandle::release`] unless the round trip is on your
-    /// critical path (pipelined benchmarks, bulk teardown).
+    /// Alias of [`ShardedNodeHandle::release`], which no longer blocks.
     ///
     /// # Errors
     ///
-    /// [`NetError::Closed`] if the node has shut down.
+    /// As [`ShardedNodeHandle::release`].
     pub fn release_async(&self, lock: LockId, ticket: Ticket) -> Result<(), NetError> {
-        self.send_op(lock, ShardOp::Release { ticket, done: None })
+        self.release(lock, ticket)
     }
 
     /// Upgrades a held `U` to `W`, blocking until it completes. On
@@ -730,11 +731,9 @@ fn shard_worker(
                     let r = space.request_with_priority(lock, mode, ticket, priority, &mut fx);
                     debug_assert!(r.is_ok(), "request rejected: {r:?}");
                 }
-                ShardOp::Release { ticket, done } => {
-                    let r = space.release(lock, ticket, &mut fx).map_err(NetError::Protocol);
-                    if let Some(done) = done {
-                        let _ = done.send(r);
-                    }
+                ShardOp::Release { ticket } => {
+                    let r = space.release(lock, ticket, &mut fx);
+                    debug_assert!(r.is_ok(), "retired ticket rejected by the protocol: {r:?}");
                 }
                 ShardOp::Upgrade { ticket, done } => {
                     let r = space.upgrade(lock, ticket, &mut fx).map_err(NetError::Protocol);
@@ -742,12 +741,16 @@ fn shard_worker(
                 }
                 ShardOp::Cancel { ticket, done } => {
                     // A grant may have raced ahead of the cancel: release
-                    // it and drop its unclaimed mailbox entry.
+                    // it and drop its mailbox entry (whoever removes the
+                    // entry owns the release, as in `apply_event`).
                     let r = match space.cancel(lock, ticket, &mut fx) {
                         Ok(_) => Ok(()),
                         Err(hlock_core::ProtocolError::NotCancellable { .. }) => {
-                            grants.discard(ticket);
-                            space.release(lock, ticket, &mut fx).map_err(NetError::Protocol)
+                            if grants.discard(ticket) {
+                                space.release(lock, ticket, &mut fx).map_err(NetError::Protocol)
+                            } else {
+                                Ok(())
+                            }
                         }
                         Err(e) => Err(NetError::Protocol(e)),
                     };
@@ -969,6 +972,42 @@ mod tests {
     }
 
     #[test]
+    fn release_is_validated_locally_and_leaves_no_grant_behind() {
+        use crate::tests::not_held;
+        let cluster =
+            ShardedCluster::spawn_hierarchical(2, 8, 2, ProtocolConfig::default()).unwrap();
+        let (home, node) = (cluster.node(0), cluster.node(1));
+        assert!(not_held(node.release(LockId(3), Ticket(999))));
+        // Not granted yet, then cancelled after a timeout.
+        let hold = home.acquire(LockId(3), Mode::Write, TIMEOUT).unwrap();
+        let pending = node.request(LockId(3), Mode::Write).unwrap();
+        assert!(not_held(node.release(LockId(3), pending)));
+        assert!(node.wait(LockId(3), pending, Duration::from_millis(50)).is_err());
+        node.cancel(LockId(3), pending).unwrap();
+        home.release(LockId(3), hold).unwrap();
+        // Wrong lock (same shard or not), the right one, once too often;
+        // `release_async` is the same call.
+        let t = node.acquire(LockId(3), Mode::Read, TIMEOUT).unwrap();
+        for other in [LockId(2), LockId(4)] {
+            assert!(not_held(node.release(other, t)));
+        }
+        node.release_async(LockId(3), t).unwrap();
+        assert!(not_held(node.release(LockId(3), t)));
+        assert!(not_held(node.release_async(LockId(3), t)));
+        let t = home.try_acquire(LockId(5), Mode::Write).unwrap().expect("home grants locally");
+        home.release(LockId(5), t).unwrap();
+        for l in 0..8u32 {
+            for _ in 0..10 {
+                let t = node.acquire(LockId(l), Mode::Write, TIMEOUT).unwrap();
+                node.release(LockId(l), t).unwrap();
+            }
+        }
+        let entries: usize = [home, node].iter().flat_map(|n| &n.grants).map(|g| g.len()).sum();
+        assert_eq!(entries, 0, "an entry outlived its ticket");
+        cluster.shutdown();
+    }
+
+    #[test]
     fn quiescence_spans_all_shards() {
         let cluster =
             ShardedCluster::spawn_hierarchical(2, 8, 4, ProtocolConfig::default()).unwrap();
@@ -996,6 +1035,10 @@ mod tests {
             let t = cluster.node(1).acquire(LockId(l), Mode::Read, TIMEOUT).unwrap();
             cluster.node(1).release(LockId(l), t).unwrap();
         }
+        // A worker mirrors its counters after the dispatch that woke the
+        // caller, and `release` no longer waits for it: round-trip
+        // through every shard before reading them.
+        cluster.node(1).is_quiescent().unwrap();
         let rt = cluster.node(1).runtime_counters();
         assert!(rt.grants >= 16, "{rt:?}");
         let per_shard = cluster.node(1).shard_runtime_counters();

@@ -14,7 +14,7 @@ use hlock_core::{
 };
 use hlock_wire::frame;
 use parking_lot::{Condvar, Mutex};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -39,10 +39,12 @@ pub(crate) enum LoopEvent<M> {
         ticket: Ticket,
         priority: Priority,
     },
+    /// One-way: the caller already retired the ticket from the
+    /// [`GrantTable`] (see [`GrantTable::retire`]), so there is nothing
+    /// to report back.
     Release {
         lock: LockId,
         ticket: Ticket,
-        done: Sender<Result<(), NetError>>,
     },
     Upgrade {
         lock: LockId,
@@ -92,6 +94,35 @@ pub(crate) enum LoopEvent<M> {
     Stop,
 }
 
+impl<M> LoopEvent<M> {
+    /// Whether a host that dispatches once per *burst* of events may
+    /// leave this event's effects in the sink until the burst ends. True
+    /// for the one-way events of the hot path. Every other event either
+    /// answers a blocked caller or ends the node: the host flushes what
+    /// is pending before applying it and flushes its own effects right
+    /// after, so it observes — and leaves behind — exactly the mailbox
+    /// and wire state it would with one dispatch per event. (A `Cancel`
+    /// must find a grant that raced ahead of it already delivered; a
+    /// `Kill` must not swallow the release posted just before it.)
+    pub(crate) fn defers_dispatch(&self) -> bool {
+        match self {
+            LoopEvent::Incoming(..)
+            | LoopEvent::Request { .. }
+            | LoopEvent::Release { .. }
+            | LoopEvent::LinkUp(_) => true,
+            LoopEvent::Suspect { done, .. } => done.is_none(),
+            LoopEvent::Upgrade { .. }
+            | LoopEvent::Cancel { .. }
+            | LoopEvent::IsQuiescent { .. }
+            | LoopEvent::Downgrade { .. }
+            | LoopEvent::TryRequest { .. }
+            | LoopEvent::Sever { .. }
+            | LoopEvent::Kill { .. }
+            | LoopEvent::Stop => false,
+        }
+    }
+}
+
 /// What [`apply_event`] could not finish on its own because it needs
 /// transport state (sockets, the event loop's lifecycle) the protocol
 /// layer does not own.
@@ -137,9 +168,12 @@ where
             // Duplicate tickets cannot happen (monotonic counter).
             debug_assert!(r.is_ok(), "request rejected: {r:?}");
         }
-        LoopEvent::Release { lock, ticket, done } => {
-            let r = protocol.release(lock, ticket, fx).map_err(NetError::Protocol);
-            let _ = done.send(r);
+        LoopEvent::Release { lock, ticket } => {
+            // The caller retired the ticket's mailbox entry, and an entry
+            // exists only for a ticket the protocol granted and has not
+            // released (or that recovery voided, which releases as `Ok`).
+            let r = protocol.release(lock, ticket, fx);
+            debug_assert!(r.is_ok(), "retired ticket rejected by the protocol: {r:?}");
         }
         LoopEvent::Upgrade { lock, ticket, done } => {
             let r = protocol.upgrade(lock, ticket, fx).map_err(NetError::Protocol);
@@ -147,12 +181,17 @@ where
         }
         LoopEvent::Cancel { lock, ticket, done } => {
             // A grant may have raced ahead of the cancel: release it and
-            // drop its unclaimed mailbox entry.
+            // drop its mailbox entry. Whoever removes the entry owns the
+            // protocol-side release, so a caller racing `release` against
+            // its own `cancel` cannot release twice.
             let r = match protocol.cancel(lock, ticket, fx) {
                 Ok(_) => Ok(()),
                 Err(hlock_core::ProtocolError::NotCancellable { .. }) => {
-                    grants.discard(ticket);
-                    protocol.release(lock, ticket, fx).map_err(NetError::Protocol)
+                    if grants.discard(ticket) {
+                        protocol.release(lock, ticket, fx).map_err(NetError::Protocol)
+                    } else {
+                        Ok(())
+                    }
                 }
                 Err(e) => Err(NetError::Protocol(e)),
             };
@@ -185,30 +224,52 @@ where
     PostEvent::Handled
 }
 
-/// Grant mailbox shared between a node's protocol loop and API callers.
+/// One granted-and-not-yet-released ticket.
+struct Held {
+    lock: LockId,
+    mode: Mode,
+    /// Whether a caller has consumed this grant (`wait`, `try_acquire`).
+    claimed: bool,
+}
+
+/// The record of every ticket a node has granted and its callers have
+/// not yet released, shared between the protocol loop and API callers.
+///
+/// An entry's life: the loop [`deliver`](GrantTable::deliver)s it when
+/// the protocol grants the ticket (again on an upgrade, which re-grants
+/// `W` on the held `U` ticket); a caller claims it in
+/// [`wait`](GrantTable::wait); `release` [`retire`](GrantTable::retire)s
+/// it, or a cancellation that lost the race against the grant
+/// [`discard`](GrantTable::discard)s it. Because the entry outlives the
+/// claim, `release` can be validated against this table on the caller's
+/// thread and posted to the loop one-way; because exactly one caller
+/// removes an entry, the loop sees at most one release per grant.
 #[derive(Default)]
 pub(crate) struct GrantTable {
-    pub(crate) granted: Mutex<HashMap<Ticket, (LockId, Mode)>>,
-    pub(crate) signal: Condvar,
+    held: Mutex<HashMap<Ticket, Held>>,
+    signal: Condvar,
 }
 
 impl GrantTable {
     pub(crate) fn deliver(&self, ticket: Ticket, lock: LockId, mode: Mode) {
-        self.granted.lock().insert(ticket, (lock, mode));
+        self.held.lock().insert(ticket, Held { lock, mode, claimed: false });
         self.signal.notify_all();
     }
 
-    /// Drops an unclaimed grant (after a cancellation), avoiding a leak.
-    pub(crate) fn discard(&self, ticket: Ticket) {
-        self.granted.lock().remove(&ticket);
+    /// Drops the entry of a grant nobody will claim (its request was
+    /// cancelled). Returns whether there was one.
+    pub(crate) fn discard(&self, ticket: Ticket) -> bool {
+        self.held.lock().remove(&ticket).is_some()
     }
 
+    /// Blocks until `ticket` has an unclaimed grant, and claims it.
     pub(crate) fn wait(&self, ticket: Ticket, timeout: Duration) -> Option<(LockId, Mode)> {
         let deadline = Instant::now() + timeout;
-        let mut table = self.granted.lock();
+        let mut table = self.held.lock();
         loop {
-            if let Some(v) = table.remove(&ticket) {
-                return Some(v);
+            if let Some(held) = table.get_mut(&ticket).filter(|h| !h.claimed) {
+                held.claimed = true;
+                return Some((held.lock, held.mode));
             }
             let now = Instant::now();
             if now >= deadline {
@@ -216,6 +277,39 @@ impl GrantTable {
             }
             let _ = self.signal.wait_for(&mut table, deadline - now);
         }
+    }
+
+    /// Claims a grant the loop has already confirmed to the caller
+    /// (`try_acquire`): the loop answers before its dispatch step delivers
+    /// the grant, so the entry is at most that step away. The bound only
+    /// ever expires when the loop died in between.
+    ///
+    /// # Errors
+    ///
+    /// `Closed` in that case.
+    pub(crate) fn claim_confirmed(&self, ticket: Ticket) -> Result<(), NetError> {
+        self.wait(ticket, Duration::from_secs(5)).map(drop).ok_or(NetError::Closed)
+    }
+
+    /// Removes the entry of a ticket being released.
+    ///
+    /// # Errors
+    ///
+    /// `NotHeld` — the protocol's own answer — when `ticket` is unknown,
+    /// not granted yet, already released, or granted on another lock.
+    pub(crate) fn retire(&self, lock: LockId, ticket: Ticket) -> Result<(), NetError> {
+        match self.held.lock().entry(ticket) {
+            Entry::Occupied(held) if held.get().lock == lock => {
+                held.remove();
+                Ok(())
+            }
+            _ => Err(NetError::Protocol(hlock_core::ProtocolError::NotHeld { ticket })),
+        }
+    }
+
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.held.lock().len()
     }
 }
 
@@ -355,4 +449,64 @@ pub(crate) fn serve_scrape(
     );
     let _ = stream.write_all(response.as_bytes());
     let _ = stream.shutdown(Shutdown::Both);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tests::not_held;
+
+    const L0: LockId = LockId(0);
+    const L1: LockId = LockId(1);
+    const T: Ticket = Ticket(7);
+    const NOW: Duration = Duration::ZERO;
+
+    #[test]
+    fn retire_accepts_exactly_one_release_of_a_granted_ticket_on_its_lock() {
+        let table = GrantTable::default();
+        assert!(not_held(table.retire(L0, T)), "unknown or not granted yet");
+        table.deliver(T, L0, Mode::Read);
+        assert!(not_held(table.retire(L1, T)), "granted on another lock");
+        assert_eq!(table.len(), 1, "a refused release leaves the entry alone");
+        // Claimed or not, a granted ticket may be released.
+        table.retire(L0, T).unwrap();
+        assert!(not_held(table.retire(L0, T)), "already released");
+        assert_eq!(table.len(), 0);
+    }
+
+    #[test]
+    fn wait_claims_once_and_sees_an_upgrade_regrant() {
+        let table = GrantTable::default();
+        assert_eq!(table.wait(T, NOW), None, "nothing granted");
+        table.deliver(T, L0, Mode::Upgrade);
+        assert_eq!(table.wait(T, NOW), Some((L0, Mode::Upgrade)));
+        assert_eq!(table.wait(T, NOW), None, "a grant is claimed once");
+        // The upgrade re-grants `W` on the held `U` ticket.
+        table.deliver(T, L0, Mode::Write);
+        assert_eq!(table.wait(T, NOW), Some((L0, Mode::Write)));
+        assert_eq!(table.len(), 1, "still one entry for the one held ticket");
+        table.retire(L0, T).unwrap();
+        assert_eq!(table.len(), 0);
+    }
+
+    #[test]
+    fn discard_reports_whether_it_removed_the_grant() {
+        let table = GrantTable::default();
+        assert!(!table.discard(T));
+        table.deliver(T, L0, Mode::Write);
+        assert!(table.discard(T));
+        assert!(!table.discard(T));
+        assert_eq!(table.wait(T, NOW), None);
+        assert_eq!(table.len(), 0);
+    }
+
+    #[test]
+    fn wait_wakes_on_a_grant_delivered_from_another_thread() {
+        let table = GrantTable::default();
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| table.wait(T, Duration::from_secs(30)));
+            table.deliver(T, L1, Mode::IntentRead);
+            assert_eq!(waiter.join().unwrap(), Some((L1, Mode::IntentRead)));
+        });
+    }
 }

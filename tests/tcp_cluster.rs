@@ -204,3 +204,55 @@ fn recovery_transport_detects_dead_home_unaided() {
     cluster.node(2).release(LockId(0), t).unwrap();
     cluster.shutdown();
 }
+
+#[test]
+fn a_callers_back_to_back_calls_share_one_dispatch_step_and_one_frame() {
+    // A closed-loop client's `release(entry)`, `release(table)`,
+    // `request(table)` reach its event loop as one burst whenever the
+    // loop does not wake between them; the burst is then applied whole
+    // and dispatched once, so the three messages (all bound for the token
+    // home) leave as one frame. Whether a given burst is caught whole is
+    // up to the scheduler, so the client runs until one is.
+    use hlock::core::{LockSpace, NodeId};
+    let config = ProtocolConfig::default();
+    let (cluster, flight) = Cluster::spawn_recorded(
+        2,
+        move |i| LockSpace::new(NodeId(i as u32), 2, NodeId(0), config),
+        None,
+        |_| None,
+    )
+    .unwrap();
+    let (table, entry) = (LockId(0), LockId(1));
+    let client = cluster.node(1);
+    let totals = || {
+        // `is_quiescent` is answered by the loop after everything posted
+        // before it was applied and dispatched, so the counters are
+        // settled.
+        let mut frames = 0;
+        for i in 0..cluster.len() {
+            cluster.node(i).is_quiescent().unwrap();
+            frames += cluster.node(i).runtime_counters().frames;
+        }
+        (frames, cluster.message_stats().values().sum::<u64>())
+    };
+    let mut coalesced = false;
+    for _ in 0..200 {
+        for _ in 0..25 {
+            let tt = client.acquire(table, Mode::IntentRead, TIMEOUT).unwrap();
+            let te = client.acquire(entry, Mode::Read, TIMEOUT).unwrap();
+            client.release(entry, te).unwrap();
+            client.release(table, tt).unwrap();
+        }
+        let (frames, messages) = totals();
+        assert!(frames <= messages, "{frames} frames for {messages} messages");
+        if frames < messages {
+            coalesced = true;
+            break;
+        }
+    }
+    assert!(coalesced, "5000 release+release+request bursts and not one shared a frame");
+    // Frames spanning a burst still deliver in per-link order.
+    let findings = flight.auditor().findings();
+    assert!(findings.is_empty(), "auditor (link_fifo among its checks): {findings:?}");
+    cluster.shutdown();
+}
