@@ -15,7 +15,13 @@
 //!    as each child's, and all concurrently held modes in the whole
 //!    system are pairwise compatible;
 //! 5. frozen bookkeeping has drained: with no queued requests anywhere,
-//!    no mode may remain frozen.
+//!    no mode may remain frozen;
+//! 6. an owned mode that no local ticket and no child accounts for is
+//!    legal only as the node's *retained* mode (Rule 5.3,
+//!    [`LockNode::retained`]): only `IR`, never at the token node, and
+//!    only under a configuration that can recall it. A retained mode is
+//!    part of `owned()`, so checks 2 and 4 hold it to exactly the rules
+//!    of a held one.
 //!
 //! Hosts run this after a run completes (the simulator when safety
 //! checking is on; the model checker in every terminal state).
@@ -174,6 +180,21 @@ pub fn audit_lock<'a>(nodes: impl IntoIterator<Item = &'a LockNode>) -> Vec<Audi
         }
     }
 
+    // 6. Retention is IR-only, never at the token, and recallable.
+    for n in &nodes {
+        let Some(kept) = n.retained() else { continue };
+        if n.is_token() {
+            f(format!("{lock}: token node {} retains {kept}", n.id()));
+        }
+        if kept != crate::Mode::IntentRead {
+            f(format!("{lock}: {} retains {kept}; only IR may be retained", n.id()));
+        }
+        let cfg = n.config();
+        if !(cfg.suppress_releases && cfg.freezing) {
+            f(format!("{lock}: {} retains {kept} but its configuration cannot recall it", n.id()));
+        }
+    }
+
     findings
 }
 
@@ -274,11 +295,16 @@ const MAX_FINDINGS: usize = 256;
 ///    Recovery events reset holder knowledge (the dead may have held
 ///    tokens), so clean crash-recovery runs stay silent.
 /// 2. **Grant legitimacy** — a local grant requires the token or a
-///    copyset membership. Membership is learned from `copy_granted`
-///    (the span origin joins) and dropped on `copy_revoked` with no
-///    remaining owned mode. Only *positive* contradictions are flagged
-///    (the token is known to be elsewhere and the node is not a
-///    member), so attaching the auditor mid-run is safe.
+///    copyset membership. Membership is per `(parent, child)` pair: it
+///    is learned from `copy_granted` (the span origin joins the
+///    granter's copyset) and from `token_sent` (the sender may stay in
+///    the receiver's copyset), and dropped on that parent's
+///    `copy_revoked` with no remaining owned mode. Keying by the pair
+///    matters when a child is re-parented: the new parent's grant can be
+///    observed before the old parent's revocation, which must not erase
+///    it. Only *positive* contradictions are flagged (the token is known
+///    to be elsewhere and the node is in nobody's copyset), so attaching
+///    the auditor mid-run is safe.
 /// 3. **Span balance** — streaming open/close accounting: a span that
 ///    opens twice without closing, or closes (`granted` /
 ///    `request_cancelled` / `request_aborted`) without a matching open,
@@ -300,7 +326,8 @@ pub struct InvariantAuditor {
     findings: Vec<LiveAuditFinding>,
     suppressed: u64,
     token: HashMap<LockId, TokenWhere>,
-    members: HashMap<LockId, HashSet<NodeId>>,
+    /// Copyset memberships as `(parent, child)` pairs.
+    members: HashMap<LockId, HashSet<(NodeId, NodeId)>>,
     /// Open spans, each tagged with the recovery generation at (re-)open.
     open: HashMap<SpanId, u64>,
     links: HashMap<(u32, u32), LinkState>,
@@ -380,7 +407,7 @@ impl Observer for InvariantAuditor {
         }
 
         match event {
-            ProtocolEvent::TokenSent { node, lock, .. } => {
+            ProtocolEvent::TokenSent { node, lock, span, .. } => {
                 match self.token_state(*lock) {
                     TokenWhere::Held(h) if h != *node => self.flag(
                         at,
@@ -398,6 +425,10 @@ impl Observer for InvariantAuditor {
                     _ => {}
                 }
                 self.token.insert(*lock, TokenWhere::InFlight(*node));
+                // Footnote b: a sender that still owns a mode becomes the
+                // receiver's child. The event does not say whether it
+                // does, so assume membership (never a false positive).
+                self.members.entry(*lock).or_default().insert((span.origin, *node));
             }
             ProtocolEvent::TokenReceived { node, lock, .. } => {
                 if let TokenWhere::Held(h) = self.token_state(*lock) {
@@ -455,20 +486,20 @@ impl Observer for InvariantAuditor {
                     }
                 }
             }
-            ProtocolEvent::CopyGranted { lock, span, .. } => {
-                self.members.entry(*lock).or_default().insert(span.origin);
+            ProtocolEvent::CopyGranted { node, lock, span, .. } => {
+                self.members.entry(*lock).or_default().insert((*node, span.origin));
             }
-            ProtocolEvent::CopyRevoked { lock, child, new_owned, .. } => {
-                if new_owned.is_none() {
-                    if let Some(m) = self.members.get_mut(lock) {
-                        m.remove(child);
-                    }
+            ProtocolEvent::CopyRevoked { node, lock, child, new_owned: None } => {
+                if let Some(m) = self.members.get_mut(lock) {
+                    m.remove(&(*node, *child));
                 }
             }
             ProtocolEvent::Granted { node, lock, .. } => {
                 if let TokenWhere::Held(h) = self.token_state(*lock) {
-                    let member =
-                        self.members.get(lock).map(|m| m.contains(node)).unwrap_or(false);
+                    let member = self
+                        .members
+                        .get(lock)
+                        .is_some_and(|m| m.iter().any(|&(_, child)| child == *node));
                     if h != *node && !member {
                         self.flag(
                             at,
@@ -651,8 +682,14 @@ mod tests {
             .collect()
     }
 
-    /// Delivers all pending messages between nodes until quiet.
-    fn pump(nodes: &mut [LockNode], fx: &mut EffectSink<Payload>, from: NodeId) {
+    /// Delivers all pending messages between nodes until quiet; returns
+    /// the protocol events of those steps (none unless `fx` is observing).
+    fn pump(
+        nodes: &mut [LockNode],
+        fx: &mut EffectSink<Payload>,
+        from: NodeId,
+    ) -> Vec<ProtocolEvent> {
+        let mut events = fx.take_events();
         let mut queue: Vec<(NodeId, NodeId, Payload)> = fx
             .drain()
             .filter_map(|e| match e {
@@ -662,11 +699,13 @@ mod tests {
             .collect();
         while let Some((src, dst, msg)) = queue.pop() {
             nodes[dst.index()].on_message(src, msg, fx);
+            events.extend(fx.take_events());
             queue.extend(fx.drain().filter_map(|e| match e {
                 Effect::Send { to, message } => Some((dst, to, message)),
                 _ => None,
             }));
         }
+        events
     }
 
     #[test]
@@ -695,6 +734,26 @@ mod tests {
         }
         nodes[3].release(Ticket(3), &mut fx).unwrap();
         pump(&mut nodes, &mut fx, NodeId(3));
+        let findings = audit_lock(nodes.iter());
+        assert!(findings.is_empty(), "{findings:?}");
+    }
+
+    /// A retained `IR` is an owned mode without a ticket: the quiescent
+    /// audit accepts it (the parent's copyset accounts for it like a held
+    /// one) and it does not count against quiescence.
+    #[test]
+    fn retained_mode_is_consistent_at_quiescence() {
+        let mut nodes = fresh(3);
+        let mut fx = EffectSink::new();
+        for i in [1usize, 2] {
+            nodes[i].request(Mode::IntentRead, Ticket(1), &mut fx).unwrap();
+            pump(&mut nodes, &mut fx, NodeId(i as u32));
+            nodes[i].release(Ticket(1), &mut fx).unwrap();
+            pump(&mut nodes, &mut fx, NodeId(i as u32));
+            assert_eq!(nodes[i].retained(), Some(Mode::IntentRead));
+            assert!(nodes[i].held().is_empty() && nodes[i].is_quiescent());
+        }
+        assert_eq!(nodes[0].children().len(), 2, "the token still accounts for both");
         let findings = audit_lock(nodes.iter());
         assert!(findings.is_empty(), "{findings:?}");
     }
@@ -845,6 +904,74 @@ mod tests {
         let grant_findings: Vec<_> =
             a.findings().iter().filter(|f| f.invariant == "grant_legitimacy").collect();
         assert_eq!(grant_findings.len(), 1, "{:?}", a.findings());
+    }
+
+    /// Regression: a re-parented child's membership is per parent. The
+    /// new parent's grant is observed first, the old parent's revocation
+    /// later — the late revocation must not erase the live membership,
+    /// and the new parent's own revocation still ends it.
+    #[test]
+    fn live_auditor_keys_membership_by_parent_and_child() {
+        let copy_granted = |parent: u32, child: u32, t: u64| ProtocolEvent::CopyGranted {
+            node: NodeId(parent),
+            lock: L,
+            span: span_of(child, t),
+            mode: Mode::Read,
+            copyset_size: 1,
+        };
+        let revoked = |parent: u32, child: u32| ProtocolEvent::CopyRevoked {
+            node: NodeId(parent),
+            lock: L,
+            child: NodeId(child),
+            new_owned: None,
+        };
+        let mut a = InvariantAuditor::new();
+        feed(
+            &mut a,
+            &[
+                token_recv(1),
+                issued(3, 1),
+                copy_granted(0, 3, 1),
+                granted_ev(3, 1),
+                // n3 asks again, is served by the token node n1 and
+                // re-parents; n0 learns of it only afterwards.
+                issued(3, 2),
+                copy_granted(1, 3, 2),
+                granted_ev(3, 2),
+                revoked(0, 3),
+                issued(3, 3),
+                granted_ev(3, 3),
+            ],
+        );
+        assert!(a.is_clean(), "{:?}", a.findings());
+        feed(&mut a, &[revoked(1, 3), issued(3, 4), granted_ev(3, 4)]);
+        assert_eq!(a.findings().len(), 1, "{:?}", a.findings());
+        assert_eq!(a.findings()[0].invariant, "grant_legitimacy");
+    }
+
+    /// The old token node stays in the new one's copyset when it still
+    /// owns a mode (footnote b) — here a retained `IR` — and may keep
+    /// granting under it.
+    #[test]
+    fn live_auditor_accepts_local_grants_at_the_old_token_node() {
+        let mut nodes = fresh(2);
+        let mut fx = EffectSink::new();
+        fx.set_observing(true);
+        nodes[0].request(Mode::IntentRead, Ticket(1), &mut fx).unwrap();
+        let mut events = fx.take_events();
+        // U is compatible with n0's IR and always moves the token.
+        nodes[1].request(Mode::Upgrade, Ticket(1), &mut fx).unwrap();
+        events.extend(pump(&mut nodes, &mut fx, NodeId(1)));
+        assert!(nodes[1].is_token());
+        nodes[0].release(Ticket(1), &mut fx).unwrap();
+        assert_eq!(nodes[0].retained(), Some(Mode::IntentRead));
+        nodes[0].request(Mode::IntentRead, Ticket(2), &mut fx).unwrap();
+        events.extend(fx.take_events());
+        assert_eq!(nodes[0].held(), &[(Ticket(2), Mode::IntentRead)]);
+        let mut a = InvariantAuditor::new();
+        feed(&mut a, &events);
+        assert!(a.is_clean(), "{:?}", a.findings());
+        assert!(events.iter().any(|e| matches!(e, ProtocolEvent::TokenReceived { .. })));
     }
 
     #[test]

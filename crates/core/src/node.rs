@@ -25,7 +25,11 @@
 //!   toward the token otherwise; the token queues unconditionally.
 //! * **Rule 5** — queued requests are reconsidered on grants and
 //!   releases; a release travels to the parent only when the subtree's
-//!   owned mode actually changes.
+//!   owned mode actually changes. A non-token node *retains* `IR` after
+//!   its last local holder releases (Rule 5.3): the mode stays owned, the
+//!   release is suppressed and the next local `IR` is granted without
+//!   messages, until a freeze of `IR`, a conflicting local request or the
+//!   token's arrival ends the retention.
 //! * **Rule 6** — while a request waits at the token, all modes
 //!   incompatible with it are *frozen* (Table 2(b)); freeze/update
 //!   notifications keep potential granters from serving such modes,
@@ -94,6 +98,10 @@ pub struct LockNode {
     child_frozen: BTreeMap<NodeId, ModeSet>,
     /// The owned mode our parent currently believes we have.
     reported_owned: Option<Mode>,
+    /// Rule 5.3: the mode kept owned on the node's own behalf after its
+    /// last local holder released (only ever `IR`, only at a non-token
+    /// node). Counts toward [`LockNode::owned`] exactly like a held entry.
+    retained: Option<Mode>,
     /// Tickets whose in-flight requests were cancelled: their grants are
     /// absorbed and relinquished on arrival.
     cancelled: BTreeSet<Ticket>,
@@ -120,6 +128,7 @@ impl LockNode {
             frozen: ModeSet::EMPTY,
             child_frozen: BTreeMap::new(),
             reported_owned: None,
+            retained: None,
             cancelled: BTreeSet::new(),
             clock: Stamp::ZERO,
         }
@@ -134,8 +143,10 @@ impl LockNode {
     /// false-positive rejoiner whose grants were voided); `copyset` is
     /// only consulted when this node *is* the new home. Queues, pending
     /// requests and frozen sets start empty — outstanding requests are
-    /// re-issued by their origins after the rebuild. The Lamport `clock`
-    /// is preserved so stamps never move backwards across an epoch.
+    /// re-issued by their origins after the rebuild, and a retained mode
+    /// (Rule 5.3) is void: the epoch install ends every retention. The
+    /// Lamport `clock` is preserved so stamps never move backwards across
+    /// an epoch.
     pub(crate) fn recovered(
         id: NodeId,
         lock: LockId,
@@ -172,6 +183,7 @@ impl LockNode {
             frozen: ModeSet::EMPTY,
             child_frozen: BTreeMap::new(),
             reported_owned,
+            retained: None,
             cancelled: BTreeSet::new(),
             clock,
         }
@@ -180,7 +192,8 @@ impl LockNode {
     /// This lock's survivor state as reported to a recovery coordinator:
     /// token possession plus the strongest locally *held* mode. Children
     /// are deliberately excluded — every survivor reports for itself, and
-    /// the rebuilt tree is flat.
+    /// the rebuilt tree is flat. A retained mode is not reported either:
+    /// nobody is inside a critical section under it.
     pub(crate) fn survivor_report(&self) -> crate::message::LockReport {
         let owned = self.held.iter().map(|&(_, m)| m).fold(None, |acc, m| stronger(acc, Some(m)));
         crate::message::LockReport { holds_token: self.is_token, owned }
@@ -258,8 +271,14 @@ impl LockNode {
     /// (Definition 3). `None` is `∅`.
     pub fn owned(&self) -> Option<Mode> {
         let held_max =
-            self.held.iter().map(|&(_, m)| m).fold(None, |acc, m| stronger(acc, Some(m)));
+            self.held.iter().map(|&(_, m)| m).fold(self.retained, |acc, m| stronger(acc, Some(m)));
         self.children.values().fold(held_max, |acc, &m| stronger(acc, Some(m)))
+    }
+
+    /// The mode this node keeps owned on its own behalf although no local
+    /// ticket holds it (Rule 5.3), if any. Only `IR` is ever retained.
+    pub fn retained(&self) -> Option<Mode> {
+        self.retained
     }
 
     /// Currently frozen modes at this node.
@@ -279,7 +298,8 @@ impl LockNode {
 
     /// Whether this node has no protocol work in progress (no pending
     /// requests and an empty queue). Held modes are the application's
-    /// business and do not affect quiescence.
+    /// business and do not affect quiescence, and neither does a retained
+    /// mode: it waits for nothing.
     pub fn is_quiescent(&self) -> bool {
         self.pending.is_empty() && self.queue.is_empty()
     }
@@ -290,6 +310,7 @@ impl LockNode {
     fn is_inactive(&self) -> bool {
         !self.is_token
             && self.held.is_empty()
+            && self.retained.is_none()
             && self.children.is_empty()
             && self.pending.is_empty()
             && self.queue.is_empty()
@@ -440,6 +461,12 @@ impl LockNode {
             self.grant_local(ticket, mode, fx);
             return Ok(());
         }
+        // Rule 5.3: a request that conflicts with our own retained mode
+        // gives the retention up first, so the release and the request
+        // leave in the same step (and the same frame).
+        if self.retained.is_some_and(|kept| !kept.compatible(mode)) {
+            self.drop_retention(fx);
+        }
         // Cannot satisfy locally: queue behind a pending request when
         // Table 2(a) guarantees later service, else send upward.
         if self.config.absorb_requests
@@ -528,6 +555,9 @@ impl LockNode {
             .ok_or(ProtocolError::NotHeld { ticket })?;
         let (_, mode) = self.held.remove(idx);
         fx.emit_with(|| ProtocolEvent::Released { node: self.id, lock: self.lock, ticket, mode });
+        if self.may_retain(mode) {
+            self.retained = Some(mode);
+        }
         self.after_ownership_change(fx);
         Ok(mode)
     }
@@ -827,6 +857,7 @@ impl LockNode {
         self.frozen = frozen;
         self.clamp_frozen();
         self.emit_frozen_change(old_frozen, fx);
+        self.recall_retention(fx);
         if self.cancelled.remove(&p.ticket) {
             // The caller gave up on this request: accept the grant to
             // keep the granter's copyset consistent, then let it go. The
@@ -873,6 +904,9 @@ impl LockNode {
         self.is_token = true;
         self.parent = None;
         self.reported_owned = None;
+        // Rule 5.3: the token node decides by compatibility alone and has
+        // no parent to keep a mode from.
+        self.retained = None;
         // Footnote b: the sender may still own a mode and then becomes our
         // child.
         if let Some(owned) = sender_owned {
@@ -942,6 +976,7 @@ impl LockNode {
         // cannot act on.
         self.clamp_frozen();
         self.emit_frozen_change(old, fx);
+        self.recall_retention(fx);
         self.propagate_freezes(fx);
     }
 
@@ -954,6 +989,7 @@ impl LockNode {
         self.frozen = frozen;
         self.clamp_frozen();
         self.emit_frozen_change(old, fx);
+        self.recall_retention(fx);
         self.propagate_freezes(fx);
         // Thawed modes may unblock locally queued requests.
         self.serve_queue_nontoken(fx);
@@ -1167,6 +1203,38 @@ impl LockNode {
                 queue_depth: self.queue.len(),
             });
             self.refresh_frozen(fx);
+        }
+    }
+
+    /// Rule 5.3: may the `mode` a local ticket just released stay owned?
+    /// Only `IR` (it conflicts with nothing but `W`), only where it saves
+    /// a release (nothing else in the subtree still owns it), only at a
+    /// non-token node, and only while it can be recalled and is not
+    /// already being recalled: retention is release suppression one step
+    /// further and rides on the freeze path, so it is on exactly when
+    /// both are. A pending `W` of our own would wait on it — never kept.
+    fn may_retain(&self, mode: Mode) -> bool {
+        mode == Mode::IntentRead
+            && !self.is_token
+            && self.config.suppress_releases
+            && self.config.freezing
+            && !self.frozen.contains(mode)
+            && self.owned().is_none()
+            && self.pending.iter().all(|p| p.mode.compatible(mode))
+    }
+
+    /// Ends the retention and reports the weakened ownership (one
+    /// `Release` hop unless the subtree still owns the mode).
+    fn drop_retention(&mut self, fx: &mut EffectSink<Payload>) {
+        self.retained = None;
+        self.after_ownership_change(fx);
+    }
+
+    /// Rule 5.3 recall: a frozen set that names the retained mode means a
+    /// conflicting request waits at the token.
+    fn recall_retention(&mut self, fx: &mut EffectSink<Payload>) {
+        if self.retained.is_some_and(|kept| self.frozen.contains(kept)) {
+            self.drop_retention(fx);
         }
     }
 
@@ -1778,6 +1846,299 @@ mod tests {
         assert!(matches!(m[0].1, Payload::Release { new_owned: None }));
         a.on_message(NodeId(1), m[0].1.clone(), &mut fx);
         assert!(a.children().is_empty());
+    }
+
+    /// Token node `a` and node `b`, which has acquired `IR` from `a` under
+    /// ticket 1 (so `b` is `a`'s child owning `IR`).
+    fn token_and_ir_holder(cfg: ProtocolConfig) -> (LockNode, LockNode) {
+        let mut fx = sink();
+        let mut a = LockNode::new(NodeId(0), L, NodeId(0), cfg);
+        let mut b = LockNode::new(NodeId(1), L, NodeId(0), cfg);
+        b.request(Mode::IntentRead, Ticket(1), &mut fx).unwrap();
+        let m = sends(&mut fx);
+        a.on_message(NodeId(1), m[0].1.clone(), &mut fx);
+        let m = sends(&mut fx);
+        b.on_message(NodeId(0), m[0].1.clone(), &mut fx);
+        assert_eq!(grants(&mut fx), vec![(Ticket(1), Mode::IntentRead)]);
+        (a, b)
+    }
+
+    /// [`token_and_ir_holder`] after `b` released: `b` retains `IR`.
+    fn token_and_retainer() -> (LockNode, LockNode) {
+        let (a, mut b) = token_and_ir_holder(CFG);
+        b.release(Ticket(1), &mut sink()).unwrap();
+        assert_eq!(b.retained(), Some(Mode::IntentRead));
+        (a, b)
+    }
+
+    fn all_frozen() -> ModeSet {
+        frozen_modes(Mode::Write)
+    }
+
+    /// Rule 5.3: the last `IR` release keeps the mode — no message, a
+    /// `ReleaseSuppressed` event, ownership and quiescence unchanged.
+    #[test]
+    fn last_ir_release_is_retained_not_sent() {
+        let (a, mut b) = token_and_ir_holder(CFG);
+        let mut fx = sink();
+        fx.set_observing(true);
+        assert_eq!(b.release(Ticket(1), &mut fx), Ok(Mode::IntentRead));
+        assert!(fx.events().iter().any(|e| matches!(
+            e,
+            ProtocolEvent::ReleaseSuppressed { owned: Some(Mode::IntentRead), .. }
+        )));
+        assert!(sends(&mut fx).is_empty(), "the release is suppressed");
+        assert_eq!(b.retained(), Some(Mode::IntentRead));
+        assert_eq!(b.owned(), Some(Mode::IntentRead));
+        assert!(b.held().is_empty() && b.is_quiescent());
+        assert_eq!(a.children().get(&NodeId(1)), Some(&Mode::IntentRead), "a's view is accurate");
+    }
+
+    /// Rule 5.3 + Rule 2: `IR` requests at a retaining node are local.
+    #[test]
+    fn retained_ir_serves_requests_without_messages() {
+        let (_a, mut b) = token_and_retainer();
+        let mut fx = sink();
+        b.request(Mode::IntentRead, Ticket(2), &mut fx).unwrap();
+        assert_eq!(fx.len(), 1, "just the local grant");
+        assert_eq!(grants(&mut fx), vec![(Ticket(2), Mode::IntentRead)]);
+        assert!(b.try_request(Mode::IntentRead, Ticket(3), &mut fx).unwrap());
+        assert_eq!(grants(&mut fx), vec![(Ticket(3), Mode::IntentRead)]);
+        // Releasing them again is just as silent.
+        b.release(Ticket(2), &mut fx).unwrap();
+        b.release(Ticket(3), &mut fx).unwrap();
+        assert!(fx.is_empty());
+        assert_eq!(b.retained(), Some(Mode::IntentRead));
+    }
+
+    /// Rule 5.3 recall: a freeze naming `IR` ends the retention with
+    /// exactly one `Release{∅}`; an `Update` does the same.
+    #[test]
+    fn frozen_ir_recalls_the_retention_with_one_release() {
+        for recall in
+            [Payload::Freeze { modes: all_frozen() }, Payload::Update { frozen: all_frozen() }]
+        {
+            let (mut a, mut b) = token_and_retainer();
+            let mut fx = sink();
+            b.on_message(NodeId(0), recall, &mut fx);
+            let out = sends(&mut fx);
+            assert_eq!(out.len(), 1, "{out:?}");
+            assert_eq!(out[0].0, NodeId(0));
+            assert!(matches!(out[0].1, Payload::Release { new_owned: None }));
+            assert_eq!(b.retained(), None);
+            assert_eq!(b.owned(), None);
+            assert!(b.frozen().is_empty(), "nothing owned, nothing to keep frozen");
+            a.on_message(NodeId(1), out[0].1.clone(), &mut fx);
+            assert!(a.children().is_empty());
+        }
+    }
+
+    /// End to end: a `W` queued at the token recalls the retention
+    /// through the freeze the token sends anyway, and is then served.
+    #[test]
+    fn queued_write_recalls_a_retaining_child_in_one_hop() {
+        let (mut a, mut b) = token_and_retainer();
+        let mut c = LockNode::new(NodeId(2), L, NodeId(0), CFG);
+        let mut fx = sink();
+        c.request(Mode::Write, Ticket(1), &mut fx).unwrap();
+        let m = sends(&mut fx);
+        a.on_message(NodeId(2), m[0].1.clone(), &mut fx);
+        let m = sends(&mut fx);
+        assert_eq!(m.len(), 1, "the W queues; the only message is b's freeze: {m:?}");
+        assert!(
+            matches!(m[0], (NodeId(1), Payload::Freeze { modes }) if modes.contains(Mode::IntentRead))
+        );
+        b.on_message(NodeId(0), m[0].1.clone(), &mut fx);
+        let m = sends(&mut fx);
+        a.on_message(NodeId(1), m[0].1.clone(), &mut fx);
+        let m = sends(&mut fx);
+        assert!(matches!(m[0], (NodeId(2), Payload::Token { mode: Mode::Write, .. })), "{m:?}");
+    }
+
+    /// With a real holder under the retained mode, the recall only
+    /// clears the retention; the release leaves when that holder does.
+    #[test]
+    fn recall_waits_for_a_real_holder() {
+        let (_a, mut b) = token_and_retainer();
+        let mut fx = sink();
+        b.request(Mode::IntentRead, Ticket(2), &mut fx).unwrap();
+        fx.drain().count();
+        b.on_message(NodeId(0), Payload::Freeze { modes: all_frozen() }, &mut fx);
+        assert!(sends(&mut fx).is_empty(), "ticket 2 still holds IR");
+        assert_eq!(b.retained(), None);
+        assert!(b.frozen().contains(Mode::IntentRead));
+        b.release(Ticket(2), &mut fx).unwrap();
+        let out = sends(&mut fx);
+        assert_eq!(out.len(), 1);
+        assert!(matches!(out[0].1, Payload::Release { new_owned: None }));
+        assert_eq!(b.retained(), None, "a frozen IR is not retained again");
+    }
+
+    /// A local request that conflicts with the retained mode (only `W`
+    /// does) gives it up in the same step: `Release{∅}` then `Request`,
+    /// both to the parent, so they share a frame.
+    #[test]
+    fn conflicting_local_request_drops_the_retention_in_the_same_step() {
+        let (_a, mut b) = token_and_retainer();
+        let mut fx = sink();
+        b.request(Mode::Write, Ticket(2), &mut fx).unwrap();
+        let out = sends(&mut fx);
+        assert_eq!(out.len(), 2, "{out:?}");
+        assert!(matches!(out[0], (NodeId(0), Payload::Release { new_owned: None })));
+        assert!(matches!(out[1], (NodeId(0), Payload::Request { mode: Mode::Write, .. })));
+        assert_eq!(b.retained(), None);
+        // With a real IR holder the retention still ends, but there is
+        // nothing to release yet.
+        let (_a, mut b) = token_and_retainer();
+        b.request(Mode::IntentRead, Ticket(2), &mut fx).unwrap();
+        fx.drain().count();
+        b.request(Mode::Write, Ticket(3), &mut fx).unwrap();
+        let out = sends(&mut fx);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert!(matches!(out[0].1, Payload::Request { mode: Mode::Write, .. }));
+        assert_eq!(b.retained(), None);
+    }
+
+    /// Modes compatible with `IR` leave the retention alone: the request
+    /// is the only message, and when the stronger mode is released the
+    /// node reports `IR`, not `∅`.
+    #[test]
+    fn compatible_local_requests_keep_the_retention() {
+        for mode in [Mode::Read, Mode::Upgrade, Mode::IntentWrite] {
+            let (_a, mut b) = token_and_retainer();
+            let mut fx = sink();
+            b.request(mode, Ticket(2), &mut fx).unwrap();
+            let out = sends(&mut fx);
+            assert_eq!(out.len(), 1, "{mode}: {out:?}");
+            assert!(matches!(out[0].1, Payload::Request { .. }));
+            assert_eq!(b.retained(), Some(Mode::IntentRead));
+        }
+        let (_a, mut b) = token_and_retainer();
+        let mut fx = sink();
+        b.request(Mode::Read, Ticket(2), &mut fx).unwrap();
+        fx.drain().count();
+        b.on_message(
+            NodeId(0),
+            Payload::Grant { mode: Mode::Read, frozen: ModeSet::EMPTY },
+            &mut fx,
+        );
+        fx.drain().count();
+        b.release(Ticket(2), &mut fx).unwrap();
+        let out = sends(&mut fx);
+        assert!(
+            matches!(out[0].1, Payload::Release { new_owned: Some(Mode::IntentRead) }),
+            "{out:?}"
+        );
+    }
+
+    /// A grant can carry the recall too: the token serves the head of its
+    /// queue (`R` for us) while a `W` behind it keeps everything frozen.
+    /// The copy of the frozen set in the grant is all we are ever told —
+    /// the token counts us as notified — so it must end the retention, or
+    /// the `W` would wait for a release nobody knows to send.
+    #[test]
+    fn grant_carrying_a_frozen_ir_ends_the_retention() {
+        let (_a, mut b) = token_and_retainer();
+        let mut fx = sink();
+        b.request(Mode::Read, Ticket(2), &mut fx).unwrap();
+        fx.drain().count();
+        b.on_message(NodeId(0), Payload::Grant { mode: Mode::Read, frozen: all_frozen() }, &mut fx);
+        assert_eq!(grants(&mut fx), vec![(Ticket(2), Mode::Read)]);
+        assert_eq!(b.retained(), None);
+        assert!(b.frozen().contains(Mode::IntentRead));
+        b.release(Ticket(2), &mut fx).unwrap();
+        let out = sends(&mut fx);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert!(matches!(out[0].1, Payload::Release { new_owned: None }));
+    }
+
+    /// A pending `W` of our own would wait on the mode: not retained.
+    #[test]
+    fn nothing_is_retained_under_a_pending_conflicting_request() {
+        let (_a, mut b) = token_and_ir_holder(CFG);
+        let mut fx = sink();
+        b.request(Mode::Write, Ticket(2), &mut fx).unwrap();
+        fx.drain().count();
+        b.release(Ticket(1), &mut fx).unwrap();
+        let out = sends(&mut fx);
+        assert!(matches!(out[0].1, Payload::Release { new_owned: None }), "{out:?}");
+        assert_eq!(b.retained(), None);
+    }
+
+    /// Becoming the token node ends the retention.
+    #[test]
+    fn token_arrival_clears_the_retention() {
+        let (mut a, mut b) = token_and_retainer();
+        let mut fx = sink();
+        // U is compatible with the retained IR and always takes the token.
+        b.request(Mode::Upgrade, Ticket(2), &mut fx).unwrap();
+        let m = sends(&mut fx);
+        a.on_message(NodeId(1), m[0].1.clone(), &mut fx);
+        let m = sends(&mut fx);
+        assert!(matches!(m[0].1, Payload::Token { .. }));
+        b.on_message(NodeId(0), m[0].1.clone(), &mut fx);
+        assert!(b.is_token());
+        assert_eq!(b.retained(), None);
+        assert_eq!(b.owned(), Some(Mode::Upgrade));
+        assert!(sends(&mut fx).is_empty(), "a dropped b from its copyset when it sent the token");
+        assert!(a.children().is_empty());
+    }
+
+    /// Where retention is off: at the token node, while `IR` is frozen,
+    /// for any other mode, and in every configuration that lacks release
+    /// suppression or the freeze path that recalls it.
+    #[test]
+    fn retention_is_off_where_it_cannot_be_recalled() {
+        let mut fx = sink();
+        let mut a = LockNode::new(NodeId(0), L, NodeId(0), CFG);
+        a.request(Mode::IntentRead, Ticket(1), &mut fx).unwrap();
+        a.release(Ticket(1), &mut fx).unwrap();
+        assert_eq!((a.retained(), a.owned()), (None, None), "token node");
+
+        let (_a, mut b) = token_and_ir_holder(CFG);
+        b.on_message(NodeId(0), Payload::Freeze { modes: all_frozen() }, &mut fx);
+        fx.drain().count();
+        b.release(Ticket(1), &mut fx).unwrap();
+        assert_eq!(b.retained(), None, "IR frozen");
+        assert!(matches!(sends(&mut fx)[0].1, Payload::Release { new_owned: None }));
+
+        for cfg in [CFG.without_freezing(), CFG.without_release_suppression()] {
+            let (_a, mut b) = token_and_ir_holder(cfg);
+            b.release(Ticket(1), &mut fx).unwrap();
+            assert_eq!(b.retained(), None, "{cfg:?}");
+            assert!(matches!(sends(&mut fx)[0].1, Payload::Release { new_owned: None }));
+        }
+
+        let mut b = LockNode::new(NodeId(1), L, NodeId(0), CFG);
+        b.request(Mode::IntentWrite, Ticket(1), &mut fx).unwrap();
+        b.on_message(
+            NodeId(0),
+            Payload::Grant { mode: Mode::IntentWrite, frozen: ModeSet::EMPTY },
+            &mut fx,
+        );
+        fx.drain().count();
+        b.release(Ticket(1), &mut fx).unwrap();
+        assert_eq!(b.retained(), None, "only IR is retained");
+        assert!(matches!(sends(&mut fx)[0].1, Payload::Release { new_owned: None }));
+    }
+
+    /// A recovery install neither reports nor rebuilds a retained mode.
+    #[test]
+    fn recovery_ignores_the_retention() {
+        let (_a, b) = token_and_retainer();
+        let report = b.survivor_report();
+        assert_eq!((report.holds_token, report.owned), (false, None));
+        let rebuilt = LockNode::recovered(
+            b.id(),
+            L,
+            b.config(),
+            NodeId(0),
+            &[],
+            b.held().to_vec(),
+            b.clock(),
+        );
+        assert_eq!(rebuilt.retained(), None);
+        assert_eq!(rebuilt.owned(), None);
     }
 
     /// Requests absorbed behind a pending W are all queued (Table 2(a)).

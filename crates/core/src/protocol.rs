@@ -225,7 +225,11 @@ pub trait ConcurrencyProtocol {
 /// exactly one token may exist per lock (counting in-flight transfers).
 pub trait Inspect {
     /// The modes currently held (inside critical sections) at this node
-    /// for `lock`.
+    /// for `lock`. A mode the node merely *retains* (Rule 5.3: owned, but
+    /// by no ticket) is not held by anyone and is not listed; it is
+    /// visible as [`crate::LockNode::retained`] through
+    /// [`Inspect::lock_node`], which is what makes an owned mode without
+    /// a ticket legal in [`crate::audit_lock`].
     fn held_modes(&self, lock: LockId) -> Vec<Mode>;
 
     /// Whether this node currently possesses the token for `lock`.

@@ -440,6 +440,17 @@ pub fn run_observed_scenario(
     scenario: &Scenario,
     observer: Option<Box<dyn Observer>>,
 ) -> ScenarioReport {
+    run_configured(scenario, ProtocolConfig::default(), observer)
+}
+
+/// [`run_observed_scenario`] with the hierarchical runtimes built from
+/// `pc` instead of the paper's configuration (the flat baseline has no
+/// configuration to vary).
+fn run_configured(
+    scenario: &Scenario,
+    pc: ProtocolConfig,
+    observer: Option<Box<dyn Observer>>,
+) -> ScenarioReport {
     let (driver, stats) = OpenLoopDriver::new(scenario.scripts(), WINDOW);
     let lock_count = scenario.lock_count();
     let cfg = SimConfig {
@@ -453,7 +464,6 @@ pub fn run_observed_scenario(
     let report = match scenario.protocol {
         ScenarioProtocol::Hierarchical => {
             let homes = scenario.token_homes();
-            let pc = ProtocolConfig::default();
             let spaces = (0..scenario.nodes)
                 .map(|i| LockSpace::with_homes(NodeId(i as u32), &homes, pc))
                 .collect();
@@ -461,7 +471,6 @@ pub fn run_observed_scenario(
         }
         ScenarioProtocol::Sharded(shards) => {
             let homes = scenario.token_homes();
-            let pc = ProtocolConfig::default();
             let spec = ShardSpec::new(shards);
             let spaces = (0..scenario.nodes)
                 .map(|i| ShardedSpace::with_homes(NodeId(i as u32), &homes, pc, spec))
@@ -662,6 +671,47 @@ mod tests {
             "hierarchical {:.2} msgs/grant vs flat {:.2}",
             hier.messages_per_grant,
             flat.messages_per_grant
+        );
+    }
+
+    /// Regression guard for the per-operation cost of the hierarchy on
+    /// Zipf read-heavy arrivals (ROADMAP: "4.80 messages/op against 2.55
+    /// flat"). Retaining the table's `IR` (Rule 5.3) takes the table
+    /// intent off the wire for nine operations in ten: ≈3.1 messages/op.
+    /// Without release suppression — and with it retention — every
+    /// release travels and the figure is back above the old 4.8. The flat
+    /// twin still wins per operation: what remains is the entry path
+    /// (request, grant, release of the leaf `R`/`W`) plus the writers'
+    /// `IW` on the table, neither of which is retained.
+    #[test]
+    fn retained_intent_keeps_zipf_messages_per_op_near_three() {
+        let scenario = preset("zipf_read_heavy");
+        let retained = run_scenario(&scenario);
+        let eager =
+            run_configured(&scenario, ProtocolConfig::paper().without_release_suppression(), None);
+        let flat = run_scenario(&preset("zipf_read_heavy_flat"));
+        assert_eq!(retained.offered_ops, eager.offered_ops, "identical arrivals");
+        assert!(
+            retained.messages_per_op < 3.4,
+            "hierarchical with retention: {:.2} msgs/op (expected ≈3.1)",
+            retained.messages_per_op
+        );
+        assert!(
+            eager.messages_per_op > retained.messages_per_op + 1.5,
+            "without suppression/retention {:.2} msgs/op vs {:.2} with",
+            eager.messages_per_op,
+            retained.messages_per_op
+        );
+        assert!(
+            flat.messages_per_op < retained.messages_per_op,
+            "flat {:.2} msgs/op vs hierarchical {:.2}: the entry path and IW remain",
+            flat.messages_per_op,
+            retained.messages_per_op
+        );
+        assert!(
+            retained.messages_per_op < flat.messages_per_op + 1.0,
+            "the per-op gap to flat ({:.2}) stays under one message, was 2.25",
+            flat.messages_per_op
         );
     }
 

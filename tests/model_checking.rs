@@ -348,3 +348,371 @@ fn suzuki_cancel_all_interleavings() {
     );
     Checker::suzuki().run(&scenario).expect("suzuki cancel safe");
 }
+
+/// KNOWN GAP, found while sizing the retention scenarios (it predates
+/// them: the parent commit fails this under `ProtocolConfig::paper()`
+/// too). A node with two overlapping tickets on one lock — or an
+/// intermediate node whose child releases — can send a weakening
+/// `Release` while its own stronger request is in flight to the same
+/// parent. On FIFO links the parent then processes the request first
+/// (records the granted mode in its copyset), the release second
+/// (overwrites the record with the stale, weaker mode), forgets the grant
+/// and hands an incompatible mode to somebody else:
+///
+/// ```text
+/// n1 request IR · n1 request IW · Request(IR)→n0 · Grant(IR)→n1 ·
+/// n1 release IR (Release{∅} leaves) · Request(IW)→n0 · Grant(IW)→n1 ·
+/// Release{∅}→n0 (n0 drops n1) · n2's R is granted: n1:IW vs n2:R
+/// ```
+///
+/// With retention on, this particular trace cannot happen (the `IR`
+/// release is retained, nothing crosses the grant), which is why the test
+/// runs `without_freezing()`; other mode pairs still can. A release needs
+/// to say which grants it has seen (a wire change), so the fix is its own
+/// issue — recorded in CHANGES.md.
+#[test]
+#[ignore = "known protocol race: a release crossing a grant loses the grant (see CHANGES.md, issue 14 FINDING)"]
+fn known_gap_release_crossing_a_grant() {
+    let scenario = Scenario::new(3, 1)
+        .script(
+            NodeId(1),
+            vec![
+                Action::request(L, Mode::IntentRead, Ticket(1)),
+                Action::request(L, Mode::IntentWrite, Ticket(2)),
+                Action::release(L, Ticket(1)),
+                Action::release(L, Ticket(2)),
+            ],
+        )
+        .script(
+            NodeId(2),
+            vec![Action::request(L, Mode::Read, Ticket(3)), Action::release(L, Ticket(3))],
+        );
+    Checker::hierarchical(ProtocolConfig::paper().without_freezing())
+        .run(&scenario)
+        .expect("overlapping tickets on one node must stay safe");
+}
+
+/// Rule 5.3 (retained `IR`) in the checker. `LockNode` derives `Hash`, so
+/// the `retained` field enters the state fingerprints automatically: a
+/// retaining node and one that released for real are different states and
+/// both are explored — no checker change was needed for retention.
+mod retention {
+    use super::*;
+    use hlock::core::{
+        CancelOutcome, Classify, ConcurrencyProtocol, Effect, EffectSink, Envelope, Inspect,
+        LockNode, LockSpace, MessageKind, Payload, ProtocolError,
+    };
+    use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+    use std::time::Instant;
+
+    const TABLE: LockId = LockId(0);
+    const ENTRY: LockId = LockId(1);
+
+    /// Nodes 1 and 2 read an entry (`IR` on the table, `R` on the entry,
+    /// release both — so each ends up retaining the table's `IR`), and
+    /// `writer` wants the whole table (`W`): node 0, the token home, in
+    /// the three-node scenario; node 3 when the request has to travel.
+    fn two_retainers_and_a_table_writer(writer: u32) -> Scenario {
+        let reader = |t: u64| {
+            vec![
+                Action::request(TABLE, Mode::IntentRead, Ticket(t)),
+                Action::request(ENTRY, Mode::Read, Ticket(t + 1)),
+                Action::release(ENTRY, Ticket(t + 1)),
+                Action::release(TABLE, Ticket(t)),
+            ]
+        };
+        Scenario::new(writer.max(2) as usize + 1, 2)
+            .script(NodeId(1), reader(1))
+            .script(NodeId(2), reader(3))
+            .script(
+                NodeId(writer),
+                vec![
+                    Action::request(TABLE, Mode::Write, Ticket(5)),
+                    Action::release(TABLE, Ticket(5)),
+                ],
+            )
+    }
+
+    /// A protocol message tagged with the length of the longest chain of
+    /// table-lock messages that causally precedes it.
+    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+    struct Hop {
+        depth: u32,
+        inner: Envelope,
+    }
+
+    impl Classify for Hop {
+        fn kind(&self) -> MessageKind {
+            self.inner.kind()
+        }
+    }
+
+    /// Longest message chain, over every explored transition, between
+    /// the table `W` reaching the token node and that node serving it.
+    static MAX_RECALL_CHAIN: AtomicU32 = AtomicU32::new(0);
+    /// Transitions that served the `W` only after a recall.
+    static RECALLS: AtomicU64 = AtomicU64::new(0);
+
+    /// `LockSpace` plus a causal depth: the longest chain of table-lock
+    /// messages behind this node's current state. Script steps add
+    /// nothing, and neither do the entry lock's messages — a reader that
+    /// is still inside its critical section when the freeze arrives
+    /// finishes its entry-level work first, which is application time,
+    /// not recall time. It measures the recall path without touching the
+    /// protocol: the depth at which the table `W` reaches the token node
+    /// (its own request, or a `Request` message) versus the depth at
+    /// which that node serves it (grants it locally, or sends the token).
+    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+    struct CausalDepth {
+        inner: LockSpace,
+        depth: u32,
+        write_arrived: Option<u32>,
+    }
+
+    impl CausalDepth {
+        fn relay<R>(
+            &mut self,
+            fx: &mut EffectSink<Hop>,
+            call: impl FnOnce(&mut LockSpace, &mut EffectSink<Envelope>) -> R,
+        ) -> R {
+            let mut scratch = EffectSink::new();
+            scratch.set_observing(fx.observing());
+            let result = call(&mut self.inner, &mut scratch);
+            scratch.forward_events_into(fx);
+            for effect in scratch.drain() {
+                let serves_the_write = match &effect {
+                    Effect::Send { message, .. } => {
+                        message.lock == TABLE
+                            && matches!(message.payload, Payload::Token { mode: Mode::Write, .. })
+                    }
+                    Effect::Granted { lock, mode, .. } => *lock == TABLE && *mode == Mode::Write,
+                    Effect::SetTimer { .. } => false,
+                };
+                if let Some(arrived) = self.write_arrived.take_if(|_| serves_the_write) {
+                    MAX_RECALL_CHAIN.fetch_max(self.depth - arrived, Ordering::Relaxed);
+                    RECALLS.fetch_add(u64::from(self.depth > arrived), Ordering::Relaxed);
+                }
+                match effect {
+                    Effect::Send { to, message } => {
+                        fx.send(to, Hop { depth: self.depth, inner: message });
+                    }
+                    Effect::Granted { lock, ticket, mode } => fx.granted(lock, ticket, mode),
+                    Effect::SetTimer { token, delay_micros } => fx.set_timer(token, delay_micros),
+                }
+            }
+            result
+        }
+
+        /// The table `W` has reached this node; it counts from here if
+        /// this node is the one that has to serve it.
+        fn note_table_write(&mut self) {
+            if self.inner.holds_token(TABLE) {
+                self.write_arrived.get_or_insert(self.depth);
+            }
+        }
+    }
+
+    impl ConcurrencyProtocol for CausalDepth {
+        type Message = Hop;
+
+        fn node_id(&self) -> NodeId {
+            self.inner.node_id()
+        }
+
+        fn request(
+            &mut self,
+            lock: LockId,
+            mode: Mode,
+            ticket: Ticket,
+            fx: &mut EffectSink<Hop>,
+        ) -> Result<(), ProtocolError> {
+            if (lock, mode) == (TABLE, Mode::Write) {
+                self.note_table_write();
+            }
+            self.relay(fx, |p, fx| p.request(lock, mode, ticket, fx))
+        }
+
+        fn release(
+            &mut self,
+            lock: LockId,
+            ticket: Ticket,
+            fx: &mut EffectSink<Hop>,
+        ) -> Result<(), ProtocolError> {
+            self.relay(fx, |p, fx| p.release(lock, ticket, fx))
+        }
+
+        fn upgrade(
+            &mut self,
+            lock: LockId,
+            ticket: Ticket,
+            fx: &mut EffectSink<Hop>,
+        ) -> Result<(), ProtocolError> {
+            self.relay(fx, |p, fx| p.upgrade(lock, ticket, fx))
+        }
+
+        fn try_request(
+            &mut self,
+            lock: LockId,
+            mode: Mode,
+            ticket: Ticket,
+            fx: &mut EffectSink<Hop>,
+        ) -> Result<bool, ProtocolError> {
+            self.relay(fx, |p, fx| p.try_request(lock, mode, ticket, fx))
+        }
+
+        fn downgrade(
+            &mut self,
+            lock: LockId,
+            ticket: Ticket,
+            new_mode: Mode,
+            fx: &mut EffectSink<Hop>,
+        ) -> Result<(), ProtocolError> {
+            self.relay(fx, |p, fx| p.downgrade(lock, ticket, new_mode, fx))
+        }
+
+        fn cancel(
+            &mut self,
+            lock: LockId,
+            ticket: Ticket,
+            fx: &mut EffectSink<Hop>,
+        ) -> Result<CancelOutcome, ProtocolError> {
+            self.relay(fx, |p, fx| p.cancel(lock, ticket, fx))
+        }
+
+        fn on_message(&mut self, from: NodeId, message: Hop, fx: &mut EffectSink<Hop>) {
+            if message.inner.lock == TABLE {
+                self.depth = self.depth.max(message.depth + 1);
+                if matches!(message.inner.payload, Payload::Request { mode: Mode::Write, .. }) {
+                    self.note_table_write();
+                }
+            }
+            self.relay(fx, |p, fx| p.on_message(from, message.inner, fx));
+        }
+
+        fn is_quiescent(&self) -> bool {
+            self.inner.is_quiescent()
+        }
+    }
+
+    impl Inspect for CausalDepth {
+        fn held_modes(&self, lock: LockId) -> Vec<Mode> {
+            self.inner.held_modes(lock)
+        }
+
+        fn holds_token(&self, lock: LockId) -> bool {
+            self.inner.holds_token(lock)
+        }
+
+        fn lock_node(&self, lock: LockId) -> Option<&LockNode> {
+            self.inner.lock_node(lock)
+        }
+    }
+
+    /// Every interleaving of two retaining readers and a table writer is
+    /// safe (the `W` never coexists with an `IR` or `R` holder), live (the
+    /// `W` is granted — no terminal state leaves the writer's script
+    /// unfinished), ends in a consistent tree (the terminal audit accepts
+    /// the retained modes), and the writer pays at most one recall: from
+    /// the moment its request reaches the token node to the moment that
+    /// node serves it, the longest message chain is one `Freeze` down and
+    /// one `Release` back, never a second round. Checked with the writer
+    /// at the token home (three nodes) and one hop away from it (four).
+    #[test]
+    fn table_write_recalls_two_retainers_in_one_hop() {
+        for writer in [0, 3] {
+            MAX_RECALL_CHAIN.store(0, Ordering::Relaxed);
+            RECALLS.store(0, Ordering::Relaxed);
+            let scenario = two_retainers_and_a_table_writer(writer);
+            let started = Instant::now();
+            let checker = Checker::with_factory(|nodes, locks| {
+                (0..nodes)
+                    .map(|i| CausalDepth {
+                        inner: LockSpace::new(
+                            NodeId(i as u32),
+                            locks,
+                            NodeId(0),
+                            ProtocolConfig::default(),
+                        ),
+                        depth: 0,
+                        write_arrived: None,
+                    })
+                    .collect()
+            });
+            let stats = checker.run(&scenario).unwrap_or_else(|e| panic!("writer n{writer}: {e}"));
+            println!(
+                "retention scenario, writer n{writer}: {} states, {} transitions, {} terminals \
+                 in {:.2?}",
+                stats.states,
+                stats.transitions,
+                stats.terminals,
+                started.elapsed()
+            );
+            assert!(stats.terminals > 0);
+            assert!(RECALLS.load(Ordering::Relaxed) > 0, "no interleaving exercised the recall");
+            assert_eq!(
+                MAX_RECALL_CHAIN.load(Ordering::Relaxed),
+                2,
+                "writer n{writer}: W at the token → Freeze → Release → served, and never more"
+            );
+        }
+    }
+
+    /// The same scenario on the plain protocol under every ablation:
+    /// retention is on only for the configurations that can recall it,
+    /// and all of them stay safe and live.
+    #[test]
+    fn retention_scenario_is_safe_under_every_configuration() {
+        let scenario = two_retainers_and_a_table_writer(0);
+        for cfg in [
+            ProtocolConfig::paper(),
+            ProtocolConfig::paper().without_absorption(),
+            ProtocolConfig::paper().without_release_suppression(),
+            ProtocolConfig::paper().without_freezing(),
+            ProtocolConfig::paper().without_path_compression(),
+        ] {
+            Checker::hierarchical(cfg).run(&scenario).unwrap_or_else(|e| panic!("{cfg:?}: {e}"));
+        }
+    }
+
+    /// Epoch install voids retention. Node 2 reads twice (its second `IR`
+    /// is message-free if it still retains the mode), node 1 writes the
+    /// table, and the token home may crash at every reachable point —
+    /// after which node 1, the lowest survivor, becomes the new home. If
+    /// node 2 came out of the rebuild still retaining an `IR` the new home
+    /// knows nothing about, some schedule would grant its second `IR`
+    /// locally while node 1 holds `W` under the new epoch — the checker
+    /// finds none (it does when `rebuild_from_install` is made to carry
+    /// the retention over), and every survivor's request is granted after
+    /// the recovery.
+    #[test]
+    fn epoch_install_leaves_no_retained_mode_behind() {
+        let scenario = Scenario::new(3, 1)
+            .script(
+                NodeId(1),
+                vec![
+                    Action::request(TABLE, Mode::Write, Ticket(3)),
+                    Action::release(TABLE, Ticket(3)),
+                ],
+            )
+            .script(
+                NodeId(2),
+                vec![
+                    Action::request(TABLE, Mode::IntentRead, Ticket(1)),
+                    Action::release(TABLE, Ticket(1)),
+                    Action::request(TABLE, Mode::IntentRead, Ticket(2)),
+                    Action::release(TABLE, Ticket(2)),
+                ],
+            );
+        let started = Instant::now();
+        let mut checker = Checker::hierarchical_recovery(ProtocolConfig::default());
+        checker.crash_candidates = vec![NodeId(0)];
+        let stats = checker.run(&scenario).unwrap_or_else(|e| panic!("{e}"));
+        println!(
+            "retention + crash scenario: {} states, {} terminals in {:.2?}",
+            stats.states,
+            stats.terminals,
+            started.elapsed()
+        );
+        assert!(stats.terminals > 0);
+    }
+}

@@ -2,9 +2,14 @@
 //! crash-stop schedules against the recovery-wrapped hierarchical
 //! protocol, the liveness watchdog, and the false-suspicion rejoin path.
 
-use hlock::core::{NodeId, ProtocolConfig};
-use hlock::sim::{Duration, NodeCrash, NodePause, SimConfig, SimTime};
+use hlock::core::{
+    Inspect, LockId, LockSpace, Mode, NodeId, ProtocolConfig, RecoverySpace, Ticket,
+};
+use hlock::sim::{Driver, Duration, NodeCrash, NodePause, Sim, SimApi, SimConfig, SimTime};
 use hlock::workload::{run_recovery_experiment, WorkloadConfig};
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::rc::Rc;
 
 #[test]
 fn crashed_token_home_recovers_and_survivors_finish() {
@@ -63,4 +68,104 @@ fn pause_past_watchdog_rejoins_after_false_suspicion() {
         "the falsely-suspected node must rejoin at the new epoch"
     );
     assert!(r.report.quiescent, "the rejoined cluster must drain to quiescence");
+}
+
+/// When each `(node, ticket)` was granted and when it was released.
+#[derive(Default)]
+struct Timeline {
+    granted: BTreeMap<(u32, u64), SimTime>,
+    released: BTreeMap<(u32, u64), SimTime>,
+}
+
+/// Scripted driver for [`home_crash_voids_retained_intents`]: each node
+/// issues `(at_ms, mode, hold_ms)` requests on the one lock at fixed
+/// virtual times (ticket = position in its script) and releases `hold_ms`
+/// after the grant.
+struct Scripted {
+    scripts: Vec<Vec<(u64, Mode, u64)>>,
+    timeline: Rc<RefCell<Timeline>>,
+}
+
+/// Timer tag: release the ticket in the low bits (plain values request).
+const RELEASE: u64 = 1 << 32;
+
+impl Driver for Scripted {
+    fn start(&mut self, node: NodeId, api: &mut SimApi) {
+        for (i, &(at_ms, ..)) in self.scripts[node.index()].iter().enumerate() {
+            api.set_timer(Duration::from_millis(at_ms), i as u64);
+        }
+    }
+
+    fn on_granted(&mut self, node: NodeId, _: LockId, ticket: Ticket, _: Mode, api: &mut SimApi) {
+        self.timeline.borrow_mut().granted.insert((node.0, ticket.0), api.now());
+        let hold_ms = self.scripts[node.index()][ticket.0 as usize].2;
+        api.set_timer(Duration::from_millis(hold_ms), RELEASE | ticket.0);
+    }
+
+    fn on_timer(&mut self, node: NodeId, timer: u64, api: &mut SimApi) {
+        if timer & RELEASE != 0 {
+            let ticket = timer & !RELEASE;
+            self.timeline.borrow_mut().released.insert((node.0, ticket), api.now());
+            api.release(LockId(0), Ticket(ticket));
+        } else {
+            let mode = self.scripts[node.index()][timer as usize].1;
+            api.request(LockId(0), mode, Ticket(timer));
+        }
+    }
+}
+
+#[test]
+fn home_crash_voids_retained_intents() {
+    // Nodes 2 and 3 read under the table lock and release: both retain
+    // `IR` (Rule 5.3). The token home dies. Until somebody needs the
+    // home, the retained mode keeps working as a lease — node 3's next
+    // `IR` is granted the instant it is asked for, with the home already
+    // dead. Node 1 then wants `W`: that needs the token, the watchdog
+    // suspects the home, the survivors install a new epoch — and the
+    // install voids both retentions, so node 2's `IR` request under the
+    // new epoch has to wait for the `W` to be released instead of being
+    // granted locally against it (which `check_every: 1` would flag as
+    // incompatible holders).
+    let scripts = vec![
+        vec![],
+        vec![(3_000, Mode::Write, 100_000)],
+        vec![(0, Mode::IntentRead, 10), (120_000, Mode::IntentRead, 10)],
+        vec![(0, Mode::IntentRead, 10), (2_000, Mode::IntentRead, 10)],
+    ];
+    let spaces: Vec<RecoverySpace<LockSpace>> = (0..4)
+        .map(|i| {
+            RecoverySpace::new(NodeId(i), 1, NodeId(0), 4, ProtocolConfig::default())
+                .with_probe_interval(5_000_000)
+        })
+        .collect();
+    let config = SimConfig {
+        check_every: 1,
+        crashes: vec![NodeCrash { node: NodeId(0), at: SimTime::from_millis(1_000) }],
+        watchdog: Some(Duration::from_millis(60_000)),
+        ..SimConfig::default()
+    };
+    let timeline = Rc::new(RefCell::new(Timeline::default()));
+    let driver = Scripted { scripts, timeline: Rc::clone(&timeline) };
+    let (report, spaces) =
+        Sim::new(spaces, driver, config).run_with_nodes().expect("safe, and live after recovery");
+    let t = timeline.borrow();
+    assert_eq!(t.granted.len(), 5, "every scripted request was granted: {:?}", t.granted);
+    assert!(report.quiescent);
+
+    // Before the install: the retained mode serves node 3 locally, dead
+    // home or not.
+    assert_eq!(t.granted[&(3, 1)], SimTime::from_millis(2_000), "message-free under retention");
+    assert!(t.granted[&(3, 1)] > SimTime::from_millis(1_000), "the home was already dead");
+
+    // The W forced an election; it was granted under the new epoch.
+    assert!(spaces[1..].iter().all(|s| s.epoch() >= 1), "survivors installed a new epoch");
+    let (w_granted, w_released) = (t.granted[&(1, 0)], t.released[&(1, 0)]);
+    let asked = SimTime::from_millis(120_000);
+    assert!(w_granted < asked && asked < w_released, "node 2 asks while the W is held");
+
+    // After the install: node 2 asked for IR while the W was held, and
+    // got it only after the release — its pre-crash retention was void.
+    assert!(t.granted[&(2, 1)] >= w_released, "IR granted against a held W");
+    // Node 3 never spoke again after the install: nothing was rebuilt.
+    assert_eq!(spaces[3].lock_node(LockId(0)).unwrap().retained(), None);
 }

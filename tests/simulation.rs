@@ -136,10 +136,17 @@ fn hierarchical_safety_rests_on_fifo_links() {
     // invariant checker must *detect* that (never panic, never miss it
     // across a whole seed sweep). With FIFO restored the identical
     // workload is safe.
+    //
+    // The mix is read/write-bearing on purpose (R 50 %, IW 20 %, U and W
+    // 5 % each): what reordering breaks is a release overtaken by a later
+    // request or grant on the same link, and under the paper's 80 % `IR`
+    // mix almost every table-level release is retained (Rule 5.3), so
+    // too few are left on the wire for a 24-seed sweep to be sure to hit
+    // one. With this mix about four seeds in ten trip the checker.
     use hlock::core::{LockSpace, NodeId};
     use hlock::sim::{Sim, SimConfig};
     use hlock::workload::HierarchicalDriver;
-    let config = wl(5);
+    let config = WorkloadConfig { mix: ModeMix { weights: [20, 50, 5, 20, 5] }, ..wl(5) };
     let build_nodes = || -> Vec<LockSpace> {
         (0..6)
             .map(|i| {
@@ -152,16 +159,17 @@ fn hierarchical_safety_rests_on_fifo_links() {
             })
             .collect()
     };
+    let sim_cfg = |seed, fifo_links| SimConfig {
+        seed,
+        fifo_links,
+        lock_count: config.hierarchical_lock_count(),
+        check_every: 1,
+        ..SimConfig::default()
+    };
     let mut violations = 0;
     for seed in 0..24 {
-        let sim_cfg = SimConfig {
-            seed,
-            fifo_links: false,
-            lock_count: config.hierarchical_lock_count(),
-            check_every: 1,
-            ..SimConfig::default()
-        };
-        if let Err(e) = Sim::new(build_nodes(), HierarchicalDriver::new(&config, 6), sim_cfg).run()
+        if let Err(e) =
+            Sim::new(build_nodes(), HierarchicalDriver::new(&config, 6), sim_cfg(seed, false)).run()
         {
             let report = format!("{e}");
             assert!(
@@ -173,15 +181,11 @@ fn hierarchical_safety_rests_on_fifo_links() {
     }
     assert!(violations > 0, "reordering never bit across 24 seeds — is the checker wired up?");
     // Control: per-link FIFO (the paper's TCP assumption) keeps the very
-    // same workload safe.
-    let sim_cfg = SimConfig {
-        seed: 0,
-        fifo_links: true,
-        lock_count: config.hierarchical_lock_count(),
-        check_every: 1,
-        ..SimConfig::default()
-    };
-    let report = Sim::new(build_nodes(), HierarchicalDriver::new(&config, 6), sim_cfg)
+    // same workload safe. (One seed, as before: a release that crosses a
+    // grant on FIFO links is a known open race — see
+    // `tests/model_checking.rs::known_gap_release_crossing_a_grant` — and
+    // a whole sweep under FIFO would sooner or later meet it.)
+    let report = Sim::new(build_nodes(), HierarchicalDriver::new(&config, 6), sim_cfg(0, true))
         .run()
         .expect("FIFO links restore safety");
     assert!(report.quiescent);

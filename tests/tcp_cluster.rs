@@ -210,9 +210,16 @@ fn a_callers_back_to_back_calls_share_one_dispatch_step_and_one_frame() {
     // A closed-loop client's `release(entry)`, `release(table)`,
     // `request(table)` reach its event loop as one burst whenever the
     // loop does not wake between them; the burst is then applied whole
-    // and dispatched once, so the three messages (all bound for the token
-    // home) leave as one frame. Whether a given burst is caught whole is
-    // up to the scheduler, so the client runs until one is.
+    // and dispatched once, so the messages it produces (all bound for the
+    // token home) leave as one frame. Whether a given burst is caught
+    // whole is up to the scheduler, so the client runs until one is.
+    //
+    // The client writes (`IW` on the table, `W` on the entry): a reader's
+    // table `IR` is retained after its release (Rule 5.3), so its burst
+    // would put nothing on the wire. `IW` is never retained — every round
+    // releases and re-requests it at the home — and after the first round
+    // the entry's token lives at the client, so the burst is exactly the
+    // table's `Release` followed by its `Request`.
     use hlock::core::{LockSpace, NodeId};
     let config = ProtocolConfig::default();
     let (cluster, flight) = Cluster::spawn_recorded(
@@ -238,8 +245,8 @@ fn a_callers_back_to_back_calls_share_one_dispatch_step_and_one_frame() {
     let mut coalesced = false;
     for _ in 0..200 {
         for _ in 0..25 {
-            let tt = client.acquire(table, Mode::IntentRead, TIMEOUT).unwrap();
-            let te = client.acquire(entry, Mode::Read, TIMEOUT).unwrap();
+            let tt = client.acquire(table, Mode::IntentWrite, TIMEOUT).unwrap();
+            let te = client.acquire(entry, Mode::Write, TIMEOUT).unwrap();
             client.release(entry, te).unwrap();
             client.release(table, tt).unwrap();
         }
