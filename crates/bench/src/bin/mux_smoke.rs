@@ -1,9 +1,9 @@
 //! **Mux connection-scaling smoke test**: spawns a 1k+ node hierarchical
 //! cluster over loopback on the readiness-driven mux transport and runs
 //! a pipelined acquire/release sweep with one distinct lock per node —
-//! the thousands-of-links regime the thread-per-peer transport could
-//! never reach (it would need ~2 threads per link; the mux multiplexes
-//! every link over a fixed worker pool). Exits non-zero on any failure
+//! the thousands-of-links regime a thread per peer link cannot reach
+//! (~2 threads per link; the mux multiplexes every link over a fixed
+//! worker pool). Exits non-zero on any failure
 //! so CI can gate on it.
 //!
 //! The process raises its own `RLIMIT_NOFILE` soft limit first (a

@@ -43,9 +43,11 @@
 //! regression — it exists to prove the perf gate's p99.9 backstop fires.
 
 use hlock_core::{
-    ClusterRecorder, LockId, Mode, Observer, ProtocolConfig, DEFAULT_FLIGHT_CAPACITY,
+    ClusterRecorder, LockId, Mode, NodeId, Observer, ProtocolConfig, DEFAULT_FLIGHT_CAPACITY,
 };
+use hlock_naimi::NaimiSpace;
 use hlock_net::{Cluster, ShardedCluster};
+use hlock_raymond::RaymondSpace;
 use hlock_workload::{run_observed_scenario, scenario_presets, ScenarioReport};
 use std::cell::RefCell;
 use std::fmt::Write as _;
@@ -504,7 +506,8 @@ fn main() {
     {
         let mut best: Option<(u64, Duration, Vec<u64>)> = None;
         for _ in 0..reps {
-            let cluster = Cluster::spawn_naimi(2, 1).expect("spawn naimi");
+            let cluster = Cluster::spawn(2, |i| NaimiSpace::new(NodeId(i as u32), 1, NodeId(0)))
+                .expect("spawn naimi");
             let run = drive_baseline(cluster.node(0), ops_per_thread);
             cluster.shutdown();
             if best.as_ref().is_none_or(|(_, e, _)| run.1 < *e) {
@@ -522,7 +525,9 @@ fn main() {
     {
         let mut best: Option<(u64, Duration, Vec<u64>)> = None;
         for _ in 0..reps {
-            let cluster = Cluster::spawn_raymond(2, 1).expect("spawn raymond");
+            let cluster =
+                Cluster::spawn(2, |i| RaymondSpace::new(NodeId(i as u32), 2, 1, NodeId(0)))
+                    .expect("spawn raymond");
             let run = drive_baseline(cluster.node(0), ops_per_thread);
             cluster.shutdown();
             if best.as_ref().is_none_or(|(_, e, _)| run.1 < *e) {

@@ -349,7 +349,7 @@ pub enum ProtocolEvent {
         span: SpanId,
     },
     /// A transport link was torn down (emitted by readiness-driven
-    /// hosts; previously only visible via `HLOCK_MUX_DEBUG` stderr).
+    /// hosts; the only place the transport reports a teardown).
     LinkDown {
         /// The node observing the teardown.
         node: NodeId,

@@ -9,8 +9,6 @@ use std::collections::VecDeque;
 use std::io::Write;
 use std::time::Duration;
 
-use crate::transport::SUSPECT_AFTER_FAILURES;
-
 /// Default per-connection outbox bound. Frames are tiny (tens of bytes)
 /// so a megabyte of queue is thousands of frames of slack; past that the
 /// peer is pathologically slow and we shed the newest frame instead of
@@ -113,12 +111,15 @@ impl Outbox {
     }
 }
 
+/// Consecutive dial failures before the transport suspects the peer
+/// crashed. A severed link to a *live* peer reconnects on the first or
+/// second attempt; only a dead listener keeps refusing this long.
+pub(crate) const SUSPECT_AFTER_FAILURES: u32 = 5;
+
 /// The redial schedule: 10 ms doubling to 1 s, with the transport's
 /// failure detector riding on it — after [`SUSPECT_AFTER_FAILURES`]
 /// consecutive failures (≈ 310 ms of refusal) the peer is suspected
-/// crashed, exactly once per outage. Matches the legacy reconnect
-/// thread's timing so recovery elections fire on the same schedule on
-/// both transports.
+/// crashed, exactly once per outage.
 pub(crate) struct DialBackoff {
     delay: Duration,
     failures: u32,
@@ -248,7 +249,7 @@ mod tests {
             }
         }
         assert_eq!(suspected, 1, "suspicion fires exactly once");
-        // 10+20+40+80+160 ms — the legacy reconnect thread's schedule.
+        // 10+20+40+80+160 ms of refusal before the suspicion.
         assert_eq!(total, Duration::from_millis(310));
         // Further failures keep backing off (capped) without re-suspecting.
         for _ in 0..10 {

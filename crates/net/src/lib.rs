@@ -10,20 +10,20 @@
 //! The crate is layered (see `docs/TRANSPORT.md`):
 //!
 //! - [`transport`](crate) — the shared machinery: the per-node command
-//!   vocabulary, the single definition of protocol-event semantics both
-//!   engines apply, grant mailboxes, counters, the `/metrics` endpoint.
+//!   vocabulary, the single definition of protocol-event semantics every
+//!   host in this crate applies, grant mailboxes, counters, the
+//!   `/metrics` endpoint.
 //! - `conn` — sans-I/O connection state: bounded outboxes with
 //!   partial-write cursors, redial/failure-detector backoff.
-//! - `mux` — the default engine: a small worker pool drives every
-//!   node's sockets and timers from an epoll-style readiness loop, so a
-//!   cluster of a thousand nodes needs a handful of threads, not
-//!   thousands.
-//! - `legacy` (feature `legacy-threads`, on by default) — the original
-//!   thread-per-peer blocking transport, kept as a differential-testing
-//!   oracle. Select it with [`Transport::LegacyThreads`].
+//! - `mux` — the I/O engine behind [`Cluster`]: a small worker pool
+//!   drives every node's sockets and timers from an epoll-style
+//!   readiness loop, so a cluster of a thousand nodes needs a handful of
+//!   threads, not thousands.
+//! - [`sharded`] — [`ShardedCluster`]: one node's lock space split over
+//!   worker threads, behind its own reader/router/egress threads.
 //!
-//! Use [`Cluster::spawn_hierarchical`] / [`Cluster::spawn_naimi`] to
-//! bring up an in-process mesh:
+//! Use [`Cluster::spawn_hierarchical`], or [`Cluster::spawn`] with any
+//! other protocol, to bring up an in-process mesh:
 //!
 //! ```no_run
 //! use hlock_core::{LockId, Mode, ProtocolConfig};
@@ -42,8 +42,6 @@
 
 pub mod ccs;
 mod conn;
-#[cfg(feature = "legacy-threads")]
-mod legacy;
 mod mux;
 pub mod sharded;
 mod transport;
@@ -56,16 +54,10 @@ use hlock_core::{
     Observer, Priority, ProtocolConfig, ProtocolEvent, RecoverySpace, RuntimeCounters,
     SharedAuditor, SharedRecorder, Ticket, DEFAULT_FLIGHT_CAPACITY,
 };
-use hlock_naimi::NaimiSpace;
-use hlock_raymond::RaymondSpace;
-use hlock_session::{SessionConfig, SessionSpace};
-use hlock_suzuki::SuzukiSpace;
 use hlock_wire::WireCodec;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
-#[cfg(feature = "legacy-threads")]
-use std::net::Shutdown;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -115,27 +107,6 @@ impl From<std::io::Error> for NetError {
     }
 }
 
-/// Which I/O engine drives a cluster's sockets and timers.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Transport {
-    /// The readiness-driven multiplexed event loop (`net::mux`): a
-    /// small worker pool, nonblocking sockets, lazy dialing, bounded
-    /// per-link outboxes. The default.
-    #[default]
-    Mux,
-    /// The original blocking thread-per-peer transport, kept as a
-    /// differential-testing oracle.
-    #[cfg(feature = "legacy-threads")]
-    LegacyThreads,
-}
-
-/// How a [`NodeHandle`] reaches its protocol loop, per engine.
-enum Port<M> {
-    #[cfg(feature = "legacy-threads")]
-    Legacy(legacy::LegacyPort<M>),
-    Mux(mux::MuxPort<M>),
-}
-
 /// A cluster-wide [`MetricsRegistry`] shared by every node's event loop.
 ///
 /// Cloning is cheap (an [`Arc`]); each clone observes into the same
@@ -177,7 +148,7 @@ impl Observer for ClusterMetrics {
     }
 }
 
-/// One running node: protocol loop + sockets, on either transport.
+/// One running node: protocol loop + sockets.
 pub struct NodeHandle<P: ConcurrencyProtocol> {
     id: NodeId,
     grants: Arc<GrantTable>,
@@ -187,7 +158,7 @@ pub struct NodeHandle<P: ConcurrencyProtocol> {
     runtime: Arc<Mutex<RuntimeCounters>>,
     next_ticket: AtomicU64,
     running: Arc<AtomicBool>,
-    port: Port<P::Message>,
+    port: mux::MuxPort<P::Message>,
 }
 
 impl<P: ConcurrencyProtocol> fmt::Debug for NodeHandle<P> {
@@ -208,15 +179,12 @@ where
 
     /// Hands one event to the protocol loop, waking it if needed.
     fn send(&self, event: LoopEvent<P::Message>) -> Result<(), NetError> {
-        match &self.port {
-            #[cfg(feature = "legacy-threads")]
-            Port::Legacy(p) => p.events.send(event).map_err(|_| NetError::Closed),
-            // The worker's queue is shared with its other nodes and
-            // outlives this one, so a stopped or killed node has to
-            // refuse here.
-            Port::Mux(_) if !self.running.load(Ordering::SeqCst) => Err(NetError::Closed),
-            Port::Mux(p) => p.send(event),
+        // The worker's queue is shared with its other nodes and outlives
+        // this one, so a stopped or killed node has to refuse here.
+        if !self.running.load(Ordering::SeqCst) {
+            return Err(NetError::Closed);
         }
+        self.port.send(event)
     }
 
     /// Issues an asynchronous lock request; the grant can be awaited with
@@ -394,21 +362,10 @@ where
     /// the node's protocol state dies with it, which is exactly what a
     /// recovery epoch election must tolerate.
     pub fn kill(&self) {
-        match &self.port {
-            #[cfg(feature = "legacy-threads")]
-            Port::Legacy(p) => {
-                for stream in p.writers.lock().values() {
-                    let _ = stream.shutdown(Shutdown::Both);
-                }
-                self.stop();
-            }
-            Port::Mux(p) => {
-                if self.running.swap(false, Ordering::SeqCst) {
-                    let (tx, rx) = unbounded();
-                    if p.send(LoopEvent::Kill { done: tx }).is_ok() {
-                        let _ = rx.recv();
-                    }
-                }
+        if self.running.swap(false, Ordering::SeqCst) {
+            let (tx, rx) = unbounded();
+            if self.port.send(LoopEvent::Kill { done: tx }).is_ok() {
+                let _ = rx.recv();
             }
         }
     }
@@ -444,33 +401,11 @@ where
         *self.runtime.lock()
     }
 
+    /// The slot is removed by the worker; the worker threads themselves
+    /// are joined by [`Cluster::shutdown`].
     fn stop(&self) {
-        match &self.port {
-            #[cfg(feature = "legacy-threads")]
-            Port::Legacy(p) => {
-                if self.running.swap(false, Ordering::SeqCst) {
-                    let _ = p.events.send(LoopEvent::Stop);
-                }
-                // Take the handles *out* of the mutex before joining:
-                // reader threads can block up to their socket read
-                // timeout, and joining them under the lock would stall
-                // any concurrent `stop` for that long.
-                let threads: Vec<std::thread::JoinHandle<()>> = {
-                    let mut guard = p.threads.lock();
-                    guard.drain(..).collect()
-                };
-                for t in threads {
-                    let _ = t.join();
-                }
-                p.redialer.join_all();
-            }
-            Port::Mux(p) => {
-                // The slot is removed by the worker; the worker threads
-                // themselves are joined by `Cluster::shutdown`.
-                if self.running.swap(false, Ordering::SeqCst) {
-                    let _ = p.send(LoopEvent::Stop);
-                }
-            }
+        if self.running.swap(false, Ordering::SeqCst) {
+            let _ = self.port.send(LoopEvent::Stop);
         }
     }
 }
@@ -479,9 +414,8 @@ where
 pub struct Cluster<P: ConcurrencyProtocol> {
     nodes: Vec<Arc<NodeHandle<P>>>,
     metrics_server: Option<MetricsServer>,
-    /// The mux worker pool, when the cluster runs on [`Transport::Mux`];
-    /// joined at [`Cluster::shutdown`].
-    mux: Option<mux::MuxHandle>,
+    /// The mux worker pool; joined at [`Cluster::shutdown`].
+    mux: mux::MuxHandle,
 }
 
 /// The diagnosis bundle returned by [`Cluster::spawn_recorded`]: one
@@ -555,51 +489,6 @@ impl Cluster<LockSpace> {
     ) -> Result<Cluster<LockSpace>, NetError> {
         Cluster::spawn(n, move |i| LockSpace::new(NodeId(i as u32), locks, NodeId(0), config))
     }
-
-    /// Like [`Cluster::spawn_hierarchical`], with every node observing
-    /// into one shared [`ClusterMetrics`] registry. Pair with
-    /// [`Cluster::serve_metrics`] for a Prometheus scrape endpoint, or
-    /// query the returned handle directly.
-    ///
-    /// # Errors
-    ///
-    /// Any socket error during setup.
-    pub fn spawn_hierarchical_metered(
-        n: usize,
-        locks: usize,
-        config: ProtocolConfig,
-    ) -> Result<(Cluster<LockSpace>, ClusterMetrics), NetError> {
-        let metrics = ClusterMetrics::new();
-        let sink = metrics.clone();
-        let cluster = Cluster::spawn_observed(
-            n,
-            move |i| LockSpace::new(NodeId(i as u32), locks, NodeId(0), config),
-            move |_| Some(Box::new(sink.clone()) as Box<dyn Observer + Send>),
-        )?;
-        Ok((cluster, metrics))
-    }
-}
-
-impl Cluster<SessionSpace<LockSpace>> {
-    /// Spawns `n` hierarchical nodes whose links are wrapped in the
-    /// reliable session layer ([`hlock_session`]): per-link sequencing,
-    /// cumulative acks and timer-driven retransmission. The cluster
-    /// keeps making progress across socket failures (see
-    /// [`NodeHandle::sever_link`]) at the cost of `Ack` traffic.
-    ///
-    /// # Errors
-    ///
-    /// Any socket error during setup.
-    pub fn spawn_hierarchical_session(
-        n: usize,
-        locks: usize,
-        config: ProtocolConfig,
-        session: SessionConfig,
-    ) -> Result<Cluster<SessionSpace<LockSpace>>, NetError> {
-        Cluster::spawn(n, move |i| {
-            SessionSpace::new(LockSpace::new(NodeId(i as u32), locks, NodeId(0), config), session)
-        })
-    }
 }
 
 impl Cluster<RecoverySpace<LockSpace>> {
@@ -630,43 +519,6 @@ impl Cluster<RecoverySpace<LockSpace>> {
             RecoverySpace::new(NodeId(i as u32), locks, NodeId(0), n as u32, config)
                 .with_probe_interval(micros)
         })
-    }
-}
-
-impl Cluster<NaimiSpace> {
-    /// Spawns `n` nodes running the Naimi–Trehel baseline with `locks`
-    /// locks (token home: node 0), fully meshed over localhost.
-    ///
-    /// # Errors
-    ///
-    /// Any socket error during setup.
-    pub fn spawn_naimi(n: usize, locks: usize) -> Result<Cluster<NaimiSpace>, NetError> {
-        Cluster::spawn(n, move |i| NaimiSpace::new(NodeId(i as u32), locks, NodeId(0)))
-    }
-}
-
-impl Cluster<RaymondSpace> {
-    /// Spawns `n` nodes running Raymond's static-tree baseline with
-    /// `locks` locks (privilege home: node 0), fully meshed over
-    /// localhost.
-    ///
-    /// # Errors
-    ///
-    /// Any socket error during setup.
-    pub fn spawn_raymond(n: usize, locks: usize) -> Result<Cluster<RaymondSpace>, NetError> {
-        Cluster::spawn(n, move |i| RaymondSpace::new(NodeId(i as u32), n, locks, NodeId(0)))
-    }
-}
-
-impl Cluster<SuzukiSpace> {
-    /// Spawns `n` nodes running the Suzuki–Kasami broadcast baseline with
-    /// `locks` locks (token home: node 0), fully meshed over localhost.
-    ///
-    /// # Errors
-    ///
-    /// Any socket error during setup.
-    pub fn spawn_suzuki(n: usize, locks: usize) -> Result<Cluster<SuzukiSpace>, NetError> {
-        Cluster::spawn(n, move |i| SuzukiSpace::new(NodeId(i as u32), n, locks, NodeId(0)))
     }
 }
 
@@ -708,71 +560,8 @@ where
         make: impl Fn(usize) -> P,
         observe: impl Fn(NodeId) -> Option<Box<dyn Observer + Send>>,
     ) -> Result<Cluster<P>, NetError> {
-        Self::spawn_observed_on(Transport::default(), n, make, observe)
-    }
-
-    /// Like [`Cluster::spawn`], on an explicitly chosen [`Transport`].
-    ///
-    /// # Errors
-    ///
-    /// Any socket error during setup.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero or `make` returns a protocol whose node id
-    /// does not match its index.
-    pub fn spawn_on(
-        transport: Transport,
-        n: usize,
-        make: impl Fn(usize) -> P,
-    ) -> Result<Cluster<P>, NetError> {
-        Self::spawn_observed_on(transport, n, make, |_| None)
-    }
-
-    /// The fully general constructor: an explicit [`Transport`] plus a
-    /// per-node [`Observer`] factory. Both engines feed the observer the
-    /// same [`ProtocolEvent`] stream, which is what the differential
-    /// transport tests compare.
-    ///
-    /// # Errors
-    ///
-    /// Any socket error during setup.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero or `make` returns a protocol whose node id
-    /// does not match its index.
-    pub fn spawn_observed_on(
-        transport: Transport,
-        n: usize,
-        make: impl Fn(usize) -> P,
-        observe: impl Fn(NodeId) -> Option<Box<dyn Observer + Send>>,
-    ) -> Result<Cluster<P>, NetError> {
-        match transport {
-            Transport::Mux => {
-                let (nodes, handle) = mux::spawn_cluster(n, make, observe, |_| None)?;
-                Ok(Cluster { nodes, metrics_server: None, mux: Some(handle) })
-            }
-            #[cfg(feature = "legacy-threads")]
-            Transport::LegacyThreads => {
-                assert!(n >= 1, "need at least one node");
-                // Bind all listeners first so every address is known.
-                let listeners: Vec<TcpListener> = (0..n)
-                    .map(|_| TcpListener::bind(("127.0.0.1", 0)))
-                    .collect::<Result<_, _>>()?;
-                let addrs: Vec<SocketAddr> =
-                    listeners.iter().map(TcpListener::local_addr).collect::<Result<_, _>>()?;
-
-                let mut nodes = Vec::with_capacity(n);
-                for (i, listener) in listeners.into_iter().enumerate() {
-                    let id = NodeId(i as u32);
-                    let protocol = make(i);
-                    assert_eq!(protocol.node_id(), id, "factory must honour node ids");
-                    nodes.push(legacy::spawn_node(id, protocol, listener, &addrs, observe(id))?);
-                }
-                Ok(Cluster { nodes, metrics_server: None, mux: None })
-            }
-        }
+        let (nodes, handle) = mux::spawn_cluster(n, make, observe, |_| None)?;
+        Ok(Cluster { nodes, metrics_server: None, mux: handle })
     }
 
     /// Spawns `n` nodes on the mux transport with the full runtime
@@ -835,7 +624,7 @@ where
                 })
             },
         )?;
-        let cluster = Cluster { nodes, metrics_server: None, mux: Some(handle) };
+        let cluster = Cluster { nodes, metrics_server: None, mux: handle };
         Ok((cluster, ClusterFlight { recorders, auditor }))
     }
 
@@ -940,15 +729,14 @@ where
         for n in &self.nodes {
             n.stop();
         }
-        if let Some(mux) = self.mux.take() {
-            mux.shutdown();
-        }
+        self.mux.shutdown();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hlock_session::{SessionConfig, SessionSpace};
     use std::io::{Read, Write};
     use std::net::TcpStream;
 
@@ -971,7 +759,9 @@ mod tests {
 
     #[test]
     fn naimi_cluster_mutual_exclusion() {
-        let cluster = Cluster::spawn_naimi(3, 1).unwrap();
+        let cluster =
+            Cluster::spawn(3, |i| hlock_naimi::NaimiSpace::new(NodeId(i as u32), 1, NodeId(0)))
+                .unwrap();
         let timeout = Duration::from_secs(10);
         for i in [1usize, 2, 0, 2, 1] {
             let t = cluster.node(i).acquire(LockId(0), Mode::Write, timeout).unwrap();
@@ -1060,7 +850,10 @@ mod tests {
 
     #[test]
     fn suzuki_cluster_mutual_exclusion() {
-        let cluster = Cluster::spawn_suzuki(4, 1).unwrap();
+        let cluster = Cluster::spawn(4, |i| {
+            hlock_suzuki::SuzukiSpace::new(NodeId(i as u32), 4, 1, NodeId(0))
+        })
+        .unwrap();
         let timeout = Duration::from_secs(10);
         for i in [2usize, 0, 3, 1] {
             let t = cluster.node(i).acquire(LockId(0), Mode::Write, timeout).unwrap();
@@ -1091,7 +884,10 @@ mod tests {
 
     #[test]
     fn raymond_cluster_mutual_exclusion() {
-        let cluster = Cluster::spawn_raymond(4, 1).unwrap();
+        let cluster = Cluster::spawn(4, |i| {
+            hlock_raymond::RaymondSpace::new(NodeId(i as u32), 4, 1, NodeId(0))
+        })
+        .unwrap();
         let timeout = Duration::from_secs(10);
         for i in [3usize, 1, 2, 0, 2] {
             let t = cluster.node(i).acquire(LockId(0), Mode::Write, timeout).unwrap();
@@ -1136,15 +932,21 @@ mod tests {
         cluster.shutdown();
     }
 
+    /// `n` hierarchical nodes (one lock, home node 0) behind the session
+    /// layer with its default timing.
+    fn session_cluster(n: usize) -> Cluster<SessionSpace<LockSpace>> {
+        Cluster::spawn(n, |i| {
+            SessionSpace::new(
+                LockSpace::new(NodeId(i as u32), 1, NodeId(0), ProtocolConfig::default()),
+                SessionConfig::default(),
+            )
+        })
+        .unwrap()
+    }
+
     #[test]
     fn session_cluster_read_write_cycle() {
-        let cluster = Cluster::spawn_hierarchical_session(
-            3,
-            1,
-            ProtocolConfig::default(),
-            SessionConfig::default(),
-        )
-        .unwrap();
+        let cluster = session_cluster(3);
         let timeout = Duration::from_secs(10);
         for i in [1usize, 2, 1] {
             let t = cluster.node(i).acquire(LockId(0), Mode::Write, timeout).unwrap();
@@ -1160,13 +962,7 @@ mod tests {
 
     #[test]
     fn session_cluster_survives_link_failure() {
-        let cluster = Cluster::spawn_hierarchical_session(
-            2,
-            1,
-            ProtocolConfig::default(),
-            SessionConfig::default(),
-        )
-        .unwrap();
+        let cluster = session_cluster(2);
         let timeout = Duration::from_secs(20);
         // Warm up: moves the token to node 1.
         let t = cluster.node(1).acquire(LockId(0), Mode::Write, timeout).unwrap();
@@ -1239,8 +1035,13 @@ mod tests {
 
     #[test]
     fn metered_cluster_exports_prometheus_text() {
-        let (mut cluster, metrics) =
-            Cluster::spawn_hierarchical_metered(3, 1, ProtocolConfig::default()).unwrap();
+        let metrics = ClusterMetrics::new();
+        let mut cluster = Cluster::spawn_observed(
+            3,
+            |i| LockSpace::new(NodeId(i as u32), 1, NodeId(0), ProtocolConfig::default()),
+            |_| Some(Box::new(metrics.clone()) as Box<dyn Observer + Send>),
+        )
+        .unwrap();
         let addr = cluster.serve_metrics(metrics.clone()).unwrap();
         assert_eq!(cluster.metrics_addr(), Some(addr));
 
@@ -1266,24 +1067,6 @@ mod tests {
         // Runtime counters flowed from the event loops into the scrape.
         let steps: u64 = cluster.nodes.iter().map(|n| n.runtime_counters().steps).sum();
         assert!(steps > 0, "event loops dispatched steps");
-        cluster.shutdown();
-    }
-
-    #[cfg(feature = "legacy-threads")]
-    #[test]
-    fn legacy_transport_oracle_still_works() {
-        let cluster = Cluster::spawn_on(Transport::LegacyThreads, 3, |i| {
-            LockSpace::new(NodeId(i as u32), 2, NodeId(0), ProtocolConfig::default())
-        })
-        .unwrap();
-        let timeout = Duration::from_secs(10);
-        let t1 = cluster.node(1).acquire(LockId(0), Mode::Read, timeout).unwrap();
-        let t2 = cluster.node(2).acquire(LockId(0), Mode::Read, timeout).unwrap();
-        cluster.node(1).release(LockId(0), t1).unwrap();
-        cluster.node(2).release(LockId(0), t2).unwrap();
-        let t3 = cluster.node(2).acquire(LockId(1), Mode::Write, timeout).unwrap();
-        cluster.node(2).release(LockId(1), t3).unwrap();
-        assert!(cluster.message_stats().values().sum::<u64>() > 0);
         cluster.shutdown();
     }
 

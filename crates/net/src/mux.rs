@@ -16,16 +16,17 @@
 //! Outgoing links are dialed lazily on first send and carry a bounded
 //! [`Outbox`] (queue-and-flush with partial-write cursors); when the
 //! bound is hit the newest frame is shed and a
-//! [`ProtocolEvent::Backpressure`] event is emitted — a slow peer can
-//! no longer wedge a node's egress the way the legacy blocking
-//! `write_frame` could. Redial backoff and the failure detector run as
-//! deadline-wheel entries with the same schedule as the legacy
-//! transport ([`DialBackoff`]), so recovery elections fire identically
-//! on both.
+//! [`ProtocolEvent::Backpressure`] event is emitted — a slow peer
+//! fills only its own outbox and never blocks the worker. A failed link
+//! is redialed from a deadline-wheel entry on the [`DialBackoff`]
+//! schedule (10 ms doubling to 1 s); frames sent while it waits out a
+//! backoff are shed, re-establishment raises [`LoopEvent::LinkUp`], and
+//! the fifth consecutive dial failure raises [`LoopEvent::Suspect`] —
+//! the transport's failure detector, which starts recovery elections.
 
 use crate::conn::{DialBackoff, Outbox, Push, DEFAULT_OUTBOX_BYTES};
 use crate::transport::{apply_event, encode_hello, Counters, GrantTable, LoopEvent, PostEvent};
-use crate::{NetError, NodeHandle, Port};
+use crate::{NetError, NodeHandle};
 use bytes::BytesMut;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use hlock_core::{
@@ -127,14 +128,6 @@ mod sys {
         pub const POLLERR: i16 = 0x8;
         pub const POLLHUP: i16 = 0x10;
     }
-}
-
-/// Whether `HLOCK_MUX_DEBUG` is set: link-teardown paths then log a
-/// one-line reason to stderr. Cached so hot paths pay an atomic load.
-fn mux_debug() -> bool {
-    use std::sync::OnceLock;
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("HLOCK_MUX_DEBUG").is_some())
 }
 
 fn set_nonblocking_fd(fd: RawFd) -> std::io::Result<()> {
@@ -447,9 +440,9 @@ struct NodeIo<M> {
     me: NodeId,
     /// Loopback sender onto the worker's command queue: transport-raised
     /// events (`LinkUp`, `Suspect`) are queued like any other command so
-    /// they flow through `apply_event` exactly as on the legacy
-    /// transport. No wake-up needed: the worker raises them itself and
-    /// drains the queue before it parks.
+    /// they flow through `apply_event` like an API call. No wake-up
+    /// needed: the worker raises them itself and drains the queue before
+    /// it parks.
     self_tx: Sender<Command<M>>,
     /// Whether events were applied since the last dispatch step (the
     /// slot is then listed in [`Worker::dirty`]).
@@ -493,7 +486,8 @@ struct Link {
     outbox: Outbox,
     backoff: DialBackoff,
     /// Whether the next establishment is a REconnect (emits `LinkUp`,
-    /// as the legacy redial thread did) rather than the first lazy dial.
+    /// so a session layer resends what the outage lost) rather than the
+    /// first lazy dial.
     redial: bool,
 }
 
@@ -503,8 +497,8 @@ enum LinkState {
     /// Connected; frames flush from the outbox on writability.
     Established { stream: TcpStream, token: u64 },
     /// Between a failure and the next backoff-scheduled dial attempt.
-    /// Frames sent now are dropped — the legacy lossy-link regime the
-    /// session layer recovers from.
+    /// Frames sent now are dropped — the lossy-link regime the session
+    /// layer recovers from.
     Waiting,
 }
 
@@ -587,8 +581,7 @@ where
         match &mut link.state {
             LinkState::Waiting if link.redial => {
                 // A failed link waiting out its backoff: frames are shed
-                // (lossy parity with the legacy transport, whose writer
-                // map has no entry while the redial thread sleeps).
+                // rather than queued behind a dial that may never succeed.
             }
             LinkState::Waiting => {
                 // First use: dial lazily. The handshake goes first and
@@ -649,13 +642,8 @@ where
                         let (fd, tok) = (stream.as_raw_fd(), *token);
                         self.poller.modify(fd, tok, false, true);
                     }
-                    Err(e) => {
-                        // Dead socket: tear down and schedule a redial,
-                        // exactly like a failed legacy write evicting the
-                        // writer-map entry.
-                        if mux_debug() {
-                            eprintln!("mux-debug: inline write to {to:?} failed: {e}");
-                        }
+                    Err(_) => {
+                        // Dead socket: tear down and schedule a redial.
                         self.io.link_events.push((Some(to), LinkDownReason::WriteFailed));
                         let (fd, tok) = (stream.as_raw_fd(), *token);
                         let _ = stream.shutdown(Shutdown::Both);
@@ -816,24 +804,17 @@ where
         };
         // A failed event with data still readable (EPOLLIN|EPOLLHUP —
         // peer closed after sending) must drain the tail frames first,
-        // like the legacy reader running to EOF; read() then reports the
-        // close. Only a pure error event skips straight to teardown.
-        let dbg = mux_debug();
+        // reading on to EOF; read() then reports the close. Only a pure
+        // error event skips straight to teardown.
         let mut dead = ev.failed && !ev.readable;
         if dead {
             io.link_events.push((conn.peer, LinkDownReason::Hangup));
-            if dbg {
-                eprintln!("mux-debug: inbound at {:?} pure-failed event", io.me);
-            }
         }
         while !dead {
             match conn.stream.read(&mut self.read_buf) {
                 Ok(0) => {
                     dead = true;
                     io.link_events.push((conn.peer, LinkDownReason::Eof));
-                    if dbg {
-                        eprintln!("mux-debug: inbound at {:?} from {:?} EOF", io.me, conn.peer);
-                    }
                 }
                 Ok(n) => {
                     conn.dec.extend(&self.read_buf[..n]);
@@ -847,15 +828,9 @@ where
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => {
+                Err(_) => {
                     dead = true;
                     io.link_events.push((conn.peer, LinkDownReason::ReadFailed));
-                    if dbg {
-                        eprintln!(
-                            "mux-debug: inbound at {:?} from {:?} read err {e}",
-                            io.me, conn.peer
-                        );
-                    }
                 }
             }
         }
@@ -865,12 +840,9 @@ where
                 match conn.dec.next_hello() {
                     Ok(Some(id)) => conn.peer = Some(id),
                     Ok(None) => break,
-                    Err(e) => {
+                    Err(_) => {
                         dead = true;
                         io.link_events.push((conn.peer, LinkDownReason::DecodeFailed));
-                        if dbg {
-                            eprintln!("mux-debug: inbound at {:?} hello err {e:?}", io.me);
-                        }
                         break;
                     }
                 }
@@ -895,15 +867,9 @@ where
                     applied = true;
                 }
                 Ok(None) => break,
-                Err(e) => {
+                Err(_) => {
                     dead = true;
                     io.link_events.push((conn.peer, LinkDownReason::DecodeFailed));
-                    if dbg {
-                        eprintln!(
-                            "mux-debug: inbound at {:?} from {:?} decode err {e:?}",
-                            io.me, conn.peer
-                        );
-                    }
                     break;
                 }
             }
@@ -931,15 +897,8 @@ where
         };
         match &mut link.state {
             LinkState::Connecting { stream, token } => {
-                let so_err = stream.take_error();
-                let hard_error = ev.failed || !matches!(so_err, Ok(None));
+                let hard_error = ev.failed || !matches!(stream.take_error(), Ok(None));
                 if hard_error {
-                    if mux_debug() {
-                        eprintln!(
-                            "mux-debug: dial {:?} failed (ev.failed={} so_err={so_err:?})",
-                            peer, ev.failed
-                        );
-                    }
                     node.io.link_events.push((Some(peer), LinkDownReason::DialFailed));
                     let fd = stream.as_raw_fd();
                     let tok = *token;
@@ -1005,12 +964,6 @@ where
             LinkState::Established { stream, token } => {
                 let flush_failed = ev.failed || matches!(link.outbox.write_to(stream), Err(_));
                 if flush_failed {
-                    if mux_debug() {
-                        eprintln!(
-                            "mux-debug: established link to {peer:?} failed (ev.failed={})",
-                            ev.failed
-                        );
-                    }
                     node.io.link_events.push((Some(peer), LinkDownReason::WriteFailed));
                     let fd = stream.as_raw_fd();
                     let tok = *token;
@@ -1452,7 +1405,7 @@ where
             runtime: runtime_mirror,
             next_ticket: AtomicU64::new(1),
             running: Arc::new(AtomicBool::new(true)),
-            port: Port::Mux(MuxPort { cmds: queues[w].clone(), slot, waker: wakers[w].clone() }),
+            port: MuxPort { cmds: queues[w].clone(), slot, waker: wakers[w].clone() },
         }));
     }
 

@@ -44,20 +44,19 @@
 //! reliable links the raw protocol assumes).
 
 use crate::conn::{DialBackoff, Outbox, Push, DEFAULT_OUTBOX_BYTES};
-use crate::transport::{encode_hello, reader_loop, Counters, GrantTable};
+use crate::transport::{apply_event, encode_hello, Counters, GrantTable, LoopEvent, PostEvent};
 use crate::{ClusterMetrics, NetError};
 use bytes::BytesMut;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use hlock_core::{
-    BatchHost, Classify, ConcurrencyProtocol, EffectSink, Envelope, HostRuntime, LockId, LockSpace,
-    MessageKind, Mode, NodeId, Priority, ProtocolConfig, RuntimeCounters, ShardGauges, ShardSpec,
-    Ticket,
+    BatchHost, Classify, EffectSink, Envelope, HostRuntime, LockId, LockSpace, MessageKind, Mode,
+    NodeId, Priority, ProtocolConfig, RuntimeCounters, ShardGauges, ShardSpec, Ticket,
 };
 use hlock_wire::frame;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -147,32 +146,12 @@ impl<T> BoundedQueue<T> {
     }
 }
 
-/// A lock-addressed operation forwarded from the API surface through the
-/// router to the owning shard worker. `Release` is one-way: the caller
-/// retired the ticket from the shard's [`GrantTable`] first.
-enum ShardOp {
-    Request { mode: Mode, ticket: Ticket, priority: Priority },
-    Release { ticket: Ticket },
-    Upgrade { ticket: Ticket, done: Sender<Result<(), NetError>> },
-    Cancel { ticket: Ticket, done: Sender<Result<(), NetError>> },
-    Downgrade { ticket: Ticket, mode: Mode, done: Sender<Result<(), NetError>> },
-    TryRequest { mode: Mode, ticket: Ticket, done: Sender<Result<bool, NetError>> },
-}
-
 /// What the router receives from the peer-socket readers. API calls
 /// skip the router and push straight onto the owning shard's queue —
 /// only wire frames need the routing hop, because only they carry
 /// several locks' messages in one ordered unit.
 enum RouterEvent {
     Frame(NodeId, Vec<Envelope>),
-    Stop,
-}
-
-/// What a shard worker receives on its inbound queue.
-enum ShardEvent {
-    Incoming(NodeId, Vec<Envelope>),
-    Op(LockId, ShardOp),
-    Quiesce(Sender<bool>),
     Stop,
 }
 
@@ -194,7 +173,7 @@ pub struct ShardedNodeHandle {
     grants: Vec<Arc<GrantTable>>,
     counters: Arc<Counters>,
     shard_runtimes: Vec<Arc<Mutex<RuntimeCounters>>>,
-    inbound: Vec<Arc<BoundedQueue<ShardEvent>>>,
+    inbound: Vec<Arc<BoundedQueue<LoopEvent<Envelope>>>>,
     next_ticket: AtomicU64,
     running: Arc<AtomicBool>,
     threads: Mutex<Vec<JoinHandle<()>>>,
@@ -227,11 +206,11 @@ impl ShardedNodeHandle {
     /// Hands an API operation straight to the shard owning `lock` —
     /// same-caller program order per lock is preserved because one lock
     /// always lands in one FIFO queue.
-    fn send_op(&self, lock: LockId, op: ShardOp) -> Result<(), NetError> {
+    fn send_op(&self, lock: LockId, op: LoopEvent<Envelope>) -> Result<(), NetError> {
         if !self.running.load(Ordering::SeqCst) {
             return Err(NetError::Closed);
         }
-        self.inbound[self.shard_of(lock)].push(ShardEvent::Op(lock, op));
+        self.inbound[self.shard_of(lock)].push(op);
         Ok(())
     }
 
@@ -243,7 +222,7 @@ impl ShardedNodeHandle {
     /// [`NetError::Closed`] if the node has shut down.
     pub fn request(&self, lock: LockId, mode: Mode) -> Result<Ticket, NetError> {
         let ticket = Ticket(self.next_ticket.fetch_add(1, Ordering::Relaxed));
-        self.send_op(lock, ShardOp::Request { mode, ticket, priority: Priority::NORMAL })?;
+        self.send_op(lock, LoopEvent::Request { lock, mode, ticket, priority: Priority::NORMAL })?;
         Ok(ticket)
     }
 
@@ -286,7 +265,7 @@ impl ShardedNodeHandle {
     pub fn try_acquire(&self, lock: LockId, mode: Mode) -> Result<Option<Ticket>, NetError> {
         let ticket = Ticket(self.next_ticket.fetch_add(1, Ordering::Relaxed));
         let (tx, rx) = unbounded();
-        self.send_op(lock, ShardOp::TryRequest { mode, ticket, done: tx })?;
+        self.send_op(lock, LoopEvent::TryRequest { lock, mode, ticket, done: tx })?;
         let granted = rx.recv().map_err(|_| NetError::Closed)??;
         if granted {
             self.grants[self.shard_of(lock)].claim_confirmed(ticket)?;
@@ -308,7 +287,7 @@ impl ShardedNodeHandle {
     /// [`NetError::Closed`] if the node has shut down.
     pub fn release(&self, lock: LockId, ticket: Ticket) -> Result<(), NetError> {
         self.grants[self.shard_of(lock)].retire(lock, ticket)?;
-        self.send_op(lock, ShardOp::Release { ticket })
+        self.send_op(lock, LoopEvent::Release { lock, ticket })
     }
 
     /// Alias of [`ShardedNodeHandle::release`], which no longer blocks.
@@ -330,7 +309,7 @@ impl ShardedNodeHandle {
     /// holders do not drain in time.
     pub fn upgrade(&self, lock: LockId, ticket: Ticket, timeout: Duration) -> Result<(), NetError> {
         let (tx, rx) = unbounded();
-        self.send_op(lock, ShardOp::Upgrade { ticket, done: tx })?;
+        self.send_op(lock, LoopEvent::Upgrade { lock, ticket, done: tx })?;
         rx.recv().map_err(|_| NetError::Closed)??;
         match self.wait(lock, ticket, timeout) {
             Ok(_) => Ok(()),
@@ -348,7 +327,7 @@ impl ShardedNodeHandle {
     /// [`NetError::Protocol`] on an illegal downgrade or unknown ticket.
     pub fn downgrade(&self, lock: LockId, ticket: Ticket, mode: Mode) -> Result<(), NetError> {
         let (tx, rx) = unbounded();
-        self.send_op(lock, ShardOp::Downgrade { ticket, mode, done: tx })?;
+        self.send_op(lock, LoopEvent::Downgrade { lock, ticket, mode, done: tx })?;
         rx.recv().map_err(|_| NetError::Closed)?
     }
 
@@ -359,7 +338,7 @@ impl ShardedNodeHandle {
     /// [`NetError::Closed`] if the node has shut down.
     pub fn cancel(&self, lock: LockId, ticket: Ticket) -> Result<(), NetError> {
         let (tx, rx) = unbounded();
-        self.send_op(lock, ShardOp::Cancel { ticket, done: tx })?;
+        self.send_op(lock, LoopEvent::Cancel { lock, ticket, done: tx })?;
         rx.recv().map_err(|_| NetError::Closed)?
     }
 
@@ -375,7 +354,7 @@ impl ShardedNodeHandle {
         }
         let (tx, rx) = unbounded();
         for q in &self.inbound {
-            q.push(ShardEvent::Quiesce(tx.clone()));
+            q.push(LoopEvent::IsQuiescent { done: tx.clone() });
         }
         drop(tx);
         let mut all = true;
@@ -415,14 +394,21 @@ impl ShardedNodeHandle {
         self.inbound.iter().map(|q| q.gauges()).collect()
     }
 
-    /// Shutdown ordering: stop the router (which fans `Stop` out to the
-    /// shard workers, which each forward it to the egress thread once
-    /// their final frames are queued), then join everything *outside*
-    /// the handle lock — readers block up to their socket read timeout.
-    fn stop(&self) {
+    /// First half of a shutdown: refuse new API calls and stop the router
+    /// (which fans `Stop` out to the shard workers, which each forward it
+    /// to the egress thread once their final frames are queued). The
+    /// egress thread then exits and drops this node's outgoing sockets —
+    /// the EOF its peers' readers are blocked waiting for.
+    fn begin_stop(&self) {
         if self.running.swap(false, Ordering::SeqCst) {
             let _ = self.router.send(RouterEvent::Stop);
         }
+    }
+
+    /// Second half: joins every thread of this node (the listener joins
+    /// the readers it spawned), *outside* the handle lock — a reader whose
+    /// peer has not hung up blocks up to its socket read timeout.
+    fn join(&self) {
         let threads: Vec<JoinHandle<()>> = {
             let mut guard = self.threads.lock();
             guard.drain(..).collect()
@@ -545,10 +531,16 @@ impl ShardedCluster {
         });
     }
 
-    /// Stops every node and joins all of their threads.
+    /// Stops every node and joins all of their threads. Every node is
+    /// told to stop before any is joined, so all egress threads hang up
+    /// together and every reader in the mesh sees EOF at once instead of
+    /// waiting out its read timeout behind a peer that is joined later.
     pub fn shutdown(self) {
         for n in &self.nodes {
-            n.stop();
+            n.begin_stop();
+        }
+        for n in &self.nodes {
+            n.join();
         }
     }
 }
@@ -593,12 +585,15 @@ fn spawn_node(
     }
 
     // Listener thread: accepts inbound links; each reader feeds the
-    // router (the single producer of every shard queue).
+    // router (the single producer of every shard queue). The listener
+    // owns its readers' handles and joins them on its way out, so joining
+    // it leaves no thread holding a socket or `running`.
     {
         let tx = tx.clone();
         let running = running.clone();
         listener.set_nonblocking(true)?;
         threads.push(std::thread::spawn(move || {
+            let mut readers: Vec<JoinHandle<()>> = Vec::new();
             while running.load(Ordering::SeqCst) {
                 match listener.accept() {
                     Ok((stream, _)) => {
@@ -606,15 +601,10 @@ fn spawn_node(
                         let _ = stream.set_nonblocking(false);
                         let tx = tx.clone();
                         let running = running.clone();
-                        std::thread::spawn(move || {
-                            reader_loop::<Envelope>(
-                                stream,
-                                move |from, messages| {
-                                    tx.send(RouterEvent::Frame(from, messages)).is_ok()
-                                },
-                                running,
-                            )
-                        });
+                        // A peer that redials leaves a finished reader
+                        // behind each time.
+                        readers.retain(|r| !r.is_finished());
+                        readers.push(std::thread::spawn(move || reader_loop(stream, tx, running)));
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                         std::thread::sleep(Duration::from_millis(25));
@@ -622,10 +612,13 @@ fn spawn_node(
                     Err(_) => break,
                 }
             }
+            for reader in readers {
+                let _ = reader.join();
+            }
         }));
     }
 
-    let inbound: Vec<Arc<BoundedQueue<ShardEvent>>> =
+    let inbound: Vec<Arc<BoundedQueue<LoopEvent<Envelope>>>> =
         (0..spec.shards()).map(|_| Arc::new(BoundedQueue::new(QUEUE_CAPACITY))).collect();
     let egress: Arc<BoundedQueue<EgressItem>> = Arc::new(BoundedQueue::new(QUEUE_CAPACITY));
     let grants: Vec<Arc<GrantTable>> =
@@ -676,13 +669,61 @@ fn spawn_node(
     }))
 }
 
+/// Decodes handshake + frames off one inbound socket, handing every
+/// complete frame to the router; returns when the peer hangs up, the
+/// router is gone, or — checked at least every read timeout — the node
+/// stopped. (The readiness mux drives the same [`frame::Decoder`] from its
+/// event loop instead.)
+fn reader_loop(mut stream: TcpStream, router: Sender<RouterEvent>, running: Arc<AtomicBool>) {
+    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
+    let mut dec = frame::Decoder::new();
+    let mut peer: Option<NodeId> = None;
+    let mut chunk = [0u8; 16 * 1024];
+    loop {
+        if !running.load(Ordering::SeqCst) {
+            return;
+        }
+        match stream.read(&mut chunk) {
+            Ok(0) => return,
+            Ok(n) => dec.extend(&chunk[..n]),
+            Err(e)
+                if e.kind() == std::io::ErrorKind::WouldBlock
+                    || e.kind() == std::io::ErrorKind::TimedOut =>
+            {
+                continue;
+            }
+            Err(_) => return,
+        }
+        if peer.is_none() {
+            // First frame is the handshake: a bare varint node id.
+            match dec.next_hello() {
+                Ok(Some(id)) => peer = Some(id),
+                Ok(None) => continue,
+                Err(_) => return,
+            }
+        }
+        loop {
+            match dec.next::<Envelope>() {
+                Ok(Some((from, messages))) => {
+                    debug_assert_eq!(Some(from), peer);
+                    if router.send(RouterEvent::Frame(from, messages)).is_err() {
+                        return;
+                    }
+                }
+                Ok(None) => break,
+                Err(_) => return,
+            }
+        }
+    }
+}
+
 /// Routes every event to the shard owning its lock. A frame carrying
 /// several locks is split into at most one sub-batch per shard; each
 /// sub-batch preserves the frame's internal order, so the messages of
 /// one lock are never reordered by the handoff.
 fn router_loop(
     rx: Receiver<RouterEvent>,
-    inbound: &[Arc<BoundedQueue<ShardEvent>>],
+    inbound: &[Arc<BoundedQueue<LoopEvent<Envelope>>>],
     spec: ShardSpec,
 ) {
     let mut split: Vec<Vec<Envelope>> = vec![Vec::new(); spec.shards()];
@@ -690,7 +731,7 @@ fn router_loop(
         match event {
             RouterEvent::Frame(from, messages) => {
                 if spec.shards() == 1 {
-                    inbound[0].push(ShardEvent::Incoming(from, messages));
+                    inbound[0].push(LoopEvent::Incoming(from, messages));
                     continue;
                 }
                 for m in messages {
@@ -698,7 +739,7 @@ fn router_loop(
                 }
                 for (s, bucket) in split.iter_mut().enumerate() {
                     if !bucket.is_empty() {
-                        inbound[s].push(ShardEvent::Incoming(from, std::mem::take(bucket)));
+                        inbound[s].push(LoopEvent::Incoming(from, std::mem::take(bucket)));
                     }
                 }
             }
@@ -706,15 +747,17 @@ fn router_loop(
         }
     }
     for q in inbound {
-        q.push(ShardEvent::Stop);
+        q.push(LoopEvent::Stop);
     }
 }
 
 /// One shard's worker: owns its lock partition, effect sink and host
-/// runtime; forwards batched sends to the egress thread.
+/// runtime; applies each event through the same [`apply_event`] as a mux
+/// node's loop, flushes after every one, and forwards batched sends to
+/// the egress thread.
 fn shard_worker(
     mut space: LockSpace,
-    inbound: &BoundedQueue<ShardEvent>,
+    inbound: &BoundedQueue<LoopEvent<Envelope>>,
     egress: &BoundedQueue<EgressItem>,
     grants: &GrantTable,
     runtime_mirror: &Mutex<RuntimeCounters>,
@@ -722,57 +765,16 @@ fn shard_worker(
     let mut fx: EffectSink<Envelope> = EffectSink::new();
     let mut runtime: HostRuntime<Envelope> = HostRuntime::new();
     loop {
-        match inbound.pop() {
-            ShardEvent::Incoming(from, messages) => {
-                space.on_message_batch(from, messages, &mut fx);
-            }
-            ShardEvent::Op(lock, op) => match op {
-                ShardOp::Request { mode, ticket, priority } => {
-                    let r = space.request_with_priority(lock, mode, ticket, priority, &mut fx);
-                    debug_assert!(r.is_ok(), "request rejected: {r:?}");
-                }
-                ShardOp::Release { ticket } => {
-                    let r = space.release(lock, ticket, &mut fx);
-                    debug_assert!(r.is_ok(), "retired ticket rejected by the protocol: {r:?}");
-                }
-                ShardOp::Upgrade { ticket, done } => {
-                    let r = space.upgrade(lock, ticket, &mut fx).map_err(NetError::Protocol);
-                    let _ = done.send(r);
-                }
-                ShardOp::Cancel { ticket, done } => {
-                    // A grant may have raced ahead of the cancel: release
-                    // it and drop its mailbox entry (whoever removes the
-                    // entry owns the release, as in `apply_event`).
-                    let r = match space.cancel(lock, ticket, &mut fx) {
-                        Ok(_) => Ok(()),
-                        Err(hlock_core::ProtocolError::NotCancellable { .. }) => {
-                            if grants.discard(ticket) {
-                                space.release(lock, ticket, &mut fx).map_err(NetError::Protocol)
-                            } else {
-                                Ok(())
-                            }
-                        }
-                        Err(e) => Err(NetError::Protocol(e)),
-                    };
-                    let _ = done.send(r);
-                }
-                ShardOp::Downgrade { ticket, mode, done } => {
-                    let r =
-                        space.downgrade(lock, ticket, mode, &mut fx).map_err(NetError::Protocol);
-                    let _ = done.send(r);
-                }
-                ShardOp::TryRequest { mode, ticket, done } => {
-                    let r =
-                        space.try_request(lock, mode, ticket, &mut fx).map_err(NetError::Protocol);
-                    let _ = done.send(r);
-                }
-            },
-            ShardEvent::Quiesce(done) => {
-                let _ = done.send(space.is_quiescent());
-            }
-            ShardEvent::Stop => {
+        match apply_event(&mut space, &mut runtime, &mut fx, grants, inbound.pop()) {
+            PostEvent::Handled => {}
+            PostEvent::Stop => {
                 egress.push(EgressItem::Stop);
                 return;
+            }
+            // The sockets belong to the egress thread and a sharded node
+            // has no crash injection: nothing posts these to a shard.
+            PostEvent::Sever { .. } | PostEvent::Kill { .. } => {
+                unreachable!("Sever/Kill posted to a shard worker")
             }
         }
         let mut host = ShardHost { grants, egress };
@@ -1005,6 +1007,37 @@ mod tests {
         let entries: usize = [home, node].iter().flat_map(|n| &n.grants).map(|g| g.len()).sum();
         assert_eq!(entries, 0, "an entry outlived its ticket");
         cluster.shutdown();
+    }
+
+    #[test]
+    fn shutdown_joins_every_reader_thread() {
+        let listeners: Vec<TcpListener> =
+            (0..3).map(|_| TcpListener::bind(("127.0.0.1", 0)).unwrap()).collect();
+        let addrs: Vec<SocketAddr> = listeners.iter().map(|l| l.local_addr().unwrap()).collect();
+        // A peer that connects and never says a word: its reader sees no
+        // EOF at shutdown and leaves only through its read timeout. Dialed
+        // before node 0 exists, so it is first in node 0's accept queue.
+        let silent = TcpStream::connect(addrs[0]).unwrap();
+        let nodes: Vec<Arc<ShardedNodeHandle>> = listeners
+            .into_iter()
+            .enumerate()
+            .map(|(i, listener)| {
+                let config = ProtocolConfig::default();
+                let (id, homes) = (NodeId(i as u32), [NodeId(0); 4]);
+                spawn_node(id, &homes, config, ShardSpec::new(2), listener, &addrs).unwrap()
+            })
+            .collect();
+        let cluster = ShardedCluster { nodes: nodes.clone() };
+        // Granted through node 0, which therefore accepted node 1's link —
+        // and the silent one queued ahead of it.
+        let t = cluster.node(1).acquire(LockId(1), Mode::Write, TIMEOUT).unwrap();
+        cluster.node(1).release(LockId(1), t).unwrap();
+        cluster.shutdown();
+        for node in &nodes {
+            let holders = Arc::strong_count(&node.running);
+            assert_eq!(holders, 1, "a thread of {:?} outlived shutdown", node.id);
+        }
+        drop(silent);
     }
 
     #[test]

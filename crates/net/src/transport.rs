@@ -2,9 +2,8 @@
 //! vocabulary the per-node loops consume ([`LoopEvent`]), the grant
 //! mailbox API callers block on ([`GrantTable`]), wire-level counters,
 //! the protocol-side event application shared by the readiness mux and
-//! the legacy thread-per-peer loop ([`apply_event`]), the blocking
-//! reader used by the legacy and sharded paths ([`reader_loop`]), and
-//! the `/metrics` scrape endpoint.
+//! the shard workers ([`apply_event`]), and the `/metrics` scrape
+//! endpoint.
 
 use crate::NetError;
 use crossbeam::channel::Sender;
@@ -22,14 +21,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Redial failures before the transport suspects the peer crashed (the
-/// doubling backoff makes this ≈ 0.6 s of continuous refusal). A severed
-/// link to a *live* peer reconnects on the first or second attempt; only
-/// a dead listener keeps refusing this long.
-pub(crate) const SUSPECT_AFTER_FAILURES: u32 = 5;
-
-/// One unit of work for a node's protocol loop, whichever transport
-/// drives it.
+/// One unit of work for a protocol loop: a mux node's, or one shard
+/// worker's.
 pub(crate) enum LoopEvent<M> {
     /// One decoded wire frame: a whole batch from one peer, in order.
     Incoming(NodeId, Vec<M>),
@@ -134,10 +127,10 @@ pub(crate) enum PostEvent {
 }
 
 /// Applies one [`LoopEvent`] to a node's protocol state. This is the
-/// single definition of the API/incoming-frame semantics — the legacy
-/// thread-per-peer loop and the readiness mux both call it, so the two
-/// transports cannot drift. Transport-owned events (`Sever`, `Kill`,
-/// `Stop`) are handed back untouched.
+/// single definition of the API/incoming-frame semantics — the readiness
+/// mux and the sharded host's workers both call it, so the two hosts
+/// cannot drift. Transport-owned events (`Sever`, `Kill`, `Stop`) are
+/// handed back untouched.
 pub(crate) fn apply_event<P>(
     protocol: &mut P,
     runtime: &mut HostRuntime<P::Message>,
@@ -346,61 +339,6 @@ impl Counters {
 /// Appends the link handshake frame announcing `me` to `buf`.
 pub(crate) fn encode_hello(buf: &mut bytes::BytesMut, me: NodeId) {
     frame::write_hello(buf, me);
-}
-
-/// Decodes handshake + frames off one inbound socket, handing every
-/// complete frame to `sink`. The sink returns `false` to stop the reader
-/// (its downstream channel closed). Shared by the legacy
-/// single-event-loop transport (sink = send [`LoopEvent::Incoming`]) and
-/// the sharded runtime (sink = send to the shard router); the readiness
-/// mux drives the same [`frame::Decoder`] from its event loop instead.
-pub(crate) fn reader_loop<M>(
-    mut stream: TcpStream,
-    sink: impl Fn(NodeId, Vec<M>) -> bool,
-    running: Arc<AtomicBool>,
-) where
-    M: hlock_wire::WireCodec,
-{
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let mut dec = frame::Decoder::new();
-    let mut peer: Option<NodeId> = None;
-    let mut chunk = [0u8; 16 * 1024];
-    loop {
-        if !running.load(Ordering::SeqCst) {
-            return;
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return,
-            Ok(n) => dec.extend(&chunk[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(_) => return,
-        }
-        if peer.is_none() {
-            // First frame is the handshake: a bare varint node id.
-            match dec.next_hello() {
-                Ok(Some(id)) => peer = Some(id),
-                Ok(None) => continue,
-                Err(_) => return,
-            }
-        }
-        loop {
-            match dec.next::<M>() {
-                Ok(Some((from, messages))) => {
-                    debug_assert_eq!(Some(from), peer);
-                    if !sink(from, messages) {
-                        return;
-                    }
-                }
-                Ok(None) => break,
-                Err(_) => return,
-            }
-        }
-    }
 }
 
 /// A running `/metrics` HTTP listener (see

@@ -14,7 +14,6 @@
 use crate::latency::LatencyModel;
 use crate::metrics::Metrics;
 use crate::time::{Duration, SimTime};
-use crate::trace::{Tracer, TracerObserver};
 use hlock_core::{
     BatchHost, Classify, ConcurrencyProtocol, EffectSink, HostRuntime, Inspect, LockId, Mode,
     NodeId, NullObserver, Observer, Priority, ProtocolEvent, SpanId, Ticket,
@@ -440,13 +439,6 @@ where
         self.observing = true;
         self.fx.set_observing(true);
         self
-    }
-
-    /// Attaches a [`Tracer`] receiving a structured record per event
-    /// (adapter over [`Sim::with_observer`]).
-    #[must_use]
-    pub fn with_tracer(self, tracer: impl Tracer + 'static) -> Self {
-        self.with_observer(TracerObserver::new(tracer))
     }
 
     /// Attaches a frame sizer: given the messages of one outgoing batch

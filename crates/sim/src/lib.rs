@@ -48,7 +48,6 @@ mod engine;
 mod latency;
 mod metrics;
 mod time;
-mod trace;
 
 pub use engine::{
     Driver, InvariantViolation, NodeCrash, NodePause, Partition, Sim, SimApi, SimConfig, SimReport,
@@ -56,7 +55,6 @@ pub use engine::{
 pub use latency::{sample_exponential, LatencyModel};
 pub use metrics::Metrics;
 pub use time::{Duration, SimTime};
-pub use trace::{NullTracer, RingTracer, StderrTracer, TraceRecord, Tracer, TracerObserver};
 
 // The simulator speaks the workspace-wide observability vocabulary;
 // re-export it so `Sim::with_observer` users need only this crate.

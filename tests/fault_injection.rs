@@ -5,10 +5,10 @@
 
 use hlock::core::{LockSpace, NodeId, ProtocolConfig};
 use hlock::session::SessionConfig;
-use hlock::sim::{Duration, Partition, ProtocolEvent, RingTracer, Sim, SimConfig, SimTime, Tracer};
+use hlock::sim::{Duration, Partition, ProtocolEvent, Sim, SimConfig, SimTime};
 use hlock::workload::{run_session_experiment, HierarchicalDriver, WorkloadConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 fn build_sim(
     nodes: usize,
@@ -54,8 +54,8 @@ fn reordering_never_violates_safety() {
     let wl = WorkloadConfig { entries: 4, ops_per_node: 6, seed: 23, ..Default::default() };
     let reordered = Arc::new(AtomicU64::new(0));
     let counter = reordered.clone();
-    let tracer = move |r: hlock::sim::TraceRecord| {
-        if matches!(r.event, ProtocolEvent::Delivered { .. }) {
+    let observer = move |_at: u64, event: &ProtocolEvent| {
+        if matches!(event, ProtocolEvent::Delivered { .. }) {
             counter.fetch_add(1, Ordering::Relaxed);
         }
     };
@@ -63,7 +63,7 @@ fn reordering_never_violates_safety() {
         c.reorder_probability = 0.3;
         c.reorder_max_skew = Duration::from_millis(200);
     })
-    .with_tracer(tracer)
+    .with_observer(observer)
     .run()
     .expect("reordering must never violate safety");
     // Inverse assertion: the run actually delivered traffic to reorder.
@@ -79,8 +79,8 @@ fn timed_partition_never_violates_safety() {
     let wl = WorkloadConfig { entries: 4, ops_per_node: 4, seed: 31, ..Default::default() };
     let drops = Arc::new(AtomicU64::new(0));
     let counter = drops.clone();
-    let tracer = move |r: hlock::sim::TraceRecord| {
-        if matches!(r.event, ProtocolEvent::Dropped { .. }) {
+    let observer = move |_at: u64, event: &ProtocolEvent| {
+        if matches!(event, ProtocolEvent::Dropped { .. }) {
             counter.fetch_add(1, Ordering::Relaxed);
         }
     };
@@ -91,7 +91,7 @@ fn timed_partition_never_violates_safety() {
             until: SimTime::from_millis(2_000),
         }];
     })
-    .with_tracer(tracer)
+    .with_observer(observer)
     .run()
     .expect("partitions must never violate safety");
     // Inverse assertion: the partition actually severed something —
@@ -185,52 +185,39 @@ fn drops_are_traced() {
     let wl = WorkloadConfig { entries: 2, ops_per_node: 4, seed: 1, ..Default::default() };
     let drops = Arc::new(AtomicU64::new(0));
     let counter = drops.clone();
-    let tracer = move |r: hlock::sim::TraceRecord| {
-        if matches!(r.event, ProtocolEvent::Dropped { .. }) {
+    let observer = move |_at: u64, event: &ProtocolEvent| {
+        if matches!(event, ProtocolEvent::Dropped { .. }) {
             counter.fetch_add(1, Ordering::Relaxed);
         }
     };
-    let _ =
-        build_sim(4, &wl, |c| c.drop_probability = 0.3).with_tracer(tracer).run().expect("safe");
+    let _ = build_sim(4, &wl, |c| c.drop_probability = 0.3)
+        .with_observer(observer)
+        .run()
+        .expect("safe");
     assert!(drops.load(Ordering::Relaxed) > 0, "with p=0.3 something must drop");
 }
 
 #[test]
-fn ring_tracer_captures_run_history() {
+fn observer_captures_run_history() {
     let wl = WorkloadConfig { entries: 2, ops_per_node: 3, seed: 4, ..Default::default() };
-    // RingTracer is moved into the sim; capture via a forwarding closure.
-    let mut ring = RingTracer::new(64);
-    let records = Arc::new(parking_lot_like::Mutex::new(Vec::new()));
+    // The observer is moved into the sim; capture through a shared sink.
+    let records = Arc::new(Mutex::new(Vec::new()));
     let sink = records.clone();
     let report = build_sim(3, &wl, |_| {})
-        .with_tracer(move |r: hlock::sim::TraceRecord| {
-            ring.record(r.clone());
-            sink.lock().push(r);
+        .with_observer(move |at: u64, event: &ProtocolEvent| {
+            sink.lock().unwrap().push((at, event.clone()));
         })
         .run()
         .expect("safe");
     assert!(report.quiescent);
-    let records = records.lock();
+    let records = records.lock().unwrap();
     assert!(!records.is_empty());
     // Records are in virtual-time order.
     for w in records.windows(2) {
-        assert!(w[0].at <= w[1].at);
+        assert!(w[0].0 <= w[1].0);
     }
     // The trace contains both requests and grants.
-    assert!(records.iter().any(|r| matches!(r.event, ProtocolEvent::RequestIssued { .. })));
-    assert!(records.iter().any(|r| matches!(r.event, ProtocolEvent::Granted { .. })));
-    assert!(records.iter().any(|r| matches!(r.event, ProtocolEvent::Delivered { .. })));
-}
-
-/// A tiny stand-in for parking_lot to avoid a dev-dependency here.
-mod parking_lot_like {
-    pub struct Mutex<T>(std::sync::Mutex<T>);
-    impl<T> Mutex<T> {
-        pub fn new(v: T) -> Self {
-            Mutex(std::sync::Mutex::new(v))
-        }
-        pub fn lock(&self) -> std::sync::MutexGuard<'_, T> {
-            self.0.lock().expect("not poisoned")
-        }
-    }
+    assert!(records.iter().any(|(_, e)| matches!(e, ProtocolEvent::RequestIssued { .. })));
+    assert!(records.iter().any(|(_, e)| matches!(e, ProtocolEvent::Granted { .. })));
+    assert!(records.iter().any(|(_, e)| matches!(e, ProtocolEvent::Delivered { .. })));
 }

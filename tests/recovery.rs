@@ -5,7 +5,9 @@
 use hlock::core::{
     Inspect, LockId, LockSpace, Mode, NodeId, ProtocolConfig, RecoverySpace, Ticket,
 };
-use hlock::sim::{Driver, Duration, NodeCrash, NodePause, Sim, SimApi, SimConfig, SimTime};
+use hlock::sim::{
+    Driver, Duration, LatencyModel, NodeCrash, NodePause, Sim, SimApi, SimConfig, SimTime,
+};
 use hlock::workload::{run_recovery_experiment, WorkloadConfig};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -41,35 +43,6 @@ fn crash_free_recovery_run_matches_plain_protocol() {
     assert_eq!(r.report.metrics.total_grants(), r.report.metrics.total_requests());
 }
 
-#[test]
-fn pause_past_watchdog_rejoins_after_false_suspicion() {
-    // Watchdog false positive: a node paused longer than the watchdog
-    // window is suspected and recovered around while still alive. When
-    // it resumes, its stale-epoch traffic must be fenced (not corrupt
-    // the new epoch), and the teach-back must pull it into the new
-    // epoch so the whole cluster still drains.
-    let wl = WorkloadConfig { entries: 4, ops_per_node: 6, seed: 13, ..Default::default() };
-    let sim = SimConfig {
-        check_every: 1,
-        pauses: vec![NodePause {
-            node: NodeId(1),
-            from: SimTime::from_millis(300),
-            until: SimTime::from_millis(400_000),
-        }],
-        watchdog: Some(Duration::from_millis(60_000)),
-        ..SimConfig::default()
-    };
-    let r = run_recovery_experiment(ProtocolConfig::default(), 5, &wl, sim)
-        .expect("false suspicion must not wedge or violate safety");
-    assert!(r.max_epoch >= 1, "the pause must have forced a recovery epoch");
-    assert_eq!(
-        r.spaces[1].epoch(),
-        r.max_epoch,
-        "the falsely-suspected node must rejoin at the new epoch"
-    );
-    assert!(r.report.quiescent, "the rejoined cluster must drain to quiescence");
-}
-
 /// When each `(node, ticket)` was granted and when it was released.
 #[derive(Default)]
 struct Timeline {
@@ -77,10 +50,9 @@ struct Timeline {
     released: BTreeMap<(u32, u64), SimTime>,
 }
 
-/// Scripted driver for [`home_crash_voids_retained_intents`]: each node
-/// issues `(at_ms, mode, hold_ms)` requests on the one lock at fixed
-/// virtual times (ticket = position in its script) and releases `hold_ms`
-/// after the grant.
+/// Scripted driver: each node issues `(at_ms, mode, hold_ms)` requests on
+/// the one lock at fixed virtual times (ticket = position in its script)
+/// and releases `hold_ms` after the grant.
 struct Scripted {
     scripts: Vec<Vec<(u64, Mode, u64)>>,
     timeline: Rc<RefCell<Timeline>>,
@@ -114,6 +86,67 @@ impl Driver for Scripted {
     }
 }
 
+/// `n` recovery-wrapped nodes over one lock homed at node 0, probing
+/// every 5 s while they have requests outstanding.
+fn probing_spaces(n: u32) -> Vec<RecoverySpace<LockSpace>> {
+    (0..n)
+        .map(|i| {
+            RecoverySpace::new(NodeId(i), 1, NodeId(0), n, ProtocolConfig::default())
+                .with_probe_interval(5_000_000)
+        })
+        .collect()
+}
+
+#[test]
+fn pause_past_watchdog_rejoins_after_false_suspicion() {
+    // Watchdog false positive: a node paused longer than the watchdog
+    // window is suspected and recovered around while still alive. When
+    // it resumes, its stale-epoch traffic must be fenced (not corrupt
+    // the new epoch), and the teach-back must pull it into the new
+    // epoch so the whole cluster still drains.
+    //
+    // Scripted over fixed 100 ms links, so the overlap does not hang on
+    // sampled latencies: node 1 is granted `R` at 200 ms and pauses at
+    // 300 ms still holding it (its release timer freezes until the
+    // resume); node 2's `W`, asked for at 250 ms, cannot be granted
+    // against that `R`, so it is outstanding for the whole pause.
+    let pause = NodePause {
+        node: NodeId(1),
+        from: SimTime::from_millis(300),
+        until: SimTime::from_millis(400_000),
+    };
+    let scripts =
+        vec![vec![], vec![(0, Mode::Read, 1_000)], vec![(250, Mode::Write, 10)], vec![], vec![]];
+    let config = SimConfig {
+        check_every: 1,
+        latency: LatencyModel::Fixed(Duration::from_millis(100)),
+        pauses: vec![pause],
+        watchdog: Some(Duration::from_millis(60_000)),
+        ..SimConfig::default()
+    };
+    let timeline = Rc::new(RefCell::new(Timeline::default()));
+    let driver = Scripted { scripts, timeline: Rc::clone(&timeline) };
+    let (report, spaces) = Sim::new(probing_spaces(5), driver, config)
+        .run_with_nodes()
+        .expect("false suspicion must not wedge or violate safety");
+    let t = timeline.borrow();
+    assert!(t.granted[&(1, 0)] < pause.from, "node 1 holds its R when it pauses");
+    assert!(t.released[&(1, 0)] > pause.until, "and lets go only after it resumes");
+    assert!(
+        t.granted[&(2, 0)] > pause.from && t.granted[&(2, 0)] < pause.until,
+        "recovered around"
+    );
+
+    let max_epoch = spaces.iter().map(RecoverySpace::epoch).max().unwrap_or(0);
+    assert!(max_epoch >= 1, "the pause must have forced a recovery epoch");
+    assert_eq!(
+        spaces[1].epoch(),
+        max_epoch,
+        "the falsely-suspected node must rejoin at the new epoch"
+    );
+    assert!(report.quiescent, "the rejoined cluster must drain to quiescence");
+}
+
 #[test]
 fn home_crash_voids_retained_intents() {
     // Nodes 2 and 3 read under the table lock and release: both retain
@@ -132,12 +165,6 @@ fn home_crash_voids_retained_intents() {
         vec![(0, Mode::IntentRead, 10), (120_000, Mode::IntentRead, 10)],
         vec![(0, Mode::IntentRead, 10), (2_000, Mode::IntentRead, 10)],
     ];
-    let spaces: Vec<RecoverySpace<LockSpace>> = (0..4)
-        .map(|i| {
-            RecoverySpace::new(NodeId(i), 1, NodeId(0), 4, ProtocolConfig::default())
-                .with_probe_interval(5_000_000)
-        })
-        .collect();
     let config = SimConfig {
         check_every: 1,
         crashes: vec![NodeCrash { node: NodeId(0), at: SimTime::from_millis(1_000) }],
@@ -146,8 +173,9 @@ fn home_crash_voids_retained_intents() {
     };
     let timeline = Rc::new(RefCell::new(Timeline::default()));
     let driver = Scripted { scripts, timeline: Rc::clone(&timeline) };
-    let (report, spaces) =
-        Sim::new(spaces, driver, config).run_with_nodes().expect("safe, and live after recovery");
+    let (report, spaces) = Sim::new(probing_spaces(4), driver, config)
+        .run_with_nodes()
+        .expect("safe, and live after recovery");
     let t = timeline.borrow();
     assert_eq!(t.granted.len(), 5, "every scripted request was granted: {:?}", t.granted);
     assert!(report.quiescent);

@@ -153,12 +153,10 @@ fn simulator_session_runs_are_deterministic() {
 fn tcp_cluster_session_grants_and_acks() {
     use hlock::core::MessageKind;
     use std::time::Duration;
-    let cluster = hlock::net::Cluster::spawn_hierarchical_session(
-        3,
-        2,
-        ProtocolConfig::default(),
-        SessionConfig::default(),
-    )
+    let cluster = hlock::net::Cluster::spawn(3, |i| {
+        let space = LockSpace::new(NodeId(i as u32), 2, NodeId(0), ProtocolConfig::default());
+        SessionSpace::new(space, SessionConfig::default())
+    })
     .unwrap();
     let timeout = Duration::from_secs(10);
     for n in 0..3 {

@@ -3,7 +3,8 @@
 //! threads, plus the reservation application on top.
 
 use hlock::app::{AppError, ReservationSystem};
-use hlock::core::{LockId, Mode, ProtocolConfig};
+use hlock::core::{LockId, Mode, NodeId, ProtocolConfig};
+use hlock::naimi::NaimiSpace;
 use hlock::net::Cluster;
 use std::sync::Arc;
 use std::time::Duration;
@@ -46,7 +47,7 @@ fn intent_modes_allow_disjoint_entry_writes_over_tcp() {
 
 #[test]
 fn naimi_cluster_serializes_writers() {
-    let cluster = Cluster::spawn_naimi(4, 1).unwrap();
+    let cluster = Cluster::spawn(4, |i| NaimiSpace::new(NodeId(i as u32), 1, NodeId(0))).unwrap();
     for round in 0..3 {
         for i in 0..4 {
             let t = cluster.node(i).acquire(LockId(0), Mode::Write, TIMEOUT).unwrap();
@@ -147,7 +148,6 @@ fn message_stats_reported_per_kind() {
 
 #[test]
 fn recovery_cluster_survives_token_home_kill_mid_workload() {
-    use hlock::core::NodeId;
     // Crash-stop the token home while survivors have requests in flight:
     // the epoch election must regenerate the lost tokens and every
     // surviving request must still complete.
@@ -220,7 +220,7 @@ fn a_callers_back_to_back_calls_share_one_dispatch_step_and_one_frame() {
     // releases and re-requests it at the home — and after the first round
     // the entry's token lives at the client, so the burst is exactly the
     // table's `Release` followed by its `Request`.
-    use hlock::core::{LockSpace, NodeId};
+    use hlock::core::LockSpace;
     let config = ProtocolConfig::default();
     let (cluster, flight) = Cluster::spawn_recorded(
         2,
