@@ -264,6 +264,19 @@ impl<M> EffectSink<M> {
         }
     }
 
+    /// Removes every queued `Granted` effect, handing each to `f` in
+    /// order; sends and timers stay queued in their emission order. See
+    /// [`HostRuntime::dispatch_grants`](crate::HostRuntime::dispatch_grants).
+    pub(crate) fn take_granted(&mut self, mut f: impl FnMut(LockId, Ticket, Mode)) {
+        self.effects.retain(|effect| match *effect {
+            Effect::Granted { lock, ticket, mode } => {
+                f(lock, ticket, mode);
+                false
+            }
+            Effect::Send { .. } | Effect::SetTimer { .. } => true,
+        });
+    }
+
     /// Convenience wrapper around [`EffectSink::drain_batched_into`]
     /// returning a fresh vector.
     pub fn drain_batched(&mut self) -> Vec<StepEffect<M>> {

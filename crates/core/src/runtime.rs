@@ -214,6 +214,24 @@ impl<M> HostRuntime<M> {
         }
     }
 
+    /// Hands the `Granted` effects queued in `fx` to `on_granted` at once
+    /// and leaves every send and timer queued, in order, for the next
+    /// [`HostRuntime::dispatch`]. A grant is a fact local to this node:
+    /// taking it out ahead of earlier sends reorders nothing a peer can
+    /// see. For hosts whose API callers run protocol steps themselves and
+    /// must not wait for the thread that owns the sockets. Counts toward
+    /// [`RuntimeCounters::grants`], not toward `steps`.
+    pub fn dispatch_grants(
+        &mut self,
+        fx: &mut EffectSink<M>,
+        mut on_granted: impl FnMut(LockId, Ticket, Mode),
+    ) {
+        fx.take_granted(|lock, ticket, mode| {
+            self.counters.grants += 1;
+            on_granted(lock, ticket, mode);
+        });
+    }
+
     /// Delivers an incoming batch to `protocol`, fencing stale epochs.
     ///
     /// When the protocol exposes a
@@ -339,6 +357,31 @@ mod tests {
         rt.dispatch(&mut fx, &mut host);
         assert_eq!(host.batches, vec![(NodeId(1), vec![1]), (NodeId(1), vec![2])]);
         assert_eq!(rt.counters().frames, 2);
+    }
+
+    #[test]
+    fn dispatch_grants_takes_only_the_grants_and_keeps_the_rest_in_order() {
+        let mut fx = EffectSink::new();
+        fx.send(NodeId(1), 10);
+        fx.granted(LockId(0), Ticket(3), Mode::Write);
+        fx.set_timer(9, 500);
+        fx.send(NodeId(1), 11);
+        fx.granted(LockId(1), Ticket(4), Mode::Read);
+        let mut rt = HostRuntime::new();
+        let mut granted = Vec::new();
+        rt.dispatch_grants(&mut fx, |lock, ticket, mode| granted.push((lock, ticket, mode)));
+        assert_eq!(
+            granted,
+            vec![(LockId(0), Ticket(3), Mode::Write), (LockId(1), Ticket(4), Mode::Read)]
+        );
+        assert_eq!((rt.counters().grants, rt.counters().steps), (2, 0));
+        // What is left dispatches as the one step it always was.
+        let mut host = Recorder::default();
+        rt.dispatch(&mut fx, &mut host);
+        assert_eq!(host.batches, vec![(NodeId(1), vec![10, 11])]);
+        assert_eq!(host.timers, vec![(9, 500)]);
+        assert!(host.grants.is_empty());
+        assert_eq!((rt.counters().grants, rt.counters().steps), (2, 1));
     }
 
     impl crate::Classify for u8 {

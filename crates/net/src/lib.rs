@@ -48,7 +48,7 @@ mod transport;
 
 pub use sharded::{ShardedCluster, ShardedNodeHandle};
 
-use crossbeam::channel::unbounded;
+use crossbeam::channel::{unbounded, Sender};
 use hlock_core::{
     ConcurrencyProtocol, Inspect, LockId, LockSpace, MessageKind, MetricsRegistry, Mode, NodeId,
     Observer, Priority, ProtocolConfig, ProtocolEvent, RecoverySpace, RuntimeCounters,
@@ -153,12 +153,8 @@ pub struct NodeHandle<P: ConcurrencyProtocol> {
     id: NodeId,
     grants: Arc<GrantTable>,
     counters: Arc<Counters>,
-    /// Snapshot of the protocol loop's runtime counters, refreshed
-    /// after every dispatch.
-    runtime: Arc<Mutex<RuntimeCounters>>,
     next_ticket: AtomicU64,
-    running: Arc<AtomicBool>,
-    port: mux::MuxPort<P::Message>,
+    port: mux::MuxPort<P>,
 }
 
 impl<P: ConcurrencyProtocol> fmt::Debug for NodeHandle<P> {
@@ -177,18 +173,23 @@ where
         self.id
     }
 
-    /// Hands one event to the protocol loop, waking it if needed.
-    fn send(&self, event: LoopEvent<P::Message>) -> Result<(), NetError> {
-        // The worker's queue is shared with its other nodes and outlives
-        // this one, so a stopped or killed node has to refuse here.
-        if !self.running.load(Ordering::SeqCst) {
-            return Err(NetError::Closed);
-        }
-        self.port.send(event)
+    /// Hands one event to the node's worker, waking it if needed, and
+    /// blocks for the answer. A stopped or killed node's events are
+    /// dropped by the worker (its queue is shared with the worker's other
+    /// nodes and outlives this one), reply channel and all.
+    fn ask<R>(
+        &self,
+        event: impl FnOnce(Sender<R>) -> LoopEvent<P::Message>,
+    ) -> Result<R, NetError> {
+        let (tx, rx) = unbounded();
+        self.port.send(event(tx))?;
+        rx.recv().map_err(|_| NetError::Closed)
     }
 
     /// Issues an asynchronous lock request; the grant can be awaited with
-    /// [`NodeHandle::wait`].
+    /// [`NodeHandle::wait`]. The protocol step runs on the calling
+    /// thread: a request this node can grant locally is granted by the
+    /// time this returns, without waking any other thread.
     ///
     /// # Errors
     ///
@@ -209,7 +210,7 @@ where
         priority: Priority,
     ) -> Result<Ticket, NetError> {
         let ticket = Ticket(self.next_ticket.fetch_add(1, Ordering::Relaxed));
-        self.send(LoopEvent::Request { lock, mode, ticket, priority })?;
+        self.port.apply(&self.grants, LoopEvent::Request { lock, mode, ticket, priority })?;
         Ok(ticket)
     }
 
@@ -249,11 +250,10 @@ where
     /// [`NetError::Closed`] if the node has shut down.
     pub fn try_acquire(&self, lock: LockId, mode: Mode) -> Result<Option<Ticket>, NetError> {
         let ticket = Ticket(self.next_ticket.fetch_add(1, Ordering::Relaxed));
-        let (tx, rx) = unbounded();
-        self.send(LoopEvent::TryRequest { lock, mode, ticket, done: tx })?;
-        let granted = rx.recv().map_err(|_| NetError::Closed)??;
-        if granted {
-            self.grants.claim_confirmed(ticket)?;
+        if self.port.try_request(&self.grants, lock, mode, ticket)? {
+            // Delivered by that very call, on this thread.
+            let claimed = self.grants.wait(ticket, Duration::ZERO);
+            debug_assert!(claimed.is_some(), "local grant of {ticket} was not delivered");
             Ok(Some(ticket))
         } else {
             Ok(None)
@@ -267,9 +267,7 @@ where
     ///
     /// [`NetError::Protocol`] on an illegal downgrade or unknown ticket.
     pub fn downgrade(&self, lock: LockId, ticket: Ticket, mode: Mode) -> Result<(), NetError> {
-        let (tx, rx) = unbounded();
-        self.send(LoopEvent::Downgrade { lock, ticket, mode, done: tx })?;
-        rx.recv().map_err(|_| NetError::Closed)?
+        self.ask(|done| LoopEvent::Downgrade { lock, ticket, mode, done })?
     }
 
     /// Cancels an outstanding request (e.g. after a timeout). If the
@@ -279,15 +277,13 @@ where
     ///
     /// [`NetError::Closed`] if the node has shut down.
     pub fn cancel(&self, lock: LockId, ticket: Ticket) -> Result<(), NetError> {
-        let (tx, rx) = unbounded();
-        self.send(LoopEvent::Cancel { lock, ticket, done: tx })?;
-        rx.recv().map_err(|_| NetError::Closed)?
+        self.ask(|done| LoopEvent::Cancel { lock, ticket, done })?
     }
 
-    /// Releases a granted lock. Does not block: the ticket is checked
-    /// against this node's record of granted tickets on the calling
-    /// thread, and the release itself is posted to the protocol loop
-    /// one-way.
+    /// Releases a granted lock. Does not wait for another thread: the
+    /// ticket is checked against this node's record of granted tickets
+    /// and the protocol's release step runs on the calling thread; a
+    /// message it produces is left for the node's worker to send.
     ///
     /// # Errors
     ///
@@ -296,7 +292,7 @@ where
     /// [`NetError::Closed`] if the node has shut down.
     pub fn release(&self, lock: LockId, ticket: Ticket) -> Result<(), NetError> {
         self.grants.retire(lock, ticket)?;
-        self.send(LoopEvent::Release { lock, ticket })
+        self.port.apply(&self.grants, LoopEvent::Release { lock, ticket })
     }
 
     /// Upgrades a held `U` to `W`, blocking until the upgrade completes.
@@ -311,9 +307,7 @@ where
     /// [`NetError::Protocol`] on misuse, [`NetError::Timeout`] if other
     /// holders do not drain in time.
     pub fn upgrade(&self, lock: LockId, ticket: Ticket, timeout: Duration) -> Result<(), NetError> {
-        let (tx, rx) = unbounded();
-        self.send(LoopEvent::Upgrade { lock, ticket, done: tx })?;
-        rx.recv().map_err(|_| NetError::Closed)??;
+        self.ask(|done| LoopEvent::Upgrade { lock, ticket, done })??;
         match self.wait(ticket, timeout) {
             Ok(_) => Ok(()),
             Err(e) => {
@@ -333,9 +327,7 @@ where
     ///
     /// [`NetError::Closed`] if the node has shut down.
     pub fn sever_link(&self, peer: NodeId) -> Result<(), NetError> {
-        let (tx, rx) = unbounded();
-        self.send(LoopEvent::Sever { peer, done: tx })?;
-        rx.recv().map_err(|_| NetError::Closed)
+        self.ask(|done| LoopEvent::Sever { peer, done })
     }
 
     /// Reports `dead` to this node's protocol as suspected crashed, as a
@@ -350,9 +342,7 @@ where
     ///
     /// [`NetError::Closed`] if the node has shut down.
     pub fn suspect(&self, dead: &[NodeId]) -> Result<(), NetError> {
-        let (tx, rx) = unbounded();
-        self.send(LoopEvent::Suspect { dead: dead.to_vec(), done: Some(tx) })?;
-        rx.recv().map_err(|_| NetError::Closed)
+        self.ask(|done| LoopEvent::Suspect { dead: dead.to_vec(), done: Some(done) })
     }
 
     /// Fault injection: crash-stops this node. Every outgoing socket is
@@ -361,13 +351,13 @@ where
     /// Unlike a graceful shutdown, nothing is flushed or handed over —
     /// the node's protocol state dies with it, which is exactly what a
     /// recovery epoch election must tolerate.
+    ///
+    /// Once this returns the node refuses every call with
+    /// [`NetError::Closed`] and delivers no further grant.
     pub fn kill(&self) {
-        if self.running.swap(false, Ordering::SeqCst) {
-            let (tx, rx) = unbounded();
-            if self.port.send(LoopEvent::Kill { done: tx }).is_ok() {
-                let _ = rx.recv();
-            }
-        }
+        // A second kill finds the slot empty: the worker drops the event
+        // and the wait ends on the dropped reply channel.
+        let _ = self.ask(|done| LoopEvent::Kill { done });
     }
 
     /// Whether this node's protocol has no work in flight (no pending or
@@ -378,9 +368,7 @@ where
     ///
     /// [`NetError::Closed`] if the node has shut down.
     pub fn is_quiescent(&self) -> Result<bool, NetError> {
-        let (tx, rx) = unbounded();
-        self.send(LoopEvent::IsQuiescent { done: tx })?;
-        rx.recv().map_err(|_| NetError::Closed)
+        self.ask(|done| LoopEvent::IsQuiescent { done })
     }
 
     /// Messages sent by this node so far, by kind.
@@ -395,18 +383,18 @@ where
     }
 
     /// A snapshot of this node's host-runtime counters (steps,
-    /// logical messages, frames, grants, timers, max batch), refreshed
-    /// after every dispatch of the event loop.
+    /// logical messages, frames, grants, timers, max batch). A grant
+    /// counts when it is delivered; a message when the node's worker
+    /// dispatches it, which may be a moment after the `release` or
+    /// `request` that produced it returned.
     pub fn runtime_counters(&self) -> RuntimeCounters {
-        *self.runtime.lock()
+        self.port.runtime_counters()
     }
 
     /// The slot is removed by the worker; the worker threads themselves
     /// are joined by [`Cluster::shutdown`].
     fn stop(&self) {
-        if self.running.swap(false, Ordering::SeqCst) {
-            let _ = self.port.send(LoopEvent::Stop);
-        }
+        let _ = self.port.send(LoopEvent::Stop);
     }
 }
 
@@ -542,10 +530,15 @@ where
     }
 
     /// Like [`Cluster::spawn`], with a per-node [`Observer`]: `observe`
-    /// is called once per node and may hand back a sink that the node's
-    /// event loop feeds with the same [`ProtocolEvent`] stream the
-    /// simulator and the model checker emit (timestamps are microseconds
-    /// since the node started). Return `None` for zero-overhead nodes.
+    /// is called once per node and may hand back a sink that the node
+    /// feeds with the same [`ProtocolEvent`] stream the simulator and the
+    /// model checker emit (timestamps are microseconds since the node
+    /// started). Return `None` for zero-overhead nodes.
+    ///
+    /// The sink is called in protocol order, under the node's lock, by
+    /// whichever thread just ran a protocol step — the node's worker, or
+    /// a caller of [`NodeHandle::request`] / [`NodeHandle::release`]. It
+    /// must not call back into the node it observes.
     ///
     /// # Errors
     ///
@@ -693,15 +686,18 @@ where
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let running = Arc::new(AtomicBool::new(true));
-        let mirrors: Vec<Arc<Mutex<RuntimeCounters>>> =
-            self.nodes.iter().map(|n| n.runtime.clone()).collect();
+        let nodes = self.nodes.clone();
         let thread = {
             let running = running.clone();
             std::thread::spawn(move || {
                 while running.load(Ordering::SeqCst) {
                     match listener.accept() {
                         Ok((stream, _)) => {
-                            serve_scrape(stream, &metrics, &mirrors);
+                            let mut total = RuntimeCounters::default();
+                            for node in &nodes {
+                                total.absorb(&node.runtime_counters());
+                            }
+                            serve_scrape(stream, &metrics, total);
                         }
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                             std::thread::sleep(Duration::from_millis(25));
@@ -846,6 +842,169 @@ mod tests {
             // worker parked on an elided wake-up, would surface here.
             cluster.shutdown();
         }
+    }
+
+    /// Everything `node`'s worker was handed so far is applied and
+    /// dispatched (`is_quiescent` is bracketed by its own steps).
+    fn settle<P>(cluster: &Cluster<P>)
+    where
+        P: ConcurrencyProtocol + Inspect + Send + 'static,
+        P::Message: WireCodec + Send + 'static,
+    {
+        for i in 0..cluster.len() {
+            cluster.node(i).is_quiescent().unwrap();
+        }
+    }
+
+    #[test]
+    fn a_local_grant_never_leaves_the_calling_thread() {
+        let cluster = Cluster::spawn_hierarchical(2, 1, ProtocolConfig::default()).unwrap();
+        let timeout = Duration::from_secs(10);
+        let node = cluster.node(1);
+        // Fetch `IR` from the home once; Rule 5.3 keeps it after release.
+        let t = node.acquire(LockId(0), Mode::IntentRead, timeout).unwrap();
+        node.release(LockId(0), t).unwrap();
+        settle(&cluster);
+        let messages = || cluster.message_stats().values().sum::<u64>();
+        let wakes = || node.port.waker().wakes.load(Ordering::Relaxed);
+        let before = (messages(), wakes(), node.runtime_counters());
+        for _ in 0..100 {
+            let t = node.acquire(LockId(0), Mode::IntentRead, timeout).unwrap();
+            node.release(LockId(0), t).unwrap();
+        }
+        let after = node.runtime_counters();
+        assert_eq!(wakes(), before.1, "a local acquire/release woke the worker");
+        assert_eq!(after.grants, before.2.grants + 100, "caller-side grants are counted");
+        assert_eq!(after.steps, before.2.steps, "nothing was left for the worker to dispatch");
+        settle(&cluster);
+        assert_eq!(messages(), before.0, "a retained mode was re-requested");
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn a_grant_behind_a_send_is_claimable_before_the_worker_runs() {
+        let config = ProtocolConfig::default();
+        let (cluster, flight) = Cluster::spawn_recorded(
+            2,
+            move |i| LockSpace::new(NodeId(i as u32), 2, NodeId(0), config),
+            None,
+            |_| None,
+        )
+        .unwrap();
+        let timeout = Duration::from_secs(10);
+        let node = cluster.node(1);
+        // A read copy of lock 0 (its release is a message to the home) and
+        // a retained `IR` on lock 1 (its next grant is local).
+        let read = node.acquire(LockId(0), Mode::Read, timeout).unwrap();
+        let t = node.acquire(LockId(1), Mode::IntentRead, timeout).unwrap();
+        node.release(LockId(1), t).unwrap();
+        settle(&cluster);
+        let sent = |kind| node.message_stats()[&kind];
+        let before = (sent(MessageKind::Release), sent(MessageKind::Request));
+        let frames = node.runtime_counters().frames;
+        {
+            let parked = node.port.waker().park_worker();
+            node.release(LockId(0), read).unwrap();
+            // The sink holds the `Release`; the grant queued behind it is
+            // delivered by this thread all the same.
+            let t = node.request(LockId(1), Mode::IntentRead).unwrap();
+            assert_eq!(node.wait(t, Duration::ZERO).unwrap(), Mode::IntentRead);
+            node.release(LockId(1), t).unwrap();
+            // A second message for the home joins the first in the sink.
+            let write = node.request(LockId(0), Mode::Write).unwrap();
+            assert!(node.wait(write, Duration::from_millis(20)).is_err());
+            assert_eq!((sent(MessageKind::Release), sent(MessageKind::Request)), before);
+            drop(parked);
+            node.wait(write, timeout).unwrap();
+            node.release(LockId(0), write).unwrap();
+        }
+        settle(&cluster);
+        // Each left once, in emission order (the auditor's link-FIFO check
+        // pairs every `MessageSent` with its `Delivered`), and — applied
+        // before the worker got to either — in one frame.
+        assert_eq!(sent(MessageKind::Release), before.0 + 1);
+        assert_eq!(sent(MessageKind::Request), before.1 + 1);
+        assert_eq!(node.runtime_counters().frames, frames + 1);
+        let findings = flight.auditor().findings();
+        assert!(findings.is_empty(), "{findings:?}");
+        assert_eq!(node.grants.len(), 0);
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn a_killed_node_refuses_callers_under_the_lock() {
+        let cluster = Cluster::spawn_hierarchical(2, 1, ProtocolConfig::default()).unwrap();
+        let timeout = Duration::from_secs(10);
+        let node = cluster.node(1);
+        let t = node.acquire(LockId(0), Mode::IntentRead, timeout).unwrap();
+        node.release(LockId(0), t).unwrap();
+        let killed = AtomicBool::new(false);
+        let rounds = AtomicU64::new(0);
+        let grants_at_kill = std::thread::scope(|scope| {
+            // A tight local acquire/release loop (the retained `IR` grants
+            // on this thread) racing the kill.
+            let looping = scope.spawn(|| loop {
+                rounds.fetch_add(1, Ordering::SeqCst);
+                let dead = killed.load(Ordering::SeqCst);
+                let acquired = node.request(LockId(0), Mode::IntentRead).and_then(|t| {
+                    node.wait(t, timeout)?;
+                    node.release(LockId(0), t)
+                });
+                match acquired {
+                    Ok(()) => assert!(!dead, "a call that began after kill() returned succeeded"),
+                    Err(NetError::Closed) if dead => return,
+                    Err(NetError::Closed) => {}
+                    Err(e) => panic!("{e}"),
+                }
+            });
+            while rounds.load(Ordering::SeqCst) < 1_000 {
+                std::thread::yield_now();
+            }
+            node.kill();
+            let grants = node.runtime_counters().grants;
+            killed.store(true, Ordering::SeqCst);
+            looping.join().unwrap();
+            grants
+        });
+        assert_eq!(node.runtime_counters().grants, grants_at_kill, "granted by a dead node");
+        assert!(matches!(node.try_acquire(LockId(0), Mode::IntentRead), Err(NetError::Closed)));
+        assert!(matches!(node.is_quiescent(), Err(NetError::Closed)));
+        assert_eq!(node.grants.len(), 0, "an entry outlived its ticket");
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn a_cancel_racing_a_caller_side_grant_leaks_nothing() {
+        // One thread's `release` grants the other's queued request — on
+        // the releasing thread — while the other gives up and cancels on
+        // the worker. The grant's table entry is made under the core lock,
+        // so the cancel either withdraws the request or finds the entry
+        // and releases; it never answers "nothing to release" for a grant
+        // that then lands in the table unowned.
+        let cluster = Cluster::spawn_hierarchical(1, 1, ProtocolConfig::default()).unwrap();
+        let node = cluster.node(0);
+        let timeout = Duration::from_secs(10);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for _ in 0..20_000 {
+                    let t = node.acquire(LockId(0), Mode::Write, timeout).unwrap();
+                    node.release(LockId(0), t).unwrap();
+                }
+            });
+            scope.spawn(|| {
+                for _ in 0..2_000 {
+                    match node.acquire(LockId(0), Mode::Write, Duration::ZERO) {
+                        Ok(t) => node.release(LockId(0), t).unwrap(),
+                        Err(e) => assert!(matches!(e, NetError::Timeout { .. }), "{e}"),
+                    }
+                }
+            });
+        });
+        // Nothing is held: the lock is free, and no entry is left behind.
+        let t = node.try_acquire(LockId(0), Mode::Write).unwrap().expect("a grant was leaked");
+        node.release(LockId(0), t).unwrap();
+        assert_eq!(node.grants.len(), 0, "an entry outlived its ticket");
+        cluster.shutdown();
     }
 
     #[test]

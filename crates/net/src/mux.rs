@@ -1,17 +1,51 @@
 //! The readiness-driven multiplexed transport: a small worker pool
-//! drives every node's sockets, timers and protocol loop from
-//! epoll-style readiness events, multiplexing thousands of peer links
-//! over nonblocking sockets without a thread per peer.
+//! drives every node's sockets and timers from epoll-style readiness
+//! events, multiplexing thousands of peer links over nonblocking sockets
+//! without a thread per peer.
 //!
 //! Each worker owns a [`Poller`], a deadline wheel (a min-heap of
-//! `(Instant, seq)` keys) and a set of node slots. A node's protocol
-//! state machine, its listener, its inbound connections and its
-//! outgoing links all live in one slot and are only ever touched by
-//! that worker thread — no locks around protocol state. API calls reach
-//! the worker through its command queue plus a pipe-based [`Waker`]
-//! whose `pending` flag elides the pipe write for every call but the
-//! first of a burst; the worker applies a whole burst of events before
-//! it runs one dispatch step per touched node (see [`Worker::run`]).
+//! `(Instant, seq)` keys) and a set of node slots. A node is split in
+//! two halves:
+//!
+//! * the **transport half** ([`NodeIo`]: listener, inbound connections,
+//!   outgoing links, encode buffer) lives in the slot and is only ever
+//!   touched by that worker thread — no lock;
+//! * the **protocol half** ([`NodeCore`]: protocol state machine,
+//!   [`HostRuntime`], [`EffectSink`], observer) sits behind one mutex
+//!   shared by the slot and the node's [`NodeHandle`].
+//!
+//! **Caller-runs.** `request`, `release` and `try_acquire` lock the core
+//! and run [`apply_event`] *on the calling thread* ([`MuxPort::apply`]).
+//! The grants the step produced are taken out of the sink and entered
+//! in the [`GrantTable`] at once, so an acquisition the node can grant
+//! locally never crosses a thread. Only when a send or a timer is left
+//! in the sink is the worker told — one-way, with a [`LoopEvent::Flush`]
+//! on its command queue and the elided pipe [`Waker`] — to run the
+//! node's next dispatch step; the worker alone writes sockets, so
+//! per-link FIFO is untouched. Everything else (`Cancel`, `Upgrade`,
+//! `Downgrade`, `IsQuiescent`, `Suspect`, `Sever`, `Kill`, `Stop`)
+//! travels the queue and is applied by the worker, as are inbound
+//! frames and timers.
+//!
+//! **Lock rules.** Order: node core → [`GrantTable`] (nested where a
+//! grant is entered and on `apply_event`'s cancel-races-grant path,
+//! never the other way round); observers take their own locks inside
+//! the core lock and must not call back into the node. The core lock is a plain blocking mutex with short holds — no
+//! spinning, no `try_lock`-else-queue fallback (a busy lock would then
+//! push one caller's `request` behind its own queued `release`). It is
+//! never held across (1) a socket, pipe or file syscall, (2) a
+//! [`GrantTable::notify`] (the woken caller would run straight into the
+//! lock; the table *entry* is made under the lock, so that a `Cancel`
+//! applied next finds it), or (3) the wake-up of the worker: both sides
+//! drain what they need under the lock into scratch and act on it after
+//! unlocking ([`Worker::step`], [`MuxPort::apply`]). One
+//! caller's calls apply in its program order, because each has run to
+//! completion under the lock before it returns. A killed or stopped
+//! node is marked `closed` under the lock, so a caller that races the
+//! teardown is refused instead of being granted by a dead node.
+//!
+//! The worker applies a whole burst of events before it runs one
+//! dispatch step per touched node (see [`Worker::run`]).
 //!
 //! Outgoing links are dialed lazily on first send and carry a bounded
 //! [`Outbox`] (queue-and-flush with partial-write cursors); when the
@@ -306,6 +340,16 @@ pub(crate) struct Waker {
     read_fd: RawFd,
     write_fd: RawFd,
     pending: AtomicBool,
+    /// Calls of [`Waker::wake`], elided or not.
+    #[cfg(test)]
+    pub(crate) wakes: AtomicU64,
+    /// A test that holds this parks the worker at the top of its next
+    /// iteration, before it applies or dispatches anything; `gated`
+    /// counts the worker's arrivals there. See [`Waker::park_worker`].
+    #[cfg(test)]
+    gate: Mutex<()>,
+    #[cfg(test)]
+    gated: AtomicU64,
 }
 
 impl Waker {
@@ -316,13 +360,25 @@ impl Waker {
             return Err(std::io::Error::last_os_error());
         }
         // Owned from here on, so an early return closes both ends.
-        let waker = Waker { read_fd: fds[0], write_fd: fds[1], pending: AtomicBool::new(false) };
+        let waker = Waker {
+            read_fd: fds[0],
+            write_fd: fds[1],
+            pending: AtomicBool::new(false),
+            #[cfg(test)]
+            wakes: AtomicU64::new(0),
+            #[cfg(test)]
+            gate: Mutex::new(()),
+            #[cfg(test)]
+            gated: AtomicU64::new(0),
+        };
         set_nonblocking_fd(waker.read_fd)?;
         set_nonblocking_fd(waker.write_fd)?;
         Ok(waker)
     }
 
     pub(crate) fn wake(&self) {
+        #[cfg(test)]
+        self.wakes.fetch_add(1, Ordering::Relaxed);
         if !self.pending.swap(true, Ordering::SeqCst) {
             self.write_byte();
         }
@@ -342,6 +398,26 @@ impl Waker {
         unsafe {
             let _ = sys::write(self.write_fd, byte.as_ptr(), 1);
         }
+    }
+
+    /// Worker side, once per iteration.
+    #[cfg(test)]
+    fn pass_gate(&self) {
+        self.gated.fetch_add(1, Ordering::SeqCst);
+        drop(self.gate.lock());
+    }
+
+    /// Parks the worker until the guard drops. On return the worker has
+    /// finished whatever iteration it was in and sits at the gate.
+    #[cfg(test)]
+    pub(crate) fn park_worker(&self) -> parking_lot::MutexGuard<'_, ()> {
+        let guard = self.gate.lock();
+        let arrivals = self.gated.load(Ordering::SeqCst);
+        self.force();
+        while self.gated.load(Ordering::SeqCst) == arrivals {
+            std::thread::yield_now();
+        }
+        guard
     }
 
     /// Worker side, on pipe readiness and before draining the queue. One
@@ -425,7 +501,9 @@ fn connect_nonblocking(addr: SocketAddr) -> std::io::Result<TcpStream> {
 // Per-node slot state.
 // ---------------------------------------------------------------------
 
-/// The protocol half of a slot: everything `apply_event` + dispatch need.
+/// The protocol half of a node: everything `apply_event` + dispatch
+/// need, behind the one lock its [`NodeHandle`] and its worker slot
+/// share (see the module header for the lock rules).
 struct NodeCore<P: ConcurrencyProtocol> {
     protocol: P,
     runtime: HostRuntime<P::Message>,
@@ -433,7 +511,39 @@ struct NodeCore<P: ConcurrencyProtocol> {
     observer: Option<Box<dyn Observer + Send>>,
     /// Observer timestamps: microseconds since this node started.
     epoch: Instant,
+    /// Set by `Kill`/`Stop`: the slot is gone, nobody will dispatch what
+    /// a caller leaves in the sink, so callers are refused.
+    closed: bool,
+    /// A caller posted a [`LoopEvent::Flush`] the worker has not served
+    /// yet. Later callers that find their leftovers in the same sink
+    /// need not post another: the step that serves the notice drains the
+    /// sink whole.
+    flush_posted: bool,
 }
+
+impl<P: ConcurrencyProtocol> NodeCore<P> {
+    /// Hands the events recorded in the sink to the observer. Called by
+    /// whoever just applied something, before the lock drops, so the
+    /// node's event stream stays in protocol order.
+    fn flush_events(&mut self) {
+        if let Some(obs) = self.observer.as_deref_mut() {
+            let now = self.epoch.elapsed().as_micros() as u64;
+            for event in self.fx.take_events() {
+                obs.on_event(now, &event);
+            }
+        }
+    }
+
+    /// Marks the node dead and lets go of its observer (the handle keeps
+    /// the core alive, so the observer would otherwise outlive
+    /// [`crate::Cluster::shutdown`]).
+    fn close(&mut self) -> Option<Box<dyn Observer + Send>> {
+        self.closed = true;
+        self.observer.take()
+    }
+}
+
+type SharedCore<P> = Arc<Mutex<NodeCore<P>>>;
 
 /// The transport half of a slot.
 struct NodeIo<M> {
@@ -449,7 +559,6 @@ struct NodeIo<M> {
     dirty: bool,
     grants: Arc<GrantTable>,
     counters: Arc<Counters>,
-    runtime_mirror: Arc<Mutex<RuntimeCounters>>,
     addrs: Arc<Vec<SocketAddr>>,
     listener: TcpListener,
     listener_token: u64,
@@ -466,8 +575,8 @@ struct NodeIo<M> {
     /// Where to dump the flight recorder when this node is killed
     /// (`None` disables the crash dump).
     dump_on_crash: Option<PathBuf>,
-    /// Mirror of `NodeCore::epoch` so the send path (which cannot reach
-    /// the core half of the slot) can stamp with the same timeline.
+    /// Mirror of `NodeCore::epoch` so the send path (which runs outside
+    /// the core lock) can stamp with the same timeline.
     epoch: Instant,
     /// Link teardowns recorded outside a dispatch: `(peer, reason)`.
     /// Drained into the observer as [`ProtocolEvent::LinkDown`].
@@ -514,7 +623,7 @@ impl Link {
 }
 
 struct NodeState<P: ConcurrencyProtocol> {
-    core: NodeCore<P>,
+    core: SharedCore<P>,
     io: NodeIo<P::Message>,
 }
 
@@ -537,9 +646,43 @@ enum Dl {
 }
 
 // ---------------------------------------------------------------------
-// The BatchHost driving sends from inside a dispatch.
+// A dispatch step in two halves: collect under the core lock, perform
+// the I/O after it.
 // ---------------------------------------------------------------------
 
+/// The part of a dispatch step that waits for the core lock to drop.
+enum Deferred<M> {
+    Batch { to: NodeId, messages: Vec<M> },
+    SetTimer { token: u64, delay_micros: u64 },
+}
+
+/// The [`BatchHost`] of the locked half of [`Worker::step`]: grants go
+/// into the [`GrantTable`] right away (see [`GrantTable::insert`] for
+/// why that half of a delivery belongs under the core lock); batches and
+/// timers are recorded, in order, for [`MuxHost`] to perform once the
+/// lock is dropped.
+struct Collect<'a, M> {
+    effects: &'a mut Vec<Deferred<M>>,
+    grants: &'a GrantTable,
+    /// Whether a grant was entered while someone waited for one.
+    notify: bool,
+}
+
+impl<M> BatchHost<M> for Collect<'_, M> {
+    fn on_batch(&mut self, to: NodeId, messages: Vec<M>) {
+        self.effects.push(Deferred::Batch { to, messages });
+    }
+
+    fn on_granted(&mut self, lock: LockId, ticket: Ticket, mode: Mode) {
+        self.notify |= self.grants.insert(ticket, lock, mode);
+    }
+
+    fn on_set_timer(&mut self, token: u64, delay_micros: u64) {
+        self.effects.push(Deferred::SetTimer { token, delay_micros });
+    }
+}
+
+/// The unlocked half: writes frames, arms timers.
 struct MuxHost<'a, M> {
     slot: usize,
     io: &'a mut NodeIo<M>,
@@ -559,11 +702,22 @@ impl<M> MuxHost<'_, M> {
     }
 }
 
-impl<M> BatchHost<M> for MuxHost<'_, M>
+impl<M> MuxHost<'_, M>
 where
     M: WireCodec + Classify + Send + 'static,
 {
-    fn on_batch(&mut self, to: NodeId, messages: Vec<M>) {
+    fn perform(&mut self, effect: Deferred<M>) {
+        match effect {
+            Deferred::Batch { to, messages } => self.send_batch(to, messages),
+            Deferred::SetTimer { token, delay_micros } => {
+                let at = Instant::now() + Duration::from_micros(delay_micros);
+                let slot = self.slot;
+                self.schedule(at, Dl::Timer { slot, token });
+            }
+        }
+    }
+
+    fn send_batch(&mut self, to: NodeId, messages: Vec<M>) {
         for message in &messages {
             self.io.counters.bump(message.kind());
         }
@@ -662,16 +816,6 @@ where
             }
         }
     }
-
-    fn on_granted(&mut self, lock: LockId, ticket: Ticket, mode: Mode) {
-        self.io.grants.deliver(ticket, lock, mode);
-    }
-
-    fn on_set_timer(&mut self, token: u64, delay_micros: u64) {
-        let at = Instant::now() + Duration::from_micros(delay_micros);
-        let slot = self.slot;
-        self.schedule(at, Dl::Timer { slot, token });
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -688,6 +832,9 @@ struct Worker<P: ConcurrencyProtocol> {
     dirty: Vec<usize>,
     /// Scratch for inbound socket reads.
     read_buf: Vec<u8>,
+    /// Scratch for one dispatch step: filled under the node's core lock,
+    /// performed after it.
+    effects: Vec<Deferred<P::Message>>,
     tokens: HashMap<u64, Tok>,
     next_token: u64,
     deadlines: BinaryHeap<Reverse<(Instant, u64)>>,
@@ -704,8 +851,10 @@ where
     /// One iteration: wait for readiness, apply what arrived — inbound
     /// frames, due timers, then the command queue until it is empty —
     /// and run one dispatch step per node touched. Everything applied
-    /// in between shares that step, so a caller's back-to-back
-    /// `release`, `release`, `request` leave as one coalesced frame.
+    /// in between shares that step, and so does whatever API callers
+    /// left in the node's sink by the time the step takes the core lock:
+    /// a caller's back-to-back `release`, `request` leave as one
+    /// coalesced frame when the worker gets there after both.
     /// The waker's flag is cleared before the queue is drained; see
     /// [`Waker`] for why that order loses no wake-up.
     fn run(mut self) {
@@ -718,6 +867,8 @@ where
                 None => Duration::from_millis(200),
             };
             self.poller.wait(&mut ready, timeout);
+            #[cfg(test)]
+            self.waker.pass_gate();
             if !self.running.load(Ordering::SeqCst) {
                 break;
             }
@@ -731,10 +882,10 @@ where
             self.fire_deadlines();
             self.drain_commands();
         }
-        // What callers posted before the shutdown still counts: a one-way
-        // `release` right before `Cluster::shutdown` is applied (and
-        // observed) like the blocking one it replaced, then each node's
-        // `Stop`.
+        // What callers did before the shutdown still counts: the message
+        // of a `release` right before `Cluster::shutdown` leaves (its
+        // flush notice is queued ahead of the node's `Stop`, which steps
+        // the node first anyway).
         self.drain_commands();
         // Slots (and their observers) drop here, before the thread is
         // joined — `Cluster::shutdown` leaves no live observer clones.
@@ -759,12 +910,12 @@ where
             }),
             Some(&Tok::Inbound(slot)) => self.with_slot(slot, |w, node| {
                 w.service_inbound(slot, node, ev);
-                Self::flush_link_events(&mut node.core, &mut node.io);
+                Self::flush_io_events(node);
                 true
             }),
             Some(&Tok::Outbound(slot, peer)) => self.with_slot(slot, |w, node| {
                 w.service_outbound(slot, node, peer, ev);
-                Self::flush_link_events(&mut node.core, &mut node.io);
+                Self::flush_io_events(node);
                 true
             }),
             None => {} // stale token: registration already torn down
@@ -794,8 +945,9 @@ where
     }
 
     /// Reads what one readiness event announced on an inbound connection
-    /// and applies every complete frame through `apply_event`; the
-    /// dispatch step is left to the end of the worker iteration.
+    /// and applies every complete frame through `apply_event` (the core
+    /// lock is taken per frame, after the reads); the dispatch step is
+    /// left to the end of the worker iteration.
     fn service_inbound(&mut self, slot: usize, node: &mut NodeState<P>, ev: Readiness) {
         use std::io::Read;
         let NodeState { core, io } = node;
@@ -853,9 +1005,11 @@ where
                     if let Some(rec) = io.recorder.as_ref() {
                         // Merge the sender's wire stamp so this node's
                         // flight-recorder clock orders after the send.
-                        let now = core.epoch.elapsed().as_micros() as u64;
+                        let now = io.epoch.elapsed().as_micros() as u64;
                         rec.observe_remote(conn.dec.last_hlc(), now);
                     }
+                    let mut core = core.lock();
+                    let core = &mut *core;
                     let post = apply_event(
                         &mut core.protocol,
                         &mut core.runtime,
@@ -998,8 +1152,12 @@ where
             match self.payloads.remove(&seq) {
                 Some(Dl::Timer { slot, token }) => self.with_slot(slot, |w, node| {
                     let me = node.io.me;
-                    node.core.fx.emit_with(|| ProtocolEvent::TimerFired { node: me, token });
-                    node.core.protocol.on_timer(token, &mut node.core.fx);
+                    {
+                        let mut core = node.core.lock();
+                        let core = &mut *core;
+                        core.fx.emit_with(|| ProtocolEvent::TimerFired { node: me, token });
+                        core.protocol.on_timer(token, &mut core.fx);
+                    }
                     w.mark_dirty(slot, &mut node.io);
                     true
                 }),
@@ -1088,17 +1246,27 @@ where
     /// Routes one command through the shared `apply_event` semantics and
     /// handles the transport-owned leftovers. Events that may share a
     /// dispatch step only mark the node dirty; the others are bracketed
-    /// by their own steps (see [`LoopEvent::defers_dispatch`]). Returns
-    /// whether the slot survives.
+    /// by their own steps (see [`LoopEvent::defers_dispatch`]) — the one
+    /// before runs whether or not this worker marked the node dirty,
+    /// because a caller may have left effects in the sink whose flush
+    /// notice is still behind this command. Returns whether the slot
+    /// survives.
     fn command(&mut self, slot: usize, node: &mut NodeState<P>, ev: LoopEvent<P::Message>) -> bool {
+        if matches!(ev, LoopEvent::Flush) {
+            self.mark_dirty(slot, &mut node.io);
+            return true;
+        }
         let defers = ev.defers_dispatch();
-        if !defers && node.io.dirty {
+        if !defers {
             self.step(slot, node);
         }
-        let NodeState { core, io } = node;
+        let mut guard = node.core.lock();
+        let core = &mut *guard;
+        let io = &mut node.io;
         match apply_event(&mut core.protocol, &mut core.runtime, &mut core.fx, &io.grants, ev) {
-            PostEvent::Handled => {}
+            PostEvent::Handled => drop(guard),
             PostEvent::Sever { peer, done } => {
+                drop(guard);
                 if let Some(link) = io.links.get(&peer) {
                     if let LinkState::Established { stream, .. }
                     | LinkState::Connecting { stream, .. } = &link.state
@@ -1113,7 +1281,9 @@ where
                 // every still-open request gets a terminal abort so span
                 // balance holds across the crash, then the flight
                 // recorder dumps — the artifact a postmortem starts from.
-                if let Some(obs) = core.observer.as_deref_mut() {
+                // `closed` goes up in the same lock hold as the `Kill`
+                // itself: no caller is granted anything after it.
+                if let Some(mut obs) = core.close() {
                     let now = core.epoch.elapsed().as_micros() as u64;
                     let me = io.me;
                     for (lock, ticket) in core.protocol.open_requests() {
@@ -1121,6 +1291,7 @@ where
                         obs.on_event(now, &ProtocolEvent::RequestAborted { node: me, lock, span });
                     }
                 }
+                drop(guard);
                 if let (Some(rec), Some(dir)) = (io.recorder.as_ref(), io.dump_on_crash.as_ref()) {
                     let _ = std::fs::create_dir_all(dir);
                     let path = dir.join(format!("flight-node-{}.jsonl", io.me.0));
@@ -1138,6 +1309,8 @@ where
                 return false;
             }
             PostEvent::Stop => {
+                drop(core.close());
+                drop(guard);
                 self.cleanup_node(node);
                 return false;
             }
@@ -1171,12 +1344,31 @@ where
     }
 
     /// One dispatch step covering every event applied to the node since
-    /// the previous one: flush effects to the wire, mirror runtime
-    /// counters, surface backpressure events.
+    /// the previous one, by this worker or by API callers. Under the
+    /// core lock: the sink's events go to the observer (`MessageSent`
+    /// included, so it still precedes the write), grants are entered in
+    /// the table, sends are coalesced and counted into scratch. After it:
+    /// waiters are notified, frames written, timers armed.
     fn step(&mut self, slot: usize, node: &mut NodeState<P>) {
         let NodeState { core, io } = node;
         io.dirty = false;
-        let me = io.me;
+        let mut effects = std::mem::take(&mut self.effects);
+        let mut collect = Collect { effects: &mut effects, grants: &io.grants, notify: false };
+        {
+            let mut core = core.lock();
+            let core = &mut *core;
+            core.flush_posted = false;
+            match core.observer.as_deref_mut() {
+                Some(obs) => {
+                    let now = core.epoch.elapsed().as_micros() as u64;
+                    core.runtime.dispatch_observed(&mut core.fx, &mut collect, io.me, obs, now);
+                }
+                None => core.runtime.dispatch(&mut core.fx, &mut collect),
+            }
+        }
+        if collect.notify {
+            io.grants.notify();
+        }
         let mut host = MuxHost {
             slot,
             io,
@@ -1187,43 +1379,37 @@ where
             payloads: &mut self.payloads,
             seq: &mut self.seq,
         };
-        match core.observer.as_deref_mut() {
-            Some(obs) => {
-                let now = core.epoch.elapsed().as_micros() as u64;
-                core.runtime.dispatch_observed(&mut core.fx, &mut host, me, obs, now);
-            }
-            None => core.runtime.dispatch(&mut core.fx, &mut host),
+        for effect in effects.drain(..) {
+            host.perform(effect);
         }
-        *io.runtime_mirror.lock() = *core.runtime.counters();
-        if !io.backpressured.is_empty() {
-            if let Some(obs) = core.observer.as_deref_mut() {
-                let now = core.epoch.elapsed().as_micros() as u64;
-                let me = io.me;
-                for (peer, dropped) in io.backpressured.drain(..) {
-                    obs.on_event(now, &ProtocolEvent::Backpressure { node: me, peer, dropped });
-                }
-            } else {
-                io.backpressured.clear();
-            }
-        }
-        Self::flush_link_events(core, io);
+        self.effects = effects;
+        Self::flush_io_events(node);
     }
 
-    /// Surfaces buffered link teardowns as [`ProtocolEvent::LinkDown`].
-    /// Split out of [`Worker::step`] so pure-I/O paths (a teardown with
-    /// no frame behind it never reaches a dispatch) can flush too.
-    fn flush_link_events(core: &mut NodeCore<P>, io: &mut NodeIo<P::Message>) {
-        if io.link_events.is_empty() {
+    /// Surfaces what the transport half buffered outside the core lock —
+    /// frames shed to backpressure, link teardowns — as
+    /// [`ProtocolEvent::Backpressure`] and [`ProtocolEvent::LinkDown`].
+    /// Called after every dispatch step and after pure-I/O paths (a
+    /// teardown with no frame behind it never reaches a step). Both are
+    /// rare, so the lock is only taken when there is something to say.
+    fn flush_io_events(node: &mut NodeState<P>) {
+        let NodeState { core, io } = node;
+        if io.backpressured.is_empty() && io.link_events.is_empty() {
             return;
         }
-        if let Some(obs) = core.observer.as_deref_mut() {
-            let now = core.epoch.elapsed().as_micros() as u64;
-            let me = io.me;
-            for (peer, reason) in io.link_events.drain(..) {
-                obs.on_event(now, &ProtocolEvent::LinkDown { node: me, peer, reason });
-            }
-        } else {
+        let mut core = core.lock();
+        let now = core.epoch.elapsed().as_micros() as u64;
+        let me = io.me;
+        let Some(obs) = core.observer.as_deref_mut() else {
+            io.backpressured.clear();
             io.link_events.clear();
+            return;
+        };
+        for (peer, dropped) in io.backpressured.drain(..) {
+            obs.on_event(now, &ProtocolEvent::Backpressure { node: me, peer, dropped });
+        }
+        for (peer, reason) in io.link_events.drain(..) {
+            obs.on_event(now, &ProtocolEvent::LinkDown { node: me, peer, reason });
         }
     }
 }
@@ -1233,21 +1419,105 @@ where
 // ---------------------------------------------------------------------
 
 /// The mux transport's per-node plumbing, held by [`NodeHandle`]: the
-/// owning worker's command queue and waker, plus the node's slot there.
-pub(crate) struct MuxPort<M> {
-    cmds: Sender<Command<M>>,
+/// node's protocol half, plus the owning worker's command queue and
+/// waker and the node's slot there.
+pub(crate) struct MuxPort<P: ConcurrencyProtocol> {
+    core: SharedCore<P>,
+    cmds: Sender<Command<P::Message>>,
     slot: usize,
     waker: Arc<Waker>,
 }
 
-impl<M> MuxPort<M> {
-    /// Enqueue, then wake — in that order (see [`Waker`]). The queue
-    /// outlives a killed node, so [`NodeHandle`] checks its own `running`
-    /// flag first; this fails only once the whole pool is gone.
-    pub(crate) fn send(&self, ev: LoopEvent<M>) -> Result<(), NetError> {
+impl<P: ConcurrencyProtocol> MuxPort<P> {
+    /// Hands `ev` to the worker: enqueue, then wake — in that order (see
+    /// [`Waker`]). The queue outlives a killed node; the worker drops
+    /// what is addressed to an empty slot, and with it the reply channel
+    /// a blocked caller waits on. Fails only once the whole pool is gone.
+    pub(crate) fn send(&self, ev: LoopEvent<P::Message>) -> Result<(), NetError> {
         self.cmds.send((self.slot, ev)).map_err(|_| NetError::Closed)?;
         self.waker.wake();
         Ok(())
+    }
+
+    /// Caller-runs: applies a hot-path event (`Request`, `Release`) on
+    /// the calling thread. See [`MuxPort::run`].
+    pub(crate) fn apply(
+        &self,
+        grants: &GrantTable,
+        ev: LoopEvent<P::Message>,
+    ) -> Result<(), NetError> {
+        self.run(grants, |core| {
+            let post = apply_event(&mut core.protocol, &mut core.runtime, &mut core.fx, grants, ev);
+            debug_assert!(matches!(post, PostEvent::Handled), "not a caller-side event");
+        })
+    }
+
+    /// Caller-runs `try_request`: whether the node could grant `ticket`
+    /// locally, right now, without a message. A grant is in `grants` by
+    /// the time this returns.
+    pub(crate) fn try_request(
+        &self,
+        grants: &GrantTable,
+        lock: LockId,
+        mode: Mode,
+        ticket: Ticket,
+    ) -> Result<bool, NetError> {
+        self.run(grants, |core| core.protocol.try_request(lock, mode, ticket, &mut core.fx))?
+            .map_err(NetError::Protocol)
+    }
+
+    /// Runs one protocol step on the calling thread, under the core lock,
+    /// and enters every grant the sink holds in `grants` (this step's and
+    /// any the worker applied but has not dispatched — a grant is a local
+    /// fact, it overtakes nothing a peer can see). Then, with the lock
+    /// dropped, notifies waiters and, if sends or timers are left, posts
+    /// the worker a one-way [`LoopEvent::Flush`]. A step that only grants
+    /// never leaves this thread. Calls of one thread apply in program
+    /// order: each has run to completion under the lock before it
+    /// returns.
+    ///
+    /// # Errors
+    ///
+    /// `Closed` once the node was killed or stopped — checked under the
+    /// lock, so a dead node grants nothing.
+    fn run<R>(
+        &self,
+        grants: &GrantTable,
+        step: impl FnOnce(&mut NodeCore<P>) -> R,
+    ) -> Result<R, NetError> {
+        let mut notify = false;
+        let (out, flush) = {
+            let mut core = self.core.lock();
+            let core = &mut *core;
+            if core.closed {
+                return Err(NetError::Closed);
+            }
+            let out = step(core);
+            core.flush_events();
+            core.runtime.dispatch_grants(&mut core.fx, |lock, ticket, mode| {
+                notify |= grants.insert(ticket, lock, mode);
+            });
+            let flush = !core.fx.is_empty() && !core.flush_posted;
+            core.flush_posted |= flush;
+            (out, flush)
+        };
+        if notify {
+            grants.notify();
+        }
+        if flush {
+            self.send(LoopEvent::Flush)?;
+        }
+        Ok(out)
+    }
+
+    /// The node's runtime counters, as of now.
+    pub(crate) fn runtime_counters(&self) -> RuntimeCounters {
+        *self.core.lock().runtime.counters()
+    }
+
+    #[cfg(test)]
+    pub(crate) fn waker(&self) -> &Waker {
+        &self.waker
     }
 }
 
@@ -1337,6 +1607,7 @@ where
             slots: Vec::new(),
             dirty: Vec::new(),
             read_buf: vec![0u8; 16 * 1024],
+            effects: Vec::new(),
             tokens: HashMap::new(),
             next_token: WAKER_TOKEN,
             deadlines: BinaryHeap::new(),
@@ -1366,7 +1637,6 @@ where
 
         let grants = Arc::new(GrantTable::default());
         let counters = Arc::new(Counters::default());
-        let runtime_mirror = Arc::new(Mutex::new(RuntimeCounters::default()));
         let mut fx = EffectSink::new();
         fx.set_observing(observer.is_some());
         let epoch = Instant::now();
@@ -1375,15 +1645,23 @@ where
             None => (None, None),
         };
 
+        let core = Arc::new(Mutex::new(NodeCore {
+            protocol,
+            runtime: HostRuntime::new(),
+            fx,
+            observer,
+            epoch,
+            closed: false,
+            flush_posted: false,
+        }));
         worker.slots.push(Some(NodeState {
-            core: NodeCore { protocol, runtime: HostRuntime::new(), fx, observer, epoch },
+            core: core.clone(),
             io: NodeIo {
                 me: id,
                 self_tx: queues[w].clone(),
                 dirty: false,
                 grants: grants.clone(),
                 counters: counters.clone(),
-                runtime_mirror: runtime_mirror.clone(),
                 addrs: addrs.clone(),
                 listener,
                 listener_token,
@@ -1402,10 +1680,8 @@ where
             id,
             grants,
             counters,
-            runtime: runtime_mirror,
             next_ticket: AtomicU64::new(1),
-            running: Arc::new(AtomicBool::new(true)),
-            port: MuxPort { cmds: queues[w].clone(), slot, waker: wakers[w].clone() },
+            port: MuxPort { core, cmds: queues[w].clone(), slot, waker: wakers[w].clone() },
         }));
     }
 

@@ -85,24 +85,30 @@ pub(crate) enum LoopEvent<M> {
         done: Sender<()>,
     },
     Stop,
+    /// Mux only, one-way: an API caller ran a protocol step on its own
+    /// thread and left sends or timers in the node's sink; the worker
+    /// owes the node a dispatch step. Carries nothing — the sink is the
+    /// message.
+    Flush,
 }
 
 impl<M> LoopEvent<M> {
     /// Whether a host that dispatches once per *burst* of events may
     /// leave this event's effects in the sink until the burst ends. True
-    /// for the one-way events of the hot path. Every other event either
-    /// answers a blocked caller or ends the node: the host flushes what
-    /// is pending before applying it and flushes its own effects right
-    /// after, so it observes — and leaves behind — exactly the mailbox
-    /// and wire state it would with one dispatch per event. (A `Cancel`
-    /// must find a grant that raced ahead of it already delivered; a
-    /// `Kill` must not swallow the release posted just before it.)
+    /// for the one-way events. Every other event either answers a blocked
+    /// caller or ends the node: the host flushes what is pending before
+    /// applying it and flushes its own effects right after, so it
+    /// observes — and leaves behind — exactly the mailbox and wire state
+    /// it would with one dispatch per event. (A `Cancel` must find a
+    /// grant that raced ahead of it already delivered; a `Kill` must not
+    /// swallow the release applied just before it.)
     pub(crate) fn defers_dispatch(&self) -> bool {
         match self {
             LoopEvent::Incoming(..)
             | LoopEvent::Request { .. }
             | LoopEvent::Release { .. }
-            | LoopEvent::LinkUp(_) => true,
+            | LoopEvent::LinkUp(_)
+            | LoopEvent::Flush => true,
             LoopEvent::Suspect { done, .. } => done.is_none(),
             LoopEvent::Upgrade { .. }
             | LoopEvent::Cancel { .. }
@@ -213,6 +219,7 @@ where
         LoopEvent::Sever { peer, done } => return PostEvent::Sever { peer, done },
         LoopEvent::Kill { done } => return PostEvent::Kill { done },
         LoopEvent::Stop => return PostEvent::Stop,
+        LoopEvent::Flush => {}
     }
     PostEvent::Handled
 }
@@ -239,28 +246,57 @@ struct Held {
 /// removes an entry, the loop sees at most one release per grant.
 #[derive(Default)]
 pub(crate) struct GrantTable {
-    held: Mutex<HashMap<Ticket, Held>>,
+    table: Mutex<Table>,
     signal: Condvar,
+}
+
+#[derive(Default)]
+struct Table {
+    held: HashMap<Ticket, Held>,
+    /// Callers blocked in [`GrantTable::wait`]. Lets a grant nobody is
+    /// waiting for yet (a local grant, entered by the very thread that
+    /// will claim it) skip the notify and its syscall.
+    waiting: usize,
 }
 
 impl GrantTable {
     pub(crate) fn deliver(&self, ticket: Ticket, lock: LockId, mode: Mode) {
-        self.held.lock().insert(ticket, Held { lock, mode, claimed: false });
+        if self.insert(ticket, lock, mode) {
+            self.notify();
+        }
+    }
+
+    /// The two halves of [`deliver`](GrantTable::deliver), for a host
+    /// whose callers contend with it for the protocol state (the mux):
+    /// `insert` runs under the node's core lock, in the same hold that
+    /// took the grant out of the sink — a `Cancel` applied right after
+    /// must find the entry to discard, or the grant would be leaked into
+    /// the table behind it — and `notify` after that lock is dropped, so
+    /// a woken waiter does not run straight into it. Returns whether
+    /// anyone is blocked in `wait`, that is, whether a `notify` is owed.
+    pub(crate) fn insert(&self, ticket: Ticket, lock: LockId, mode: Mode) -> bool {
+        let mut table = self.table.lock();
+        table.held.insert(ticket, Held { lock, mode, claimed: false });
+        table.waiting > 0
+    }
+
+    /// See [`insert`](GrantTable::insert).
+    pub(crate) fn notify(&self) {
         self.signal.notify_all();
     }
 
     /// Drops the entry of a grant nobody will claim (its request was
     /// cancelled). Returns whether there was one.
     pub(crate) fn discard(&self, ticket: Ticket) -> bool {
-        self.held.lock().remove(&ticket).is_some()
+        self.table.lock().held.remove(&ticket).is_some()
     }
 
     /// Blocks until `ticket` has an unclaimed grant, and claims it.
     pub(crate) fn wait(&self, ticket: Ticket, timeout: Duration) -> Option<(LockId, Mode)> {
         let deadline = Instant::now() + timeout;
-        let mut table = self.held.lock();
+        let mut table = self.table.lock();
         loop {
-            if let Some(held) = table.get_mut(&ticket).filter(|h| !h.claimed) {
+            if let Some(held) = table.held.get_mut(&ticket).filter(|h| !h.claimed) {
                 held.claimed = true;
                 return Some((held.lock, held.mode));
             }
@@ -268,14 +304,18 @@ impl GrantTable {
             if now >= deadline {
                 return None;
             }
+            table.waiting += 1;
             let _ = self.signal.wait_for(&mut table, deadline - now);
+            table.waiting -= 1;
         }
     }
 
-    /// Claims a grant the loop has already confirmed to the caller
-    /// (`try_acquire`): the loop answers before its dispatch step delivers
-    /// the grant, so the entry is at most that step away. The bound only
-    /// ever expires when the loop died in between.
+    /// Claims a grant a shard worker has already confirmed to the caller
+    /// (`ShardedNodeHandle::try_acquire`): the worker answers before its
+    /// dispatch step delivers the grant, so the entry is at most that
+    /// step away. The bound only ever expires when the worker died in
+    /// between. (A mux node's `try_acquire` runs the step on the caller's
+    /// thread and has delivered the grant by the time it looks.)
     ///
     /// # Errors
     ///
@@ -291,7 +331,7 @@ impl GrantTable {
     /// `NotHeld` — the protocol's own answer — when `ticket` is unknown,
     /// not granted yet, already released, or granted on another lock.
     pub(crate) fn retire(&self, lock: LockId, ticket: Ticket) -> Result<(), NetError> {
-        match self.held.lock().entry(ticket) {
+        match self.table.lock().held.entry(ticket) {
             Entry::Occupied(held) if held.get().lock == lock => {
                 held.remove();
                 Ok(())
@@ -302,7 +342,7 @@ impl GrantTable {
 
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.held.lock().len()
+        self.table.lock().held.len()
     }
 }
 
@@ -358,24 +398,20 @@ impl MetricsServer {
     }
 }
 
-/// Answers one `/metrics` scrape: folds the summed per-node runtime
-/// counters into the registry, renders it, and writes a minimal HTTP/1.0
-/// response. Best-effort — scrape failures never disturb the cluster.
+/// Answers one `/metrics` scrape: folds `total` (the per-node runtime
+/// counters, summed) into the registry, renders it, and writes a minimal
+/// HTTP/1.0 response. Best-effort — scrape failures never disturb the
+/// cluster.
 pub(crate) fn serve_scrape(
     mut stream: TcpStream,
     metrics: &crate::ClusterMetrics,
-    mirrors: &[Arc<Mutex<RuntimeCounters>>],
+    total: RuntimeCounters,
 ) {
     // Drain (and ignore) the request line + headers, briefly.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
     let mut scratch = [0u8; 1024];
     let _ = stream.read(&mut scratch);
 
-    let mut total = RuntimeCounters::default();
-    for mirror in mirrors {
-        let c = *mirror.lock();
-        total.absorb(&c);
-    }
     let body = metrics.with(|r| {
         r.record_runtime(&total);
         r.render()

@@ -3,10 +3,13 @@
 //! threads, plus the reservation application on top.
 
 use hlock::app::{AppError, ReservationSystem};
-use hlock::core::{LockId, Mode, NodeId, ProtocolConfig};
+use hlock::core::{
+    LockId, LockSpace, Mode, NodeId, Observer, ProtocolConfig, ProtocolEvent, Ticket,
+};
 use hlock::naimi::NaimiSpace;
 use hlock::net::Cluster;
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const TIMEOUT: Duration = Duration::from_secs(30);
@@ -208,11 +211,15 @@ fn recovery_transport_detects_dead_home_unaided() {
 #[test]
 fn a_callers_back_to_back_calls_share_one_dispatch_step_and_one_frame() {
     // A closed-loop client's `release(entry)`, `release(table)`,
-    // `request(table)` reach its event loop as one burst whenever the
-    // loop does not wake between them; the burst is then applied whole
-    // and dispatched once, so the messages it produces (all bound for the
-    // token home) leave as one frame. Whether a given burst is caught
-    // whole is up to the scheduler, so the client runs until one is.
+    // `request(table)` run their protocol steps on the client's own
+    // thread and leave their messages in the node's sink; the worker,
+    // woken for the first of them, dispatches whatever the sink holds
+    // when it gets there as one step, so messages bound for the same
+    // peer leave as one frame. Whether the worker gets there after the
+    // second message or between the two is up to the scheduler, so the
+    // client runs until a frame is shared. (The deterministic twin, with
+    // the worker parked, is `hlock-net`'s unit test
+    // `a_grant_behind_a_send_is_claimable_before_the_worker_runs`.)
     //
     // The client writes (`IW` on the table, `W` on the entry): a reader's
     // table `IR` is retained after its release (Rule 5.3), so its burst
@@ -220,7 +227,6 @@ fn a_callers_back_to_back_calls_share_one_dispatch_step_and_one_frame() {
     // releases and re-requests it at the home — and after the first round
     // the entry's token lives at the client, so the burst is exactly the
     // table's `Release` followed by its `Request`.
-    use hlock::core::LockSpace;
     let config = ProtocolConfig::default();
     let (cluster, flight) = Cluster::spawn_recorded(
         2,
@@ -232,8 +238,8 @@ fn a_callers_back_to_back_calls_share_one_dispatch_step_and_one_frame() {
     let (table, entry) = (LockId(0), LockId(1));
     let client = cluster.node(1);
     let totals = || {
-        // `is_quiescent` is answered by the loop after everything posted
-        // before it was applied and dispatched, so the counters are
+        // `is_quiescent` is answered by the worker after everything its
+        // caller did before it was dispatched, so the counters are
         // settled.
         let mut frames = 0;
         for i in 0..cluster.len() {
@@ -262,4 +268,129 @@ fn a_callers_back_to_back_calls_share_one_dispatch_step_and_one_frame() {
     let findings = flight.auditor().findings();
     assert!(findings.is_empty(), "auditor (link_fifo among its checks): {findings:?}");
     cluster.shutdown();
+}
+
+/// A per-node observer that tallies `Granted` spans and tracks, per lock,
+/// which of its node's tickets are live (granted and not yet released).
+#[derive(Default)]
+struct Holders {
+    granted: HashMap<(NodeId, Ticket), u32>,
+    live: HashMap<(NodeId, LockId), Vec<Ticket>>,
+    /// Most tickets one node ever held at once on one lock.
+    max_live: usize,
+}
+
+impl Holders {
+    fn observer(shared: &Arc<Mutex<Holders>>) -> Option<Box<dyn Observer + Send>> {
+        let shared = Arc::clone(shared);
+        Some(Box::new(move |_at: u64, event: &ProtocolEvent| {
+            let mut h = shared.lock().unwrap();
+            match *event {
+                ProtocolEvent::Granted { node, lock, span, .. } => {
+                    *h.granted.entry((node, span.ticket)).or_default() += 1;
+                    let live = h.live.entry((node, lock)).or_default();
+                    live.push(span.ticket);
+                    let n = live.len();
+                    h.max_live = h.max_live.max(n);
+                }
+                ProtocolEvent::Released { node, lock, ticket, .. } => {
+                    h.live.entry((node, lock)).or_default().retain(|t| *t != ticket);
+                }
+                _ => {}
+            }
+        }))
+    }
+}
+
+#[test]
+fn caller_runs_stress_keeps_every_invariant() {
+    // Four threads share node 1's handle and run protocol steps on their
+    // own threads, against each other and against the worker applying
+    // what nodes 0 and 2 — writing the same locks — send. Each thread
+    // owns one lock at its node (two overlapping tickets of one node on
+    // one lock are the shape of the open release-crosses-grant bug, see
+    // ROADMAP) and cycles through `IR`, `R`, `IW`, `W` on it, so local
+    // grants (retained `IR`, a token parked here), copy grants, token
+    // transfers and recalls all interleave. The online auditor watches
+    // link FIFO, grant legitimacy, token uniqueness and span balance.
+    const THREADS: usize = 4;
+    const ROUNDS: usize = 2_000;
+    const MODES: [Mode; 4] = [Mode::IntentRead, Mode::Read, Mode::IntentWrite, Mode::Write];
+    let holders = Arc::new(Mutex::new(Holders::default()));
+    let config = ProtocolConfig::default();
+    let (cluster, flight) = Cluster::spawn_recorded(
+        3,
+        move |i| LockSpace::new(NodeId(i as u32), THREADS, NodeId(0), config),
+        None,
+        |_| Holders::observer(&holders),
+    )
+    .unwrap();
+    let acquired: usize = std::thread::scope(|scope| {
+        let cluster = &cluster;
+        let mut drivers = Vec::new();
+        for k in 0..THREADS {
+            drivers.push(scope.spawn(move || {
+                let (node, lock) = (cluster.node(1), LockId(k as u32));
+                for round in 0..ROUNDS {
+                    let mode = MODES[(round + k) % MODES.len()];
+                    let t = node.acquire(lock, mode, TIMEOUT).unwrap();
+                    node.release(lock, t).unwrap();
+                }
+                ROUNDS
+            }));
+        }
+        for writer in [0usize, 2] {
+            drivers.push(scope.spawn(move || {
+                let node = cluster.node(writer);
+                for round in 0..ROUNDS {
+                    let lock = LockId((round % THREADS) as u32);
+                    let t = node.acquire(lock, Mode::Write, TIMEOUT).unwrap();
+                    node.release(lock, t).unwrap();
+                }
+                ROUNDS
+            }));
+        }
+        drivers.into_iter().map(|d| d.join().unwrap()).sum()
+    });
+    for i in 0..cluster.len() {
+        cluster.node(i).is_quiescent().unwrap();
+    }
+    cluster.shutdown();
+    let findings = flight.auditor().findings();
+    assert!(findings.is_empty(), "auditor: {findings:?}");
+    let holders = holders.lock().unwrap();
+    assert_eq!(holders.granted.len(), acquired, "a ticket was never granted");
+    assert!(holders.granted.values().all(|n| *n == 1), "a ticket was granted twice");
+    assert!(holders.live.values().all(Vec::is_empty), "a grant outlived its release");
+    assert_eq!(holders.max_live, 1, "each (node, lock) was driven one ticket at a time");
+}
+
+#[test]
+fn one_callers_release_then_request_apply_in_program_order() {
+    // `release(X)` then `request(X)` from one thread: were the request
+    // ever applied first, the node would hold two live tickets on `X`
+    // (`IR` and `R` are compatible, so the protocol would grant both).
+    // The modes alternate so the pair is sometimes all-local (retained
+    // `IR`), sometimes leaves messages behind for the worker.
+    let holders = Arc::new(Mutex::new(Holders::default()));
+    let config = ProtocolConfig::default();
+    let cluster = Cluster::spawn_observed(
+        2,
+        move |i| LockSpace::new(NodeId(i as u32), 1, NodeId(0), config),
+        |_| Holders::observer(&holders),
+    )
+    .unwrap();
+    let (node, lock) = (cluster.node(1), LockId(0));
+    let mut held = node.acquire(lock, Mode::IntentRead, TIMEOUT).unwrap();
+    for round in 0..5_000 {
+        let mode = if round % 3 == 0 { Mode::Read } else { Mode::IntentRead };
+        node.release(lock, held).unwrap();
+        held = node.request(lock, mode).unwrap();
+        node.wait(held, TIMEOUT).unwrap();
+    }
+    node.release(lock, held).unwrap();
+    cluster.shutdown();
+    let holders = holders.lock().unwrap();
+    assert_eq!(holders.max_live, 1, "a request overtook the release before it");
+    assert!(holders.live.values().all(Vec::is_empty));
 }
