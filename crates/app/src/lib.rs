@@ -31,8 +31,7 @@
 use hlock_core::LockSpace;
 use hlock_core::{LockId, Mode, ProtocolConfig, Ticket};
 use hlock_net::{Cluster, NetError, NodeHandle};
-use parking_lot::RwLock;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;
 
 /// One fare-table entry: a flight's price and remaining seats, plus the
@@ -141,6 +140,18 @@ impl ReservationSystem {
         self.cluster.len()
     }
 
+    /// The fare store, for reading. Poison is ignored, as it always was
+    /// for this store: an agent that panics under the guard fails its own
+    /// caller, and the other agents keep their view of the table.
+    fn store(&self) -> RwLockReadGuard<'_, Store> {
+        self.store.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The fare store, for writing; poison-free like [`Self::store`].
+    fn store_mut(&self) -> RwLockWriteGuard<'_, Store> {
+        self.store.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The lock guarding entry `e`.
     ///
     /// # Panics
@@ -208,7 +219,7 @@ impl Agent<'_> {
         self.check_entry(entry)?;
         let t_table = self.acquire(ReservationSystem::TABLE_LOCK, Mode::IntentRead)?;
         let t_entry = self.acquire(self.system.entry_lock(entry), Mode::Read)?;
-        let fare = self.system.store.read().entries[entry].fare;
+        let fare = self.system.store().entries[entry].fare;
         self.handle.release(self.system.entry_lock(entry), t_entry)?;
         self.handle.release(ReservationSystem::TABLE_LOCK, t_table)?;
         Ok(fare)
@@ -223,7 +234,7 @@ impl Agent<'_> {
         self.check_entry(entry)?;
         let t_table = self.acquire(ReservationSystem::TABLE_LOCK, Mode::IntentWrite)?;
         let t_entry = self.acquire(self.system.entry_lock(entry), Mode::Write)?;
-        self.system.store.write().entries[entry].fare = fare;
+        self.system.store_mut().entries[entry].fare = fare;
         self.handle.release(self.system.entry_lock(entry), t_entry)?;
         self.handle.release(ReservationSystem::TABLE_LOCK, t_table)?;
         Ok(())
@@ -241,7 +252,7 @@ impl Agent<'_> {
         let t_table = self.acquire(ReservationSystem::TABLE_LOCK, Mode::IntentWrite)?;
         let t_entry = self.acquire(lock, Mode::Upgrade)?;
         // Read phase (exclusive against other upgraders, shared with R).
-        let seats = self.system.store.read().entries[entry].seats;
+        let seats = self.system.store().entries[entry].seats;
         if seats == 0 {
             self.handle.release(lock, t_entry)?;
             self.handle.release(ReservationSystem::TABLE_LOCK, t_table)?;
@@ -250,7 +261,7 @@ impl Agent<'_> {
         // Upgrade and write: no other holder can sneak in between.
         self.handle.upgrade(lock, t_entry, self.system.timeout)?;
         let seats_left = {
-            let mut store = self.system.store.write();
+            let mut store = self.system.store_mut();
             let e = &mut store.entries[entry];
             debug_assert!(e.seats > 0, "upgrade preserved the read");
             e.seats -= 1;
@@ -281,7 +292,7 @@ impl Agent<'_> {
         let t_lo = self.acquire(self.system.entry_lock(lo), Mode::Write)?;
         let t_hi = self.acquire(self.system.entry_lock(hi), Mode::Write)?;
         let moved = {
-            let mut store = self.system.store.write();
+            let mut store = self.system.store_mut();
             if store.entries[to].seats == 0 {
                 false
             } else {
@@ -309,7 +320,7 @@ impl Agent<'_> {
     pub fn cheapest_flight(&self) -> Result<(usize, f64), AppError> {
         let t = self.acquire(ReservationSystem::TABLE_LOCK, Mode::Read)?;
         let best = {
-            let store = self.system.store.read();
+            let store = self.system.store();
             store
                 .entries
                 .iter()
@@ -329,7 +340,7 @@ impl Agent<'_> {
     /// Lock-service failures.
     pub fn snapshot(&self) -> Result<Vec<Entry>, AppError> {
         let t = self.acquire(ReservationSystem::TABLE_LOCK, Mode::Read)?;
-        let entries = self.system.store.read().entries.clone();
+        let entries = self.system.store().entries.clone();
         self.handle.release(ReservationSystem::TABLE_LOCK, t)?;
         Ok(entries)
     }
@@ -343,7 +354,7 @@ impl Agent<'_> {
     pub fn bulk_reprice(&self, factor: f64) -> Result<(), AppError> {
         let t = self.acquire(ReservationSystem::TABLE_LOCK, Mode::Write)?;
         {
-            let mut store = self.system.store.write();
+            let mut store = self.system.store_mut();
             for e in &mut store.entries {
                 e.fare *= factor;
                 e.generation += 1;

@@ -43,7 +43,7 @@ fn batched_lockset_metrics(nodes: usize) -> Metrics {
     let cfg = SimConfig { seed: 42, lock_count, check_every: 1, ..SimConfig::default() };
     let report = Sim::new(spaces, driver, cfg)
         .with_frame_sizer(|messages| {
-            let mut buf = hlock_wire::BytesMut::new();
+            let mut buf = Vec::new();
             hlock_wire::frame::write_batch(&mut buf, NodeId(0), messages);
             buf.len() as u64
         })

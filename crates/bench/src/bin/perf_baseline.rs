@@ -42,6 +42,7 @@
 //! `--inject-tail` multiplies one op-in-256's hold time to fake a tail
 //! regression — it exists to prove the perf gate's p99.9 backstop fires.
 
+use hlock_core::rng::Rng;
 use hlock_core::{
     ClusterRecorder, LockId, Mode, NodeId, Observer, ProtocolConfig, DEFAULT_FLIGHT_CAPACITY,
 };
@@ -61,26 +62,6 @@ const LOCKS: usize = 64;
 /// measured bottleneck is the runtime, not the wire.
 const THREADS: usize = 8;
 const TIMEOUT: Duration = Duration::from_secs(30);
-
-/// Paper-style xorshift64*: tiny, seedable, good enough to pick lock
-/// ids and modes deterministically.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// Uniform draw in `0..n`.
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
 
 #[derive(Clone, Copy, PartialEq)]
 enum Mix {
@@ -161,8 +142,7 @@ fn drive_sharded(
                 scope.spawn(move || {
                     // Seed fixed per (mix, thread): identical sequences
                     // on every invocation.
-                    let mut rng =
-                        Rng(0x9E37_79B9 ^ ((t as u64 + 1) << 8) ^ mix.name().len() as u64);
+                    let mut rng = Rng::new(((t as u64 + 1) << 8) ^ mix.name().len() as u64);
                     let mine: Vec<LockId> = (1..LOCKS as u32)
                         .map(LockId)
                         .filter(|l| l.0 as usize % THREADS == t)
@@ -183,7 +163,7 @@ fn drive_sharded(
                     for _ in 0..ops_per_thread {
                         match mix {
                             Mix::ReadHeavy | Mix::WriteHeavy => {
-                                let lock = mine[rng.below(mine.len() as u64) as usize];
+                                let lock = mine[rng.index(mine.len())];
                                 let write_pct = if mix == Mix::ReadHeavy { 10 } else { 70 };
                                 let mode = if rng.below(100) < write_pct {
                                     Mode::Write
@@ -197,7 +177,7 @@ fn drive_sharded(
                             Mix::Hierarchical => {
                                 // Table intent lock, then one entry: the
                                 // CCS lock-set pattern.
-                                let entry = mine[rng.below(mine.len() as u64) as usize];
+                                let entry = mine[rng.index(mine.len())];
                                 let write = rng.below(100) < 10;
                                 let (ti, te) = if write {
                                     (Mode::IntentWrite, Mode::Write)

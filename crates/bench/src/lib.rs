@@ -1,7 +1,8 @@
 //! # hlock-bench
 //!
 //! The experiment harness: one binary per table/figure of the paper's
-//! evaluation (§4), plus ablation sweeps and Criterion micro-benchmarks.
+//! evaluation (§4), plus ablation sweeps, the perf baseline and smoke
+//! drivers.
 //!
 //! | Binary | Regenerates |
 //! |---|---|

@@ -70,6 +70,7 @@ mod observe;
 mod protocol;
 mod queue;
 mod recovery;
+pub mod rng;
 mod runtime;
 mod shard;
 mod space;

@@ -29,6 +29,7 @@
 use crate::ids::{LockId, NodeId, Priority, Ticket};
 use crate::message::MessageKind;
 use crate::mode::{Mode, ModeSet, ALL_MODES};
+use crate::rng::Rng;
 use crate::runtime::RuntimeCounters;
 use core::fmt;
 use std::collections::HashMap;
@@ -1213,7 +1214,7 @@ impl Observer for ClusterRecorder {
 ///
 /// Exact (keeps everything) while at most `capacity` values have been
 /// recorded; beyond that it degrades to a uniform random sample driven
-/// by a deterministic xorshift generator, so runs stay reproducible and
+/// by a deterministically seeded [`Rng`], so runs stay reproducible and
 /// memory stays bounded — this replaces the previously unbounded
 /// percentile buffers in the simulator's metrics.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1223,7 +1224,7 @@ pub struct Reservoir {
     count: u64,
     sum: u128,
     max: u64,
-    rng: u64,
+    rng: Rng,
 }
 
 /// Default reservoir capacity: exact percentiles for runs up to 1024
@@ -1250,18 +1251,8 @@ impl Reservoir {
             count: 0,
             sum: 0,
             max: 0,
-            rng: 0x9e37_79b9_7f4a_7c15 ^ capacity as u64,
+            rng: Rng::new(capacity as u64),
         }
-    }
-
-    fn next_rand(&mut self) -> u64 {
-        // xorshift64*: deterministic, no dependency, plenty for sampling.
-        let mut x = self.rng;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
     }
 
     /// Records one value.
@@ -1272,7 +1263,7 @@ impl Reservoir {
         if self.samples.len() < self.cap {
             self.samples.push(value);
         } else {
-            let j = self.next_rand() % self.count;
+            let j = self.rng.below(self.count);
             if (j as usize) < self.cap {
                 self.samples[j as usize] = value;
             }
@@ -1341,7 +1332,7 @@ impl Reservoir {
         // retained sample survives with equal probability.
         let n = self.samples.len();
         for i in 0..self.cap.min(n) {
-            let j = i + (self.next_rand() as usize) % (n - i);
+            let j = i + self.rng.index(n - i);
             self.samples.swap(i, j);
         }
         self.samples.truncate(self.cap);

@@ -314,12 +314,17 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::ids::Priority;
-    use proptest::prelude::*;
+    use crate::rng::{check_cases, Rng};
 
-    fn arb_entry() -> impl Strategy<Value = QueueEntry> {
-        (any::<u32>(), 0u8..4, any::<u64>()).prop_map(|(n, p, s)| {
-            QueueEntry::with_priority(Waiter::Remote(NodeId(n)), Mode::Read, Stamp(s), Priority(p))
-        })
+    fn arb_entries(rng: &mut Rng, max_len: u64) -> Vec<QueueEntry> {
+        (0..rng.below(max_len))
+            .map(|_| {
+                let node = NodeId(rng.next_u64() as u32);
+                let priority = Priority(rng.below(4) as u8);
+                let stamp = Stamp(rng.next_u64());
+                QueueEntry::with_priority(Waiter::Remote(node), Mode::Read, stamp, priority)
+            })
+            .collect()
     }
 
     /// The queue is always sorted by priority (descending), and within a
@@ -332,42 +337,52 @@ mod proptests {
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
-
-        #[test]
-        fn pushes_keep_priority_order(entries in proptest::collection::vec(arb_entry(), 0..24)) {
+    #[test]
+    fn pushes_keep_priority_order() {
+        check_cases(128, |rng| {
             let mut q = RequestQueue::new();
-            for e in entries {
+            for e in arb_entries(rng, 24) {
                 q.push_back(e);
             }
             assert_priority_sorted(&q);
+        });
+    }
+
+    fn check_merge(ours: Vec<QueueEntry>, theirs: Vec<QueueEntry>) {
+        let mut q = RequestQueue::new();
+        for e in ours {
+            q.push_back(e);
         }
-
-        #[test]
-        fn merges_keep_priority_and_stamp_order(
-            ours in proptest::collection::vec(arb_entry(), 0..12),
-            theirs in proptest::collection::vec(arb_entry(), 0..12),
-        ) {
-            let mut q = RequestQueue::new();
-            for e in ours {
-                q.push_back(e);
-            }
-            let resorted = !theirs.is_empty();
-            q.merge(theirs);
-            assert_priority_sorted(&q);
-            // A non-trivial merge re-sorts by (priority, stamp); within a
-            // priority band stamps are then non-decreasing. (An empty
-            // merge keeps plain arrival order, where stamps may not be
-            // monotone.)
-            if resorted {
-                let entries: Vec<QueueEntry> = q.iter().copied().collect();
-                for w in entries.windows(2) {
-                    if w[0].priority == w[1].priority {
-                        prop_assert!(w[0].stamp <= w[1].stamp, "{entries:?}");
-                    }
+        let resorted = !theirs.is_empty();
+        q.merge(theirs);
+        assert_priority_sorted(&q);
+        // A non-trivial merge re-sorts by (priority, stamp); within a
+        // priority band stamps are then non-decreasing. (An empty
+        // merge keeps plain arrival order, where stamps may not be
+        // monotone.)
+        if resorted {
+            let entries: Vec<QueueEntry> = q.iter().copied().collect();
+            for w in entries.windows(2) {
+                if w[0].priority == w[1].priority {
+                    assert!(w[0].stamp <= w[1].stamp, "{entries:?}");
                 }
             }
         }
+    }
+
+    #[test]
+    fn merges_keep_priority_and_stamp_order() {
+        // A case that failed once (from the proptest regression file this
+        // loop replaces): an empty merge behind out-of-order stamps.
+        let entry = |stamp| {
+            QueueEntry::with_priority(
+                Waiter::Remote(NodeId(0)),
+                Mode::Read,
+                Stamp(stamp),
+                Priority(2),
+            )
+        };
+        check_merge(vec![entry(8_630_942_494_305_597_010), entry(0)], vec![]);
+        check_cases(128, |rng| check_merge(arb_entries(rng, 12), arb_entries(rng, 12)));
     }
 }

@@ -48,21 +48,20 @@ mod transport;
 
 pub use sharded::{ShardedCluster, ShardedNodeHandle};
 
-use crossbeam::channel::{unbounded, Sender};
 use hlock_core::{
     ConcurrencyProtocol, Inspect, LockId, LockSpace, MessageKind, MetricsRegistry, Mode, NodeId,
     Observer, Priority, ProtocolConfig, ProtocolEvent, RecoverySpace, RuntimeCounters,
     SharedAuditor, SharedRecorder, Ticket, DEFAULT_FLIGHT_CAPACITY,
 };
 use hlock_wire::WireCodec;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Sender};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
-use transport::{serve_scrape, Counters, GrantTable, LoopEvent, MetricsServer};
+use transport::{locked, serve_scrape, Counters, GrantTable, LoopEvent, MetricsServer};
 
 /// Transport-level failures.
 #[derive(Debug)]
@@ -127,12 +126,12 @@ impl ClusterMetrics {
 
     /// Runs `f` with the registry locked (for queries or snapshots).
     pub fn with<R>(&self, f: impl FnOnce(&mut MetricsRegistry) -> R) -> R {
-        f(&mut self.registry.lock())
+        f(&mut locked(&self.registry))
     }
 
     /// Renders the registry in Prometheus text exposition format.
     pub fn render(&self) -> String {
-        self.registry.lock().render()
+        locked(&self.registry).render()
     }
 }
 
@@ -144,13 +143,14 @@ impl fmt::Debug for ClusterMetrics {
 
 impl Observer for ClusterMetrics {
     fn on_event(&mut self, at_micros: u64, event: &ProtocolEvent) {
-        self.registry.lock().on_event(at_micros, event);
+        locked(&self.registry).on_event(at_micros, event);
     }
 }
 
 /// One running node: protocol loop + sockets.
 pub struct NodeHandle<P: ConcurrencyProtocol> {
     id: NodeId,
+    addr: SocketAddr,
     grants: Arc<GrantTable>,
     counters: Arc<Counters>,
     next_ticket: AtomicU64,
@@ -173,6 +173,11 @@ where
         self.id
     }
 
+    /// The address this node's listener accepts peer links on.
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
     /// Hands one event to the node's worker, waking it if needed, and
     /// blocks for the answer. A stopped or killed node's events are
     /// dropped by the worker (its queue is shared with the worker's other
@@ -181,7 +186,7 @@ where
         &self,
         event: impl FnOnce(Sender<R>) -> LoopEvent<P::Message>,
     ) -> Result<R, NetError> {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         self.port.send(event(tx))?;
         rx.recv().map_err(|_| NetError::Closed)
     }

@@ -59,22 +59,22 @@
 //! the transport's failure detector, which starts recovery elections.
 
 use crate::conn::{DialBackoff, Outbox, Push, DEFAULT_OUTBOX_BYTES};
-use crate::transport::{apply_event, encode_hello, Counters, GrantTable, LoopEvent, PostEvent};
+use crate::transport::{
+    apply_event, encode_hello, locked, Counters, GrantTable, LoopEvent, PostEvent,
+};
 use crate::{NetError, NodeHandle};
-use bytes::BytesMut;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use hlock_core::{
     BatchHost, Classify, ConcurrencyProtocol, EffectSink, HostRuntime, Inspect, LinkDownReason,
     LockId, Mode, NodeId, Observer, ProtocolEvent, RuntimeCounters, SharedRecorder, SpanId, Ticket,
 };
 use hlock_wire::{frame, WireCodec};
-use parking_lot::Mutex;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -404,14 +404,14 @@ impl Waker {
     #[cfg(test)]
     fn pass_gate(&self) {
         self.gated.fetch_add(1, Ordering::SeqCst);
-        drop(self.gate.lock());
+        drop(locked(&self.gate));
     }
 
     /// Parks the worker until the guard drops. On return the worker has
     /// finished whatever iteration it was in and sits at the gate.
     #[cfg(test)]
-    pub(crate) fn park_worker(&self) -> parking_lot::MutexGuard<'_, ()> {
-        let guard = self.gate.lock();
+    pub(crate) fn park_worker(&self) -> std::sync::MutexGuard<'_, ()> {
+        let guard = locked(&self.gate);
         let arrivals = self.gated.load(Ordering::SeqCst);
         self.force();
         while self.gated.load(Ordering::SeqCst) == arrivals {
@@ -565,7 +565,7 @@ struct NodeIo<M> {
     inbound: HashMap<u64, InConn>,
     links: HashMap<NodeId, Link>,
     /// Reusable encode buffer: one frame per (step, destination).
-    out: BytesMut,
+    out: Vec<u8>,
     /// Backpressure drops recorded during a dispatch: `(peer, bytes)`.
     backpressured: Vec<(NodeId, u64)>,
     /// Flight recorder: HLC source for wire stamps (sends tick it,
@@ -742,7 +742,7 @@ where
                 // is never shed; the triggering frame rides behind it.
                 match connect_nonblocking(self.io.addrs[to.index()]) {
                     Ok(stream) => {
-                        let mut hello = BytesMut::new();
+                        let mut hello = Vec::new();
                         encode_hello(&mut hello, self.io.me);
                         link.outbox.push_unbounded(&hello);
                         if link.outbox.push(&self.io.out) == Push::Dropped {
@@ -1008,7 +1008,7 @@ where
                         let now = io.epoch.elapsed().as_micros() as u64;
                         rec.observe_remote(conn.dec.last_hlc(), now);
                     }
-                    let mut core = core.lock();
+                    let mut core = locked(core);
                     let core = &mut *core;
                     let post = apply_event(
                         &mut core.protocol,
@@ -1153,7 +1153,7 @@ where
                 Some(Dl::Timer { slot, token }) => self.with_slot(slot, |w, node| {
                     let me = node.io.me;
                     {
-                        let mut core = node.core.lock();
+                        let mut core = locked(&node.core);
                         let core = &mut *core;
                         core.fx.emit_with(|| ProtocolEvent::TimerFired { node: me, token });
                         core.protocol.on_timer(token, &mut core.fx);
@@ -1183,7 +1183,7 @@ where
         }
         match connect_nonblocking(addr) {
             Ok(stream) => {
-                let mut hello = BytesMut::new();
+                let mut hello = Vec::new();
                 encode_hello(&mut hello, me);
                 link.outbox.clear();
                 link.outbox.push_unbounded(&hello);
@@ -1260,7 +1260,7 @@ where
         if !defers {
             self.step(slot, node);
         }
-        let mut guard = node.core.lock();
+        let mut guard = locked(&node.core);
         let core = &mut *guard;
         let io = &mut node.io;
         match apply_event(&mut core.protocol, &mut core.runtime, &mut core.fx, &io.grants, ev) {
@@ -1355,7 +1355,7 @@ where
         let mut effects = std::mem::take(&mut self.effects);
         let mut collect = Collect { effects: &mut effects, grants: &io.grants, notify: false };
         {
-            let mut core = core.lock();
+            let mut core = locked(core);
             let core = &mut *core;
             core.flush_posted = false;
             match core.observer.as_deref_mut() {
@@ -1397,7 +1397,7 @@ where
         if io.backpressured.is_empty() && io.link_events.is_empty() {
             return;
         }
-        let mut core = core.lock();
+        let mut core = locked(core);
         let now = core.epoch.elapsed().as_micros() as u64;
         let me = io.me;
         let Some(obs) = core.observer.as_deref_mut() else {
@@ -1487,7 +1487,7 @@ impl<P: ConcurrencyProtocol> MuxPort<P> {
     ) -> Result<R, NetError> {
         let mut notify = false;
         let (out, flush) = {
-            let mut core = self.core.lock();
+            let mut core = locked(&self.core);
             let core = &mut *core;
             if core.closed {
                 return Err(NetError::Closed);
@@ -1512,7 +1512,7 @@ impl<P: ConcurrencyProtocol> MuxPort<P> {
 
     /// The node's runtime counters, as of now.
     pub(crate) fn runtime_counters(&self) -> RuntimeCounters {
-        *self.core.lock().runtime.counters()
+        *locked(&self.core).runtime.counters()
     }
 
     #[cfg(test)]
@@ -1598,7 +1598,7 @@ where
         let waker = Arc::new(Waker::new()?);
         poller.add(waker.read_fd, WAKER_TOKEN, true, false);
         wakers.push(waker.clone());
-        let (tx, cmds) = unbounded::<Command<P::Message>>();
+        let (tx, cmds) = channel::<Command<P::Message>>();
         queues.push(tx);
         workers.push(Worker::<P> {
             poller,
@@ -1667,7 +1667,7 @@ where
                 listener_token,
                 inbound: HashMap::new(),
                 links: HashMap::new(),
-                out: BytesMut::new(),
+                out: Vec::new(),
                 backpressured: Vec::new(),
                 recorder,
                 dump_on_crash,
@@ -1678,6 +1678,7 @@ where
 
         handles.push(Arc::new(NodeHandle {
             id,
+            addr: addrs[i],
             grants,
             counters,
             next_ticket: AtomicU64::new(1),
@@ -1714,7 +1715,7 @@ mod tests {
         let waker = Arc::new(Waker::new().unwrap());
         let mut poller = Poller::new().unwrap();
         poller.add(waker.read_fd, WAKER_TOKEN, true, false);
-        let (tx, rx) = unbounded::<usize>();
+        let (tx, rx) = channel::<usize>();
         let applied: Vec<AtomicUsize> = (0..PRODUCERS).map(|_| AtomicUsize::new(0)).collect();
         let stop = AtomicBool::new(false);
         let total: usize = (0..PRODUCERS).map(events).sum();

@@ -44,22 +44,22 @@
 //! reliable links the raw protocol assumes).
 
 use crate::conn::{DialBackoff, Outbox, Push, DEFAULT_OUTBOX_BYTES};
-use crate::transport::{apply_event, encode_hello, Counters, GrantTable, LoopEvent, PostEvent};
+use crate::transport::{
+    apply_event, encode_hello, locked, wait_for, Counters, GrantTable, LoopEvent, PostEvent,
+};
 use crate::{ClusterMetrics, NetError};
-use bytes::BytesMut;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use hlock_core::{
     BatchHost, Classify, EffectSink, Envelope, HostRuntime, LockId, LockSpace, MessageKind, Mode,
     NodeId, Priority, ProtocolConfig, RuntimeCounters, ShardGauges, ShardSpec, Ticket,
 };
 use hlock_wire::frame;
-use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -95,9 +95,9 @@ impl<T> BoundedQueue<T> {
 
     /// Appends `item`, blocking while the queue is at capacity.
     fn push(&self, item: T) {
-        let mut q = self.inner.lock();
+        let mut q = locked(&self.inner);
         while q.len() >= self.capacity {
-            self.not_full.wait_for(&mut q, Duration::from_millis(50));
+            q = wait_for(&self.not_full, q, Duration::from_millis(50));
         }
         q.push_back(item);
         self.pushed.fetch_add(1, Ordering::Relaxed);
@@ -107,10 +107,10 @@ impl<T> BoundedQueue<T> {
 
     /// Removes the oldest item, parking while the queue is empty.
     fn pop(&self) -> T {
-        let mut q = self.inner.lock();
+        let mut q = locked(&self.inner);
         while q.is_empty() {
             self.parks.fetch_add(1, Ordering::Relaxed);
-            self.not_empty.wait_for(&mut q, Duration::from_millis(50));
+            q = wait_for(&self.not_empty, q, Duration::from_millis(50));
         }
         let item = q.pop_front().expect("non-empty after wait");
         drop(q);
@@ -122,10 +122,10 @@ impl<T> BoundedQueue<T> {
     /// consumer that also has non-queue work pending (the egress thread
     /// with queued socket bytes or a redial deadline).
     fn pop_timeout(&self, timeout: Duration) -> Option<T> {
-        let mut q = self.inner.lock();
+        let mut q = locked(&self.inner);
         if q.is_empty() {
             self.parks.fetch_add(1, Ordering::Relaxed);
-            self.not_empty.wait_for(&mut q, timeout);
+            q = wait_for(&self.not_empty, q, timeout);
         }
         let item = q.pop_front()?;
         drop(q);
@@ -134,7 +134,7 @@ impl<T> BoundedQueue<T> {
     }
 
     fn depth(&self) -> usize {
-        self.inner.lock().len()
+        locked(&self.inner).len()
     }
 
     fn gauges(&self) -> ShardGauges {
@@ -264,7 +264,7 @@ impl ShardedNodeHandle {
     /// [`NetError::Closed`] if the node has shut down.
     pub fn try_acquire(&self, lock: LockId, mode: Mode) -> Result<Option<Ticket>, NetError> {
         let ticket = Ticket(self.next_ticket.fetch_add(1, Ordering::Relaxed));
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         self.send_op(lock, LoopEvent::TryRequest { lock, mode, ticket, done: tx })?;
         let granted = rx.recv().map_err(|_| NetError::Closed)??;
         if granted {
@@ -308,7 +308,7 @@ impl ShardedNodeHandle {
     /// [`NetError::Protocol`] on misuse, [`NetError::Timeout`] if other
     /// holders do not drain in time.
     pub fn upgrade(&self, lock: LockId, ticket: Ticket, timeout: Duration) -> Result<(), NetError> {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         self.send_op(lock, LoopEvent::Upgrade { lock, ticket, done: tx })?;
         rx.recv().map_err(|_| NetError::Closed)??;
         match self.wait(lock, ticket, timeout) {
@@ -326,7 +326,7 @@ impl ShardedNodeHandle {
     ///
     /// [`NetError::Protocol`] on an illegal downgrade or unknown ticket.
     pub fn downgrade(&self, lock: LockId, ticket: Ticket, mode: Mode) -> Result<(), NetError> {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         self.send_op(lock, LoopEvent::Downgrade { lock, ticket, mode, done: tx })?;
         rx.recv().map_err(|_| NetError::Closed)?
     }
@@ -337,7 +337,7 @@ impl ShardedNodeHandle {
     ///
     /// [`NetError::Closed`] if the node has shut down.
     pub fn cancel(&self, lock: LockId, ticket: Ticket) -> Result<(), NetError> {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         self.send_op(lock, LoopEvent::Cancel { lock, ticket, done: tx })?;
         rx.recv().map_err(|_| NetError::Closed)?
     }
@@ -352,7 +352,7 @@ impl ShardedNodeHandle {
         if !self.running.load(Ordering::SeqCst) {
             return Err(NetError::Closed);
         }
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         for q in &self.inbound {
             q.push(LoopEvent::IsQuiescent { done: tx.clone() });
         }
@@ -378,14 +378,14 @@ impl ShardedNodeHandle {
     pub fn runtime_counters(&self) -> RuntimeCounters {
         let mut total = RuntimeCounters::default();
         for mirror in &self.shard_runtimes {
-            total.absorb(&mirror.lock());
+            total.absorb(&locked(mirror));
         }
         total
     }
 
     /// Per-shard [`RuntimeCounters`] snapshots, indexed by shard.
     pub fn shard_runtime_counters(&self) -> Vec<RuntimeCounters> {
-        self.shard_runtimes.iter().map(|m| *m.lock()).collect()
+        self.shard_runtimes.iter().map(|m| *locked(m)).collect()
     }
 
     /// Per-shard queue gauges (current depth, routed messages, worker
@@ -410,7 +410,7 @@ impl ShardedNodeHandle {
     /// peer has not hung up blocks up to its socket read timeout.
     fn join(&self) {
         let threads: Vec<JoinHandle<()>> = {
-            let mut guard = self.threads.lock();
+            let mut guard = locked(&self.threads);
             guard.drain(..).collect()
         };
         for t in threads {
@@ -553,7 +553,7 @@ fn spawn_node(
     listener: TcpListener,
     addrs: &[SocketAddr],
 ) -> Result<Arc<ShardedNodeHandle>, NetError> {
-    let (tx, rx) = unbounded::<RouterEvent>();
+    let (tx, rx) = channel::<RouterEvent>();
     let counters = Arc::new(Counters::default());
     let running = Arc::new(AtomicBool::new(true));
     let mut links: HashMap<NodeId, EgressLink> = HashMap::new();
@@ -568,7 +568,7 @@ fn spawn_node(
         }
         let mut stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        let mut hello = BytesMut::new();
+        let mut hello = Vec::new();
         encode_hello(&mut hello, id);
         stream.write_all(&hello)?;
         stream.set_nonblocking(true)?;
@@ -779,7 +779,7 @@ fn shard_worker(
         }
         let mut host = ShardHost { grants, egress };
         runtime.dispatch(&mut fx, &mut host);
-        *runtime_mirror.lock() = *runtime.counters();
+        *locked(runtime_mirror) = *runtime.counters();
     }
 }
 
@@ -834,7 +834,7 @@ fn egress_loop(
     running: &Arc<AtomicBool>,
 ) {
     let mut stops = 0;
-    let mut out = BytesMut::new();
+    let mut out = Vec::new();
     loop {
         // With queued socket bytes or a pending redial we must keep
         // servicing the links, so only nap on the queue; otherwise park
@@ -913,7 +913,7 @@ fn service_links(me: NodeId, links: &mut HashMap<NodeId, EgressLink>, running: &
 fn redial(me: NodeId, addr: SocketAddr) -> std::io::Result<TcpStream> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true)?;
-    let mut hello = BytesMut::new();
+    let mut hello = Vec::new();
     encode_hello(&mut hello, me);
     stream.write_all(&hello)?;
     stream.set_nonblocking(true)?;

@@ -6,20 +6,39 @@
 //! endpoint.
 
 use crate::NetError;
-use crossbeam::channel::Sender;
 use hlock_core::{
     Classify, ConcurrencyProtocol, EffectSink, HostRuntime, LockId, MessageKind, Mode, NodeId,
     Priority, ProtocolEvent, RuntimeCounters, Ticket,
 };
 use hlock_wire::frame;
-use parking_lot::{Condvar, Mutex};
 use std::collections::hash_map::{Entry, HashMap};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::Sender;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Locks `mutex`, poisoned or not — every lock of this crate is taken
+/// here, and none has ever poisoned. A thread that panics under a lock
+/// has already failed loudly (its join, its test); the host must still
+/// answer `shutdown`, `is_quiescent` and the counters afterwards, and the
+/// poison flag would only turn that one panic into a cascade of
+/// unrelated ones.
+pub(crate) fn locked<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Waits on `signal` for at most `timeout`; wake-ups may be spurious.
+/// Poison-free like [`locked`], whose guard it takes and gives back.
+pub(crate) fn wait_for<'a, T>(
+    signal: &Condvar,
+    guard: MutexGuard<'a, T>,
+    timeout: Duration,
+) -> MutexGuard<'a, T> {
+    signal.wait_timeout(guard, timeout).unwrap_or_else(PoisonError::into_inner).0
+}
 
 /// One unit of work for a protocol loop: a mux node's, or one shard
 /// worker's.
@@ -275,7 +294,7 @@ impl GrantTable {
     /// a woken waiter does not run straight into it. Returns whether
     /// anyone is blocked in `wait`, that is, whether a `notify` is owed.
     pub(crate) fn insert(&self, ticket: Ticket, lock: LockId, mode: Mode) -> bool {
-        let mut table = self.table.lock();
+        let mut table = locked(&self.table);
         table.held.insert(ticket, Held { lock, mode, claimed: false });
         table.waiting > 0
     }
@@ -288,13 +307,13 @@ impl GrantTable {
     /// Drops the entry of a grant nobody will claim (its request was
     /// cancelled). Returns whether there was one.
     pub(crate) fn discard(&self, ticket: Ticket) -> bool {
-        self.table.lock().held.remove(&ticket).is_some()
+        locked(&self.table).held.remove(&ticket).is_some()
     }
 
     /// Blocks until `ticket` has an unclaimed grant, and claims it.
     pub(crate) fn wait(&self, ticket: Ticket, timeout: Duration) -> Option<(LockId, Mode)> {
         let deadline = Instant::now() + timeout;
-        let mut table = self.table.lock();
+        let mut table = locked(&self.table);
         loop {
             if let Some(held) = table.held.get_mut(&ticket).filter(|h| !h.claimed) {
                 held.claimed = true;
@@ -305,7 +324,7 @@ impl GrantTable {
                 return None;
             }
             table.waiting += 1;
-            let _ = self.signal.wait_for(&mut table, deadline - now);
+            table = wait_for(&self.signal, table, deadline - now);
             table.waiting -= 1;
         }
     }
@@ -331,7 +350,7 @@ impl GrantTable {
     /// `NotHeld` — the protocol's own answer — when `ticket` is unknown,
     /// not granted yet, already released, or granted on another lock.
     pub(crate) fn retire(&self, lock: LockId, ticket: Ticket) -> Result<(), NetError> {
-        match self.table.lock().held.entry(ticket) {
+        match locked(&self.table).held.entry(ticket) {
             Entry::Occupied(held) if held.get().lock == lock => {
                 held.remove();
                 Ok(())
@@ -342,7 +361,7 @@ impl GrantTable {
 
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.table.lock().held.len()
+        locked(&self.table).held.len()
     }
 }
 
@@ -377,7 +396,7 @@ impl Counters {
 }
 
 /// Appends the link handshake frame announcing `me` to `buf`.
-pub(crate) fn encode_hello(buf: &mut bytes::BytesMut, me: NodeId) {
+pub(crate) fn encode_hello(buf: &mut Vec<u8>, me: NodeId) {
     frame::write_hello(buf, me);
 }
 

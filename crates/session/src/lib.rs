@@ -37,6 +37,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use hlock_core::rng::Rng;
 use hlock_core::{
     CancelOutcome, Classify, ConcurrencyProtocol, Effect, EffectSink, Inspect, LockId, MessageKind,
     Mode, NodeId, Priority, ProtocolError, Ticket,
@@ -261,8 +262,8 @@ pub struct SessionSpace<P: ConcurrencyProtocol> {
     links: BTreeMap<NodeId, LinkState<P::Message>>,
     stats: SessionStats,
     scratch: EffectSink<P::Message>,
-    /// xorshift64 state for timer jitter; untouched when jitter is zero.
-    rng: u64,
+    /// Timer jitter stream, one per node; untouched when jitter is zero.
+    rng: Rng,
 }
 
 impl<P: ConcurrencyProtocol> SessionSpace<P> {
@@ -275,7 +276,7 @@ impl<P: ConcurrencyProtocol> SessionSpace<P> {
         if let Err(e) = cfg.validate() {
             panic!("invalid SessionConfig: {e}");
         }
-        let rng = 0x9E37_79B9_7F4A_7C15 ^ (u64::from(inner.node_id().0) << 17 | 1);
+        let rng = Rng::new(u64::from(inner.node_id().0));
         SessionSpace {
             inner,
             cfg,
@@ -315,13 +316,7 @@ impl<P: ConcurrencyProtocol> SessionSpace<P> {
         if self.cfg.jitter_micros == 0 {
             return 0;
         }
-        // xorshift64: cheap, deterministic, state explicitly seeded.
-        let mut x = self.rng;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.rng = x;
-        x % (self.cfg.jitter_micros + 1)
+        self.rng.range_inclusive(0..=self.cfg.jitter_micros)
     }
 
     fn backoff_delay(&mut self, attempts: u32) -> u64 {

@@ -14,12 +14,11 @@
 use crate::latency::LatencyModel;
 use crate::metrics::Metrics;
 use crate::time::{Duration, SimTime};
+use hlock_core::rng::Rng;
 use hlock_core::{
     BatchHost, Classify, ConcurrencyProtocol, EffectSink, HostRuntime, Inspect, LockId, Mode,
     NodeId, NullObserver, Observer, Priority, ProtocolEvent, SpanId, Ticket,
 };
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap};
 
@@ -352,7 +351,7 @@ pub struct Sim<P: ConcurrencyProtocol, D> {
     now: SimTime,
     seq: u64,
     events: BinaryHeap<Reverse<Event<P::Message>>>,
-    rng: StdRng,
+    rng: Rng,
     link_clock: HashMap<(NodeId, NodeId), SimTime>,
     outstanding: HashMap<(NodeId, LockId, Ticket), (SimTime, Mode)>,
     metrics: Metrics,
@@ -402,7 +401,7 @@ where
         if let Err(e) = config.validate() {
             panic!("invalid SimConfig: {e}");
         }
-        let rng = StdRng::seed_from_u64(config.seed);
+        let rng = Rng::new(config.seed);
         Sim {
             config,
             nodes,
@@ -990,7 +989,7 @@ where
             }
             return;
         }
-        if sim.config.drop_probability > 0.0 && sim.rng.gen_bool(sim.config.drop_probability) {
+        if sim.config.drop_probability > 0.0 && sim.rng.chance(sim.config.drop_probability) {
             if sim.observing {
                 for message in &messages {
                     sim.host_events.push(ProtocolEvent::Dropped {
@@ -1003,7 +1002,7 @@ where
             return;
         }
         let copies = if sim.config.duplicate_probability > 0.0
-            && sim.rng.gen_bool(sim.config.duplicate_probability)
+            && sim.rng.chance(sim.config.duplicate_probability)
         {
             2
         } else {
@@ -1017,11 +1016,11 @@ where
             // extra skew, so it can overtake (or fall behind) its link
             // neighbors.
             let reordered = sim.config.reorder_probability > 0.0
-                && sim.rng.gen_bool(sim.config.reorder_probability);
+                && sim.rng.chance(sim.config.reorder_probability);
             if reordered {
                 let skew = sim.config.reorder_max_skew.as_micros();
                 if skew > 0 {
-                    at = at + Duration(sim.rng.gen_range(0..=skew));
+                    at = at + Duration(sim.rng.range_inclusive(0..=skew));
                 }
             } else if sim.config.fifo_links {
                 let clock = sim.link_clock.entry((from, to)).or_insert(SimTime::ZERO);

@@ -5,7 +5,7 @@
 //! used by the benchmark harness.
 
 use crate::time::Duration;
-use rand::Rng;
+use hlock_core::rng::Rng;
 
 /// How long a message takes from send to delivery.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,15 +34,12 @@ impl LatencyModel {
     }
 
     /// Samples one latency.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Duration {
+    pub fn sample(&self, rng: &mut Rng) -> Duration {
         match *self {
             LatencyModel::Fixed(d) => d,
-            LatencyModel::Exponential { mean } => {
-                let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-                Duration::from_millis_f64(-mean.as_millis_f64() * u.ln())
-            }
+            LatencyModel::Exponential { mean } => sample_exponential(rng, mean),
             LatencyModel::Uniform { lo, hi } => {
-                Duration(rng.gen_range(lo.as_micros()..=hi.as_micros()))
+                Duration(rng.range_inclusive(lo.as_micros()..=hi.as_micros()))
             }
         }
     }
@@ -61,19 +58,18 @@ impl LatencyModel {
 /// Samples an exponentially distributed duration with the given mean.
 /// Utility shared with the workload generator (critical-section lengths,
 /// idle times).
-pub fn sample_exponential<R: Rng + ?Sized>(rng: &mut R, mean: Duration) -> Duration {
-    let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+pub fn sample_exponential(rng: &mut Rng, mean: Duration) -> Duration {
+    let u = rng.range_f64(f64::MIN_POSITIVE, 1.0);
     Duration::from_millis_f64(-mean.as_millis_f64() * u.ln())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{rngs::SmallRng, SeedableRng};
 
     #[test]
     fn fixed_is_deterministic() {
-        let mut rng = SmallRng::seed_from_u64(1);
+        let mut rng = Rng::new(1);
         let m = LatencyModel::Fixed(Duration::from_millis(150));
         assert_eq!(m.sample(&mut rng), Duration::from_millis(150));
         assert_eq!(m.mean(), Duration::from_millis(150));
@@ -81,7 +77,7 @@ mod tests {
 
     #[test]
     fn exponential_mean_is_close() {
-        let mut rng = SmallRng::seed_from_u64(42);
+        let mut rng = Rng::new(42);
         let m = LatencyModel::paper();
         let n = 20_000;
         let total: u64 = (0..n).map(|_| m.sample(&mut rng).as_micros()).sum();
@@ -89,9 +85,22 @@ mod tests {
         assert!((mean_ms - 150.0).abs() < 5.0, "measured mean {mean_ms}");
     }
 
+    /// The draws behind every simulated message delay, pinned: moving
+    /// them moves the benchmark's `sim_*` rows and the committed
+    /// scenario figures of `BENCH_perf.json`.
+    #[test]
+    fn samples_are_pinned_to_the_seed() {
+        let mut rng = Rng::new(1);
+        let exp = LatencyModel::paper();
+        let uni =
+            LatencyModel::Uniform { lo: Duration::from_millis(10), hi: Duration::from_millis(20) };
+        let drawn = [exp.sample(&mut rng), exp.sample(&mut rng), uni.sample(&mut rng)];
+        assert_eq!(drawn.map(|d| d.as_micros()), [31_310, 43_732, 11_001]);
+    }
+
     #[test]
     fn uniform_stays_in_bounds() {
-        let mut rng = SmallRng::seed_from_u64(7);
+        let mut rng = Rng::new(7);
         let lo = Duration::from_millis(10);
         let hi = Duration::from_millis(20);
         let m = LatencyModel::Uniform { lo, hi };
@@ -104,7 +113,7 @@ mod tests {
 
     #[test]
     fn exponential_helper_positive() {
-        let mut rng = SmallRng::seed_from_u64(3);
+        let mut rng = Rng::new(3);
         for _ in 0..100 {
             let d = sample_exponential(&mut rng, Duration::from_millis(15));
             assert!(d.as_micros() < 10_000_000, "no absurd outliers: {d}");

@@ -63,7 +63,7 @@ pub use hlock_core::{Observer, ProtocolEvent};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hlock_core::{LockId, LockSpace, Mode, NodeId, ProtocolConfig, Ticket};
+    use hlock_core::{LockId, LockSpace, MessageKind, Mode, NodeId, ProtocolConfig, Ticket};
     use hlock_naimi::NaimiSpace;
 
     /// Every node performs `ops` exclusive lock-hold-release cycles on a
@@ -160,7 +160,9 @@ mod tests {
         let b = run_ours(5, 4, 7);
         assert_eq!(a.end_time, b.end_time);
         assert_eq!(a.events, b.events);
-        assert_eq!(a.metrics.total_messages(), b.metrics.total_messages());
+        let stats = |r: &SimReport| MessageKind::ALL.map(|k| r.metrics.messages_of_kind(k));
+        assert_eq!(stats(&a), stats(&b), "per-kind message counts");
+        assert_eq!(a.metrics.mean_latency(), b.metrics.mean_latency());
         let c = run_ours(5, 4, 8);
         assert!(
             c.end_time != a.end_time || c.metrics.total_messages() != a.metrics.total_messages(),

@@ -7,7 +7,6 @@
 //! variant give frames of typically 4–10 bytes.
 //!
 //! ```
-//! use bytes::BytesMut;
 //! use hlock_core::{Envelope, LockId, Mode, NodeId, Payload, Priority, Stamp, Ticket};
 //! use hlock_wire::WireCodec;
 //!
@@ -21,21 +20,18 @@
 //!         span: Ticket(42),
 //!     },
 //! };
-//! let mut buf = BytesMut::new();
+//! let mut buf = Vec::new();
 //! msg.encode(&mut buf);
-//! let mut bytes = buf.freeze();
+//! let mut bytes = buf.as_slice();
 //! let decoded = Envelope::decode(&mut bytes)?;
 //! assert_eq!(decoded, msg);
+//! assert!(bytes.is_empty());
 //! # Ok::<(), hlock_wire::WireError>(())
 //! ```
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use bytes::{Buf, BufMut};
-// Re-exported so downstream crates can drive the codec without their own
-// `bytes` dependency.
-pub use bytes::{Bytes, BytesMut};
 use hlock_core::{
     Envelope, LockId, LockReport, Mode, ModeSet, NodeId, Payload, Priority, QueueEntry,
     RecoveryBody, RecoveryEnvelope, Stamp, Ticket, Waiter,
@@ -45,6 +41,10 @@ use hlock_raymond::{RaymondEnvelope, RaymondPayload};
 use hlock_session::SessionFrame;
 use hlock_suzuki::{SuzukiEnvelope, SuzukiPayload};
 use std::fmt;
+
+/// The buffer every encoder appends to, under the name the repository
+/// benchmark imports it by (it was `bytes::BytesMut` once).
+pub type BytesMut = Vec<u8>;
 
 /// Decoding failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,6 +59,8 @@ pub enum WireError {
     InvalidModeSet(u8),
     /// A varint longer than 10 bytes.
     VarintOverflow,
+    /// A frame length prefix above [`frame::MAX_FRAME_LEN`].
+    FrameTooLarge(usize),
 }
 
 impl fmt::Display for WireError {
@@ -69,6 +71,9 @@ impl fmt::Display for WireError {
             WireError::InvalidMode(m) => write!(f, "invalid mode byte {m:#x}"),
             WireError::InvalidModeSet(m) => write!(f, "invalid mode-set byte {m:#x}"),
             WireError::VarintOverflow => write!(f, "varint longer than 10 bytes"),
+            WireError::FrameTooLarge(len) => {
+                write!(f, "frame of {len} bytes exceeds the {} byte limit", frame::MAX_FRAME_LEN)
+            }
         }
     }
 }
@@ -78,27 +83,33 @@ impl std::error::Error for WireError {}
 /// Symmetric binary encode/decode.
 pub trait WireCodec: Sized {
     /// Appends the encoding of `self` to `buf`.
-    fn encode(&self, buf: &mut BytesMut);
+    fn encode(&self, buf: &mut Vec<u8>);
 
     /// Decodes one value from the front of `buf`.
     ///
     /// # Errors
     ///
     /// Any [`WireError`]; the buffer position is unspecified afterwards.
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError>;
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError>;
 }
 
 /// Writes `v` as a LEB128 varint.
-pub fn put_varint(buf: &mut BytesMut, mut v: u64) {
+pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
         if v == 0 {
-            buf.put_u8(byte);
+            buf.push(byte);
             return;
         }
-        buf.put_u8(byte | 0x80);
+        buf.push(byte | 0x80);
     }
+}
+
+fn get_u8(buf: &mut &[u8]) -> Result<u8, WireError> {
+    let (&byte, rest) = buf.split_first().ok_or(WireError::UnexpectedEof)?;
+    *buf = rest;
+    Ok(byte)
 }
 
 /// Reads a LEB128 varint.
@@ -107,14 +118,11 @@ pub fn put_varint(buf: &mut BytesMut, mut v: u64) {
 ///
 /// [`WireError::UnexpectedEof`] on truncation, [`WireError::VarintOverflow`]
 /// past 10 bytes.
-pub fn get_varint(buf: &mut Bytes) -> Result<u64, WireError> {
+pub fn get_varint(buf: &mut &[u8]) -> Result<u64, WireError> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
     loop {
-        if !buf.has_remaining() {
-            return Err(WireError::UnexpectedEof);
-        }
-        let byte = buf.get_u8();
+        let byte = get_u8(buf)?;
         if shift >= 64 {
             return Err(WireError::VarintOverflow);
         }
@@ -126,28 +134,22 @@ pub fn get_varint(buf: &mut Bytes) -> Result<u64, WireError> {
     }
 }
 
-fn put_mode(buf: &mut BytesMut, m: Mode) {
-    buf.put_u8(m.wire_tag());
+fn put_mode(buf: &mut Vec<u8>, m: Mode) {
+    buf.push(m.wire_tag());
 }
 
-fn get_mode(buf: &mut Bytes) -> Result<Mode, WireError> {
-    if !buf.has_remaining() {
-        return Err(WireError::UnexpectedEof);
-    }
-    let b = buf.get_u8();
+fn get_mode(buf: &mut &[u8]) -> Result<Mode, WireError> {
+    let b = get_u8(buf)?;
     Mode::from_wire_tag(b).ok_or(WireError::InvalidMode(b))
 }
 
 /// Optional modes are encoded as `0xFF` (none) or the mode tag.
-fn put_opt_mode(buf: &mut BytesMut, m: Option<Mode>) {
-    buf.put_u8(m.map_or(0xFF, Mode::wire_tag));
+fn put_opt_mode(buf: &mut Vec<u8>, m: Option<Mode>) {
+    buf.push(m.map_or(0xFF, Mode::wire_tag));
 }
 
-fn get_opt_mode(buf: &mut Bytes) -> Result<Option<Mode>, WireError> {
-    if !buf.has_remaining() {
-        return Err(WireError::UnexpectedEof);
-    }
-    let b = buf.get_u8();
+fn get_opt_mode(buf: &mut &[u8]) -> Result<Option<Mode>, WireError> {
+    let b = get_u8(buf)?;
     if b == 0xFF {
         Ok(None)
     } else {
@@ -155,15 +157,12 @@ fn get_opt_mode(buf: &mut Bytes) -> Result<Option<Mode>, WireError> {
     }
 }
 
-fn put_mode_set(buf: &mut BytesMut, s: ModeSet) {
-    buf.put_u8(s.bits());
+fn put_mode_set(buf: &mut Vec<u8>, s: ModeSet) {
+    buf.push(s.bits());
 }
 
-fn get_mode_set(buf: &mut Bytes) -> Result<ModeSet, WireError> {
-    if !buf.has_remaining() {
-        return Err(WireError::UnexpectedEof);
-    }
-    let b = buf.get_u8();
+fn get_mode_set(buf: &mut &[u8]) -> Result<ModeSet, WireError> {
+    let b = get_u8(buf)?;
     ModeSet::from_bits(b).ok_or(WireError::InvalidModeSet(b))
 }
 
@@ -172,32 +171,29 @@ const WAITER_LOCAL: u8 = 1;
 const WAITER_UPGRADE: u8 = 2;
 
 impl WireCodec for QueueEntry {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         match self.waiter {
             Waiter::Remote(n) => {
-                buf.put_u8(WAITER_REMOTE);
+                buf.push(WAITER_REMOTE);
                 put_varint(buf, u64::from(n.0));
             }
             Waiter::Local(t) => {
-                buf.put_u8(WAITER_LOCAL);
+                buf.push(WAITER_LOCAL);
                 put_varint(buf, t.0);
             }
             Waiter::LocalUpgrade(t) => {
-                buf.put_u8(WAITER_UPGRADE);
+                buf.push(WAITER_UPGRADE);
                 put_varint(buf, t.0);
             }
         }
         put_mode(buf, self.mode);
         put_varint(buf, self.stamp.0);
-        buf.put_u8(self.priority.0);
+        buf.push(self.priority.0);
         put_varint(buf, self.span.0);
     }
 
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        if !buf.has_remaining() {
-            return Err(WireError::UnexpectedEof);
-        }
-        let tag = buf.get_u8();
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
+        let tag = get_u8(buf)?;
         let id = get_varint(buf)?;
         let waiter = match tag {
             WAITER_REMOTE => Waiter::Remote(NodeId(id as u32)),
@@ -207,10 +203,7 @@ impl WireCodec for QueueEntry {
         };
         let mode = get_mode(buf)?;
         let stamp = Stamp(get_varint(buf)?);
-        if !buf.has_remaining() {
-            return Err(WireError::UnexpectedEof);
-        }
-        let priority = Priority(buf.get_u8());
+        let priority = Priority(get_u8(buf)?);
         let span = Ticket(get_varint(buf)?);
         Ok(QueueEntry::with_priority(waiter, mode, stamp, priority).with_span(span))
     }
@@ -224,24 +217,24 @@ const TAG_FREEZE: u8 = 4;
 const TAG_UPDATE: u8 = 5;
 
 impl WireCodec for Envelope {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         put_varint(buf, u64::from(self.lock.0));
         match &self.payload {
             Payload::Request { origin, mode, stamp, priority, span } => {
-                buf.put_u8(TAG_REQUEST);
+                buf.push(TAG_REQUEST);
                 put_varint(buf, u64::from(origin.0));
                 put_mode(buf, *mode);
                 put_varint(buf, stamp.0);
-                buf.put_u8(priority.0);
+                buf.push(priority.0);
                 put_varint(buf, span.0);
             }
             Payload::Grant { mode, frozen } => {
-                buf.put_u8(TAG_GRANT);
+                buf.push(TAG_GRANT);
                 put_mode(buf, *mode);
                 put_mode_set(buf, *frozen);
             }
             Payload::Token { mode, queue, sender_owned } => {
-                buf.put_u8(TAG_TOKEN);
+                buf.push(TAG_TOKEN);
                 put_mode(buf, *mode);
                 put_opt_mode(buf, *sender_owned);
                 put_varint(buf, queue.len() as u64);
@@ -250,35 +243,29 @@ impl WireCodec for Envelope {
                 }
             }
             Payload::Release { new_owned } => {
-                buf.put_u8(TAG_RELEASE);
+                buf.push(TAG_RELEASE);
                 put_opt_mode(buf, *new_owned);
             }
             Payload::Freeze { modes } => {
-                buf.put_u8(TAG_FREEZE);
+                buf.push(TAG_FREEZE);
                 put_mode_set(buf, *modes);
             }
             Payload::Update { frozen } => {
-                buf.put_u8(TAG_UPDATE);
+                buf.push(TAG_UPDATE);
                 put_mode_set(buf, *frozen);
             }
         }
     }
 
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         let lock = LockId(get_varint(buf)? as u32);
-        if !buf.has_remaining() {
-            return Err(WireError::UnexpectedEof);
-        }
-        let tag = buf.get_u8();
+        let tag = get_u8(buf)?;
         let payload = match tag {
             TAG_REQUEST => {
                 let origin = NodeId(get_varint(buf)? as u32);
                 let mode = get_mode(buf)?;
                 let stamp = Stamp(get_varint(buf)?);
-                if !buf.has_remaining() {
-                    return Err(WireError::UnexpectedEof);
-                }
-                let priority = Priority(buf.get_u8());
+                let priority = Priority(get_u8(buf)?);
                 let span = Ticket(get_varint(buf)?);
                 Payload::Request { origin, mode, stamp, priority, span }
             }
@@ -315,15 +302,15 @@ const TAG_REC_NACK: u8 = 3;
 /// existing [`Envelope`] codec, so fail-free traffic pays 2 extra bytes
 /// per message until the first recovery bumps the epoch past 127.
 impl WireCodec for RecoveryEnvelope {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         put_varint(buf, self.epoch);
         match &self.body {
             RecoveryBody::App(envelope) => {
-                buf.put_u8(TAG_REC_APP);
+                buf.push(TAG_REC_APP);
                 envelope.encode(buf);
             }
             RecoveryBody::Report { dead, base, state } => {
-                buf.put_u8(TAG_REC_REPORT);
+                buf.push(TAG_REC_REPORT);
                 put_varint(buf, dead.len() as u64);
                 for n in dead {
                     put_varint(buf, u64::from(n.0));
@@ -331,12 +318,12 @@ impl WireCodec for RecoveryEnvelope {
                 put_varint(buf, *base);
                 put_varint(buf, state.len() as u64);
                 for report in state {
-                    buf.put_u8(u8::from(report.holds_token));
+                    buf.push(u8::from(report.holds_token));
                     put_opt_mode(buf, report.owned);
                 }
             }
             RecoveryBody::Install { live, base, homes, copysets } => {
-                buf.put_u8(TAG_REC_INSTALL);
+                buf.push(TAG_REC_INSTALL);
                 put_varint(buf, live.len() as u64);
                 for n in live {
                     put_varint(buf, u64::from(n.0));
@@ -355,16 +342,13 @@ impl WireCodec for RecoveryEnvelope {
                     }
                 }
             }
-            RecoveryBody::Nack => buf.put_u8(TAG_REC_NACK),
+            RecoveryBody::Nack => buf.push(TAG_REC_NACK),
         }
     }
 
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         let epoch = get_varint(buf)?;
-        if !buf.has_remaining() {
-            return Err(WireError::UnexpectedEof);
-        }
-        let body = match buf.get_u8() {
+        let body = match get_u8(buf)? {
             TAG_REC_APP => RecoveryBody::App(Envelope::decode(buf)?),
             TAG_REC_REPORT => {
                 let n = get_varint(buf)? as usize;
@@ -376,10 +360,7 @@ impl WireCodec for RecoveryEnvelope {
                 let n = get_varint(buf)? as usize;
                 let mut state = Vec::with_capacity(n.min(4096));
                 for _ in 0..n {
-                    if !buf.has_remaining() {
-                        return Err(WireError::UnexpectedEof);
-                    }
-                    let holds_token = buf.get_u8() != 0;
+                    let holds_token = get_u8(buf)? != 0;
                     let owned = get_opt_mode(buf)?;
                     state.push(LockReport { holds_token, owned });
                 }
@@ -419,23 +400,20 @@ impl WireCodec for RecoveryEnvelope {
 }
 
 impl WireCodec for NaimiEnvelope {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         put_varint(buf, u64::from(self.lock.0));
         match &self.payload {
             NaimiPayload::Request { origin } => {
-                buf.put_u8(TAG_REQUEST);
+                buf.push(TAG_REQUEST);
                 put_varint(buf, u64::from(origin.0));
             }
-            NaimiPayload::Token => buf.put_u8(TAG_TOKEN),
+            NaimiPayload::Token => buf.push(TAG_TOKEN),
         }
     }
 
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         let lock = LockId(get_varint(buf)? as u32);
-        if !buf.has_remaining() {
-            return Err(WireError::UnexpectedEof);
-        }
-        let tag = buf.get_u8();
+        let tag = get_u8(buf)?;
         let payload = match tag {
             TAG_REQUEST => NaimiPayload::Request { origin: NodeId(get_varint(buf)? as u32) },
             TAG_TOKEN => NaimiPayload::Token,
@@ -446,20 +424,17 @@ impl WireCodec for NaimiEnvelope {
 }
 
 impl WireCodec for RaymondEnvelope {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         put_varint(buf, u64::from(self.lock.0));
         match self.payload {
-            RaymondPayload::Request => buf.put_u8(TAG_REQUEST),
-            RaymondPayload::Privilege => buf.put_u8(TAG_TOKEN),
+            RaymondPayload::Request => buf.push(TAG_REQUEST),
+            RaymondPayload::Privilege => buf.push(TAG_TOKEN),
         }
     }
 
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         let lock = LockId(get_varint(buf)? as u32);
-        if !buf.has_remaining() {
-            return Err(WireError::UnexpectedEof);
-        }
-        let payload = match buf.get_u8() {
+        let payload = match get_u8(buf)? {
             TAG_REQUEST => RaymondPayload::Request,
             TAG_TOKEN => RaymondPayload::Privilege,
             other => return Err(WireError::InvalidTag(other)),
@@ -469,16 +444,16 @@ impl WireCodec for RaymondEnvelope {
 }
 
 impl WireCodec for SuzukiEnvelope {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         put_varint(buf, u64::from(self.lock.0));
         match &self.payload {
             SuzukiPayload::Request { origin, seq } => {
-                buf.put_u8(TAG_REQUEST);
+                buf.push(TAG_REQUEST);
                 put_varint(buf, u64::from(origin.0));
                 put_varint(buf, *seq);
             }
             SuzukiPayload::Token { last_served, queue } => {
-                buf.put_u8(TAG_TOKEN);
+                buf.push(TAG_TOKEN);
                 put_varint(buf, last_served.len() as u64);
                 for v in last_served {
                     put_varint(buf, *v);
@@ -491,12 +466,9 @@ impl WireCodec for SuzukiEnvelope {
         }
     }
 
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         let lock = LockId(get_varint(buf)? as u32);
-        if !buf.has_remaining() {
-            return Err(WireError::UnexpectedEof);
-        }
-        let payload = match buf.get_u8() {
+        let payload = match get_u8(buf)? {
             TAG_REQUEST => SuzukiPayload::Request {
                 origin: NodeId(get_varint(buf)? as u32),
                 seq: get_varint(buf)?,
@@ -528,26 +500,23 @@ const TAG_SESSION_ACK: u8 = 1;
 /// cumulative ack and the inner encoding; for `Ack` just the varint ack.
 /// Overhead is 3 bytes for small sequence numbers.
 impl<M: WireCodec> WireCodec for SessionFrame<M> {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         match self {
             SessionFrame::Data { seq, ack, message } => {
-                buf.put_u8(TAG_SESSION_DATA);
+                buf.push(TAG_SESSION_DATA);
                 put_varint(buf, *seq);
                 put_varint(buf, *ack);
                 message.encode(buf);
             }
             SessionFrame::Ack { ack } => {
-                buf.put_u8(TAG_SESSION_ACK);
+                buf.push(TAG_SESSION_ACK);
                 put_varint(buf, *ack);
             }
         }
     }
 
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        if !buf.has_remaining() {
-            return Err(WireError::UnexpectedEof);
-        }
-        match buf.get_u8() {
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
+        match get_u8(buf)? {
             TAG_SESSION_DATA => {
                 let seq = get_varint(buf)?;
                 let ack = get_varint(buf)?;
@@ -574,10 +543,23 @@ impl<M: WireCodec> WireCodec for SessionFrame<M> {
 /// `hlc` field carries the sender's clock at frame-encode time so
 /// receivers can causally order cross-node flight-recorder dumps; hosts
 /// without a recorder write `0` (one byte) and receivers ignore it.
-/// Decoding is zero-copy: the body is split into [`Bytes`] sub-slices
-/// handed to the per-message codecs without re-buffering.
+/// Decoding is zero-copy: the body is a borrowed sub-slice of the receive
+/// buffer, handed to the per-message codecs without re-buffering.
 pub mod frame {
     use super::*;
+
+    /// Largest frame body a reader accepts; a longer length prefix is
+    /// [`WireError::FrameTooLarge`] the moment its four bytes are in, so a
+    /// peer cannot make a node buffer gigabytes waiting for a body.
+    ///
+    /// Measured over every test binary, the benchmark's six workloads and
+    /// the `hlock-bench` binaries: the largest frame a host writes is 129
+    /// bytes (`tests/simulation.rs`; 45 bytes over TCP, 41 in the
+    /// benchmark), the largest any test encodes 525 bytes (the 130-message
+    /// batch of the split tests below). 16 MiB is 30 000× that, and room
+    /// for a recovery `Install` — the one message that grows with the lock
+    /// table, a few bytes per lock — over millions of locks.
+    pub const MAX_FRAME_LEN: usize = 16 << 20;
 
     /// Appends one frame containing a whole batch from `sender` to
     /// `buf`, with a zero (absent) clock stamp.
@@ -586,7 +568,7 @@ pub mod frame {
     ///
     /// Panics if `messages` is empty — empty batches never cross the
     /// step/flush boundary.
-    pub fn write_batch<M: WireCodec>(buf: &mut BytesMut, sender: NodeId, messages: &[M]) {
+    pub fn write_batch<M: WireCodec>(buf: &mut Vec<u8>, sender: NodeId, messages: &[M]) {
         write_batch_stamped(buf, sender, 0, messages);
     }
 
@@ -596,32 +578,73 @@ pub mod frame {
     /// # Panics
     ///
     /// Panics if `messages` is empty — empty batches never cross the
-    /// step/flush boundary.
+    /// step/flush boundary — or if the body outgrows [`MAX_FRAME_LEN`],
+    /// which every reader would refuse.
     pub fn write_batch_stamped<M: WireCodec>(
-        buf: &mut BytesMut,
+        buf: &mut Vec<u8>,
         sender: NodeId,
         hlc: u64,
         messages: &[M],
     ) {
         assert!(!messages.is_empty(), "a batch frame carries at least one message");
-        let mut body = BytesMut::new();
+        let mut body = Vec::new();
         put_varint(&mut body, u64::from(sender.0));
         put_varint(&mut body, hlc);
         put_varint(&mut body, messages.len() as u64);
-        let mut sub = BytesMut::new();
+        let mut sub = Vec::new();
         for message in messages {
             sub.clear();
             message.encode(&mut sub);
             put_varint(&mut body, sub.len() as u64);
             body.extend_from_slice(&sub);
         }
-        buf.put_u32_le(body.len() as u32);
-        buf.extend_from_slice(&body);
+        put_body(buf, &body);
+    }
+
+    fn put_body(buf: &mut Vec<u8>, body: &[u8]) {
+        assert!(body.len() <= MAX_FRAME_LEN, "frame body of {} bytes", body.len());
+        buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        buf.extend_from_slice(body);
     }
 
     /// Appends one single-message frame (a batch of one) to `buf`.
-    pub fn write<M: WireCodec>(buf: &mut BytesMut, sender: NodeId, message: &M) {
+    pub fn write<M: WireCodec>(buf: &mut Vec<u8>, sender: NodeId, message: &M) {
         write_batch(buf, sender, std::slice::from_ref(message));
+    }
+
+    /// Splits the body of one complete frame off the front of `buf`;
+    /// `Ok(None)` leaves `buf` untouched until more bytes arrive.
+    fn take_body<'a>(buf: &mut &'a [u8]) -> Result<Option<&'a [u8]>, WireError> {
+        let Some((prefix, rest)) = buf.split_first_chunk::<4>() else {
+            return Ok(None);
+        };
+        let len = u32::from_le_bytes(*prefix) as usize;
+        if len > MAX_FRAME_LEN {
+            return Err(WireError::FrameTooLarge(len));
+        }
+        if rest.len() < len {
+            return Ok(None);
+        }
+        let (body, rest) = rest.split_at(len);
+        *buf = rest;
+        Ok(Some(body))
+    }
+
+    fn decode_batch<M: WireCodec>(mut body: &[u8]) -> Result<(NodeId, u64, Vec<M>), WireError> {
+        let sender = NodeId(get_varint(&mut body)? as u32);
+        let hlc = get_varint(&mut body)?;
+        let count = get_varint(&mut body)?;
+        let mut messages = Vec::new();
+        for _ in 0..count {
+            let sub_len = get_varint(&mut body)?;
+            if sub_len > body.len() as u64 {
+                return Err(WireError::UnexpectedEof);
+            }
+            let (mut sub, rest) = body.split_at(sub_len as usize);
+            body = rest;
+            messages.push(M::decode(&mut sub)?);
+        }
+        Ok((sender, hlc, messages))
     }
 
     /// Tries to split one complete frame off the front of `buf`,
@@ -635,8 +658,10 @@ pub mod frame {
     ///
     /// # Errors
     ///
-    /// Any [`WireError`] from decoding a complete but malformed frame.
-    pub fn read<M: WireCodec>(buf: &mut BytesMut) -> Result<Option<(NodeId, Vec<M>)>, WireError> {
+    /// [`WireError::FrameTooLarge`] as soon as an oversized length prefix
+    /// is in; any other [`WireError`] from decoding a complete but
+    /// malformed frame, which is consumed.
+    pub fn read<M: WireCodec>(buf: &mut &[u8]) -> Result<Option<(NodeId, Vec<M>)>, WireError> {
         Ok(read_stamped(buf)?.map(|(sender, _, messages)| (sender, messages)))
     }
 
@@ -645,41 +670,19 @@ pub mod frame {
     ///
     /// # Errors
     ///
-    /// Any [`WireError`] from decoding a complete but malformed frame.
+    /// As for [`read`].
     pub fn read_stamped<M: WireCodec>(
-        buf: &mut BytesMut,
+        buf: &mut &[u8],
     ) -> Result<Option<(NodeId, u64, Vec<M>)>, WireError> {
-        if buf.len() < 4 {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-        if buf.len() < 4 + len {
-            return Ok(None);
-        }
-        let _ = buf.split_to(4);
-        let mut body = buf.split_to(len).freeze();
-        let sender = NodeId(get_varint(&mut body)? as u32);
-        let hlc = get_varint(&mut body)?;
-        let count = get_varint(&mut body)?;
-        let mut messages = Vec::new();
-        for _ in 0..count {
-            let sub_len = get_varint(&mut body)?;
-            if sub_len > body.len() as u64 {
-                return Err(WireError::UnexpectedEof);
-            }
-            let mut sub = body.split_to(sub_len as usize);
-            messages.push(M::decode(&mut sub)?);
-        }
-        Ok(Some((sender, hlc, messages)))
+        take_body(buf)?.map(decode_batch).transpose()
     }
 
     /// Appends the link handshake — a frame whose body is a bare varint
     /// node id, sent once by the dialing side before any batch frame.
-    pub fn write_hello(buf: &mut BytesMut, me: NodeId) {
-        let mut hello = BytesMut::new();
+    pub fn write_hello(buf: &mut Vec<u8>, me: NodeId) {
+        let mut hello = Vec::new();
         put_varint(&mut hello, u64::from(me.0));
-        buf.put_u32_le(hello.len() as u32);
-        buf.extend_from_slice(&hello);
+        put_body(buf, &hello);
     }
 
     /// An incremental frame decoder for nonblocking transports.
@@ -695,7 +698,9 @@ pub mod frame {
     /// boundary.
     #[derive(Debug, Default)]
     pub struct Decoder {
-        buf: BytesMut,
+        buf: Vec<u8>,
+        /// Bytes at the front of `buf` that popped frames already used.
+        consumed: usize,
         last_hlc: u64,
     }
 
@@ -712,7 +717,7 @@ pub mod frame {
 
         /// Bytes buffered but not yet consumed by a complete frame.
         pub fn buffered(&self) -> usize {
-            self.buf.len()
+            self.buf.len() - self.consumed
         }
 
         /// The clock stamp of the last frame popped by [`Decoder::next`]
@@ -721,39 +726,54 @@ pub mod frame {
             self.last_hlc
         }
 
+        /// Runs `read` over the unconsumed bytes and marks what it took
+        /// as consumed. The used prefix is reclaimed lazily — at once when
+        /// nothing else is buffered, else when it is at least 4 KiB and
+        /// half the buffer — so popping frames off the front stays
+        /// O(frame).
+        fn pop<T>(
+            &mut self,
+            read: impl FnOnce(&mut &[u8]) -> Result<Option<T>, WireError>,
+        ) -> Result<Option<T>, WireError> {
+            let mut rest = &self.buf[self.consumed..];
+            let popped = read(&mut rest);
+            self.consumed = self.buf.len() - rest.len();
+            if self.consumed == self.buf.len() {
+                self.buf.clear();
+                self.consumed = 0;
+            } else if self.consumed >= 4096 && self.consumed * 2 >= self.buf.len() {
+                self.buf.drain(..self.consumed);
+                self.consumed = 0;
+            }
+            popped
+        }
+
         /// Pops the next complete batch frame, if one is buffered; its
         /// clock stamp is retained for [`Decoder::last_hlc`].
         ///
         /// # Errors
         ///
-        /// Any [`WireError`] from a complete but malformed frame.
+        /// As for [`read`].
         pub fn next<M: WireCodec>(&mut self) -> Result<Option<(NodeId, Vec<M>)>, WireError> {
-            match read_stamped(&mut self.buf)? {
-                Some((sender, hlc, messages)) => {
-                    self.last_hlc = hlc;
-                    Ok(Some((sender, messages)))
-                }
-                None => Ok(None),
-            }
+            Ok(self.pop(read_stamped)?.map(|(sender, hlc, messages)| {
+                self.last_hlc = hlc;
+                (sender, messages)
+            }))
         }
 
         /// Pops the handshake frame (see [`write_hello`]), if complete.
         ///
         /// # Errors
         ///
-        /// Any [`WireError`] from a complete but malformed handshake.
+        /// [`WireError::FrameTooLarge`], or any other [`WireError`] from a
+        /// complete but malformed handshake.
         pub fn next_hello(&mut self) -> Result<Option<NodeId>, WireError> {
-            if self.buf.len() < 4 {
-                return Ok(None);
-            }
-            let len =
-                u32::from_le_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]) as usize;
-            if self.buf.len() < 4 + len {
-                return Ok(None);
-            }
-            let _ = self.buf.split_to(4);
-            let mut body = self.buf.split_to(len).freeze();
-            Ok(Some(NodeId(get_varint(&mut body)? as u32)))
+            self.pop(|buf| {
+                let Some(mut body) = take_body(buf)? else {
+                    return Ok(None);
+                };
+                Ok(Some(NodeId(get_varint(&mut body)? as u32)))
+            })
         }
     }
 }
@@ -761,43 +781,44 @@ pub mod frame {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use hlock_core::rng::{check_cases, Rng};
+    use hlock_core::ALL_MODES;
 
     fn roundtrip<M: WireCodec + PartialEq + fmt::Debug>(m: &M) {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         m.encode(&mut buf);
-        let mut bytes = buf.freeze();
+        let mut bytes = buf.as_slice();
         let decoded = M::decode(&mut bytes).expect("decodes");
         assert_eq!(&decoded, m);
-        assert!(!bytes.has_remaining(), "no trailing bytes");
+        assert!(bytes.is_empty(), "no trailing bytes");
     }
 
     #[test]
     fn varint_edge_cases() {
         for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, 1 << 63, u64::MAX] {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             put_varint(&mut buf, v);
-            let mut b = buf.freeze();
+            let mut b = buf.as_slice();
             assert_eq!(get_varint(&mut b).unwrap(), v);
         }
     }
 
     #[test]
     fn varint_truncation_errors() {
-        let mut b = Bytes::from_static(&[0x80]);
+        let mut b = &[0x80][..];
         assert_eq!(get_varint(&mut b), Err(WireError::UnexpectedEof));
-        let mut b = Bytes::from_static(&[]);
+        let mut b = &[][..];
         assert_eq!(get_varint(&mut b), Err(WireError::UnexpectedEof));
     }
 
     #[test]
     fn varint_overflow_errors() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         for _ in 0..10 {
-            buf.put_u8(0xFF);
+            buf.push(0xFF);
         }
-        buf.put_u8(0x01);
-        let mut b = buf.freeze();
+        buf.push(0x01);
+        let mut b = buf.as_slice();
         assert_eq!(get_varint(&mut b), Err(WireError::VarintOverflow));
     }
 
@@ -874,21 +895,20 @@ mod tests {
 
     #[test]
     fn recovery_invalid_bytes_error_not_panic() {
-        let mut b = Bytes::from_static(&[0x00, 0x09]); // epoch 0, tag 9
+        let mut b = &[0x00, 0x09][..]; // epoch 0, tag 9
         assert_eq!(RecoveryEnvelope::decode(&mut b), Err(WireError::InvalidTag(9)));
-        let mut b = Bytes::from_static(&[0x00]); // epoch only, no tag
+        let mut b = &[0x00][..]; // epoch only, no tag
         assert_eq!(RecoveryEnvelope::decode(&mut b), Err(WireError::UnexpectedEof));
         // Report claiming one dead node but with no id bytes.
-        let mut b = Bytes::from_static(&[0x00, TAG_REC_REPORT, 0x01]);
+        let mut b = &[0x00, TAG_REC_REPORT, 0x01][..];
         assert_eq!(RecoveryEnvelope::decode(&mut b), Err(WireError::UnexpectedEof));
         // Report with a lock state carrying an invalid owned mode.
-        let mut b = Bytes::from_static(&[0x02, TAG_REC_REPORT, 0x00, 0x00, 0x01, 0x01, 0x09]);
+        let mut b = &[0x02, TAG_REC_REPORT, 0x00, 0x00, 0x01, 0x01, 0x09][..];
         assert_eq!(RecoveryEnvelope::decode(&mut b), Err(WireError::InvalidMode(9)));
         // Install truncated inside the copyset list.
-        let mut b =
-            Bytes::from_static(&[0x01, TAG_REC_INSTALL, 0x01, 0x02, 0x00, 0x01, 0x00, 0x01]);
+        let mut b = &[0x01, TAG_REC_INSTALL, 0x01, 0x02, 0x00, 0x01, 0x00, 0x01][..];
         assert_eq!(RecoveryEnvelope::decode(&mut b), Err(WireError::UnexpectedEof));
-        let mut b = Bytes::from_static(&[]);
+        let mut b = &[][..];
         assert_eq!(RecoveryEnvelope::decode(&mut b), Err(WireError::UnexpectedEof));
     }
 
@@ -944,32 +964,32 @@ mod tests {
     fn session_frame_overhead_is_small() {
         // The reliability header costs 3 bytes for small seq/ack values.
         let inner = NaimiEnvelope { lock: LockId(1), payload: NaimiPayload::Token };
-        let mut plain = BytesMut::new();
+        let mut plain = Vec::new();
         inner.encode(&mut plain);
-        let mut wrapped = BytesMut::new();
+        let mut wrapped = Vec::new();
         SessionFrame::Data { seq: 9, ack: 4, message: inner }.encode(&mut wrapped);
         assert_eq!(wrapped.len(), plain.len() + 3);
     }
 
     #[test]
     fn session_frame_invalid_bytes_error_not_panic() {
-        let mut b = Bytes::from_static(&[0x05]); // unknown session tag
+        let mut b = &[0x05][..]; // unknown session tag
         assert_eq!(SessionFrame::<Envelope>::decode(&mut b), Err(WireError::InvalidTag(5)));
-        let mut b = Bytes::from_static(&[TAG_SESSION_DATA, 0x01]); // truncated
+        let mut b = &[TAG_SESSION_DATA, 0x01][..]; // truncated
         assert_eq!(SessionFrame::<Envelope>::decode(&mut b), Err(WireError::UnexpectedEof));
-        let mut b = Bytes::from_static(&[]);
+        let mut b = &[][..];
         assert_eq!(SessionFrame::<Envelope>::decode(&mut b), Err(WireError::UnexpectedEof));
     }
 
     #[test]
     fn invalid_bytes_error_not_panic() {
-        let mut b = Bytes::from_static(&[0x00, 0x09]); // lock 0, tag 9
+        let mut b = &[0x00, 0x09][..]; // lock 0, tag 9
         assert_eq!(Envelope::decode(&mut b), Err(WireError::InvalidTag(9)));
-        let mut b = Bytes::from_static(&[0x00, TAG_GRANT, 0x07]); // mode 7
+        let mut b = &[0x00, TAG_GRANT, 0x07][..]; // mode 7
         assert_eq!(Envelope::decode(&mut b), Err(WireError::InvalidMode(7)));
-        let mut b = Bytes::from_static(&[0x00, TAG_FREEZE, 0xFF]); // bad set
+        let mut b = &[0x00, TAG_FREEZE, 0xFF][..]; // bad set
         assert_eq!(Envelope::decode(&mut b), Err(WireError::InvalidModeSet(0xFF)));
-        let mut b = Bytes::from_static(&[0x00]);
+        let mut b = &[0x00][..];
         assert_eq!(Envelope::decode(&mut b), Err(WireError::UnexpectedEof));
     }
 
@@ -985,37 +1005,41 @@ mod tests {
                 span: Ticket(8),
             },
         };
-        let mut wire = BytesMut::new();
+        let mut wire = Vec::new();
         frame::write(&mut wire, NodeId(1), &msg);
         frame::write(&mut wire, NodeId(1), &msg);
-        // Feed byte by byte; frames appear exactly when complete.
-        let full = wire.clone();
-        let mut partial = BytesMut::new();
+        // Reveal byte by byte; frames appear exactly when complete.
+        let mut consumed = 0;
         let mut decoded = 0;
-        for (i, byte) in full.iter().enumerate() {
-            partial.put_u8(*byte);
+        for end in 1..=wire.len() {
+            let mut partial = &wire[consumed..end];
             while let Some((from, batch)) = frame::read::<Envelope>(&mut partial).unwrap() {
                 assert_eq!(from, NodeId(1));
                 assert_eq!(batch, vec![msg.clone()]);
                 decoded += 1;
-                let _ = i;
             }
+            consumed = end - partial.len();
         }
         assert_eq!(decoded, 2);
-        assert!(partial.is_empty());
+        assert_eq!(consumed, wire.len());
     }
 
     /// One-shot decode of a whole stream via `frame::read`, as the
     /// oracle for the incremental [`frame::Decoder`] split tests.
-    fn one_shot<M: WireCodec>(stream: &[u8]) -> Vec<(NodeId, Vec<M>)> {
-        let mut buf = BytesMut::new();
-        buf.extend_from_slice(stream);
+    fn one_shot<M: WireCodec>(mut stream: &[u8]) -> Vec<(NodeId, Vec<M>)> {
         let mut out = Vec::new();
-        while let Some(frame) = frame::read::<M>(&mut buf).expect("oracle decodes") {
+        while let Some(frame) = frame::read::<M>(&mut stream).expect("oracle decodes") {
             out.push(frame);
         }
-        assert!(buf.is_empty(), "oracle left trailing bytes");
+        assert!(stream.is_empty(), "oracle left trailing bytes");
         out
+    }
+
+    /// `body` behind its length prefix, valid or not.
+    fn framed(body: &[u8]) -> Vec<u8> {
+        let mut wire = (body.len() as u32).to_le_bytes().to_vec();
+        wire.extend_from_slice(body);
+        wire
     }
 
     /// Feeds `stream` to a fresh decoder split into two slices at
@@ -1039,11 +1063,10 @@ mod tests {
         // sender 300 (two bytes) and a 130-message batch (two-byte
         // count), so some splits land mid-varint inside the header.
         let small = NaimiEnvelope { lock: LockId(200), payload: NaimiPayload::Token };
-        let mut stream = BytesMut::new();
+        let mut stream = Vec::new();
         frame::write_batch(&mut stream, NodeId(300), &vec![small.clone(); 130]);
         frame::write(&mut stream, NodeId(1), &small);
         frame::write_batch(&mut stream, NodeId(300), &[small.clone(), small.clone()]);
-        let stream = stream.freeze();
 
         let oracle = one_shot::<NaimiEnvelope>(&stream);
         assert_eq!(oracle.len(), 3);
@@ -1086,14 +1109,13 @@ mod tests {
                 ],
             },
         };
-        let mut stream = BytesMut::new();
+        let mut stream = Vec::new();
         frame::write_batch(&mut stream, NodeId(2), &[report, install]);
         frame::write(
             &mut stream,
             NodeId(2),
             &RecoveryEnvelope { epoch: 301, body: RecoveryBody::Nack },
         );
-        let stream = stream.freeze();
 
         let oracle = one_shot::<RecoveryEnvelope>(&stream);
         assert_eq!(oracle.len(), 2);
@@ -1120,7 +1142,7 @@ mod tests {
                 span: Ticket(8),
             },
         };
-        let mut stream = BytesMut::new();
+        let mut stream = Vec::new();
         frame::write_hello(&mut stream, NodeId(300));
         frame::write(&mut stream, NodeId(300), &msg);
         frame::write(&mut stream, NodeId(300), &msg);
@@ -1149,13 +1171,11 @@ mod tests {
     fn incremental_decoder_surfaces_errors_once_frame_completes() {
         // A complete frame with garbage inside errors exactly when the
         // last byte arrives, never earlier.
-        let mut body = BytesMut::new();
+        let mut body = Vec::new();
         put_varint(&mut body, 1); // sender
         put_varint(&mut body, 0); // hlc
         put_varint(&mut body, 3); // count, but no sub-frames follow
-        let mut wire = BytesMut::new();
-        wire.put_u32_le(body.len() as u32);
-        wire.extend_from_slice(&body);
+        let wire = framed(&body);
 
         let mut dec = frame::Decoder::new();
         for (i, byte) in wire.iter().enumerate() {
@@ -1166,6 +1186,32 @@ mod tests {
                 assert_eq!(dec.next::<Envelope>(), Err(WireError::UnexpectedEof));
             }
         }
+    }
+
+    #[test]
+    fn oversized_length_prefix_is_refused_before_its_body() {
+        // At the limit a bare prefix is a partial frame like any other.
+        let mut dec = frame::Decoder::new();
+        dec.extend(&(frame::MAX_FRAME_LEN as u32).to_le_bytes());
+        assert_eq!(dec.next::<Envelope>(), Ok(None));
+        assert_eq!(dec.next_hello(), Ok(None));
+
+        // One byte past it is refused the moment the fourth length byte
+        // arrives — by the batch reader, the handshake reader and the
+        // one-shot reader alike — with no body byte buffered.
+        let too_large = WireError::FrameTooLarge(frame::MAX_FRAME_LEN + 1);
+        let over = (frame::MAX_FRAME_LEN as u32 + 1).to_le_bytes();
+        let mut dec = frame::Decoder::new();
+        dec.extend(&over[..3]);
+        assert_eq!(dec.next::<Envelope>(), Ok(None));
+        dec.extend(&over[3..]);
+        assert_eq!(dec.next::<Envelope>(), Err(too_large));
+        assert_eq!(dec.next_hello(), Err(too_large));
+        assert_eq!(frame::read_stamped::<Envelope>(&mut &over[..]), Err(too_large));
+
+        let mut dec = frame::Decoder::new();
+        dec.extend(&[0xff; 4]);
+        assert_eq!(dec.next_hello(), Err(WireError::FrameTooLarge(u32::MAX as usize)));
     }
 
     #[test]
@@ -1182,8 +1228,9 @@ mod tests {
                 },
             })
             .collect();
-        let mut wire = BytesMut::new();
+        let mut wire = Vec::new();
         frame::write_batch(&mut wire, NodeId(7), &msgs);
+        let mut wire = wire.as_slice();
         let (from, decoded) = frame::read::<Envelope>(&mut wire).unwrap().unwrap();
         assert_eq!(from, NodeId(7));
         assert_eq!(decoded, msgs);
@@ -1203,11 +1250,11 @@ mod tests {
             },
         };
         let stamp = (123_456u64 << 16) | 7;
-        let mut wire = BytesMut::new();
+        let mut wire = Vec::new();
         frame::write_batch_stamped(&mut wire, NodeId(3), stamp, std::slice::from_ref(&msg));
         frame::write_batch(&mut wire, NodeId(3), std::slice::from_ref(&msg));
 
-        let mut probe = wire.clone();
+        let mut probe = wire.as_slice();
         let (from, hlc, decoded) = frame::read_stamped::<Envelope>(&mut probe).unwrap().unwrap();
         assert_eq!((from, hlc), (NodeId(3), stamp));
         assert_eq!(decoded, vec![msg.clone()]);
@@ -1230,9 +1277,9 @@ mod tests {
         // the u32 length prefix and sender varint are paid once.
         let msg = NaimiEnvelope { lock: LockId(1), payload: NaimiPayload::Token };
         let msgs = vec![msg.clone(); 4];
-        let mut batched = BytesMut::new();
+        let mut batched = Vec::new();
         frame::write_batch(&mut batched, NodeId(3), &msgs);
-        let mut singles = BytesMut::new();
+        let mut singles = Vec::new();
         for m in &msgs {
             frame::write(&mut singles, NodeId(3), m);
         }
@@ -1247,137 +1294,129 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one message")]
     fn empty_batch_frames_are_rejected() {
-        let mut wire = BytesMut::new();
+        let mut wire = Vec::new();
         frame::write_batch::<Envelope>(&mut wire, NodeId(0), &[]);
     }
 
     #[test]
     fn batch_frame_garbage_errors_not_panics() {
         // Body claims 3 sub-frames but truncates after the count.
-        let mut body = BytesMut::new();
+        let mut body = Vec::new();
         put_varint(&mut body, 1); // sender
         put_varint(&mut body, 0); // hlc
         put_varint(&mut body, 3); // count
-        let mut wire = BytesMut::new();
-        wire.put_u32_le(body.len() as u32);
-        wire.extend_from_slice(&body);
-        assert_eq!(frame::read::<Envelope>(&mut wire), Err(WireError::UnexpectedEof));
+        let wire = framed(&body);
+        assert_eq!(frame::read::<Envelope>(&mut wire.as_slice()), Err(WireError::UnexpectedEof));
 
         // Sub-frame length larger than the remaining body.
-        let mut body = BytesMut::new();
+        let mut body = Vec::new();
         put_varint(&mut body, 1);
         put_varint(&mut body, 0); // hlc
         put_varint(&mut body, 1);
         put_varint(&mut body, 1_000_000); // sub_len way past the body
-        body.put_u8(0xAA);
-        let mut wire = BytesMut::new();
-        wire.put_u32_le(body.len() as u32);
-        wire.extend_from_slice(&body);
-        assert_eq!(frame::read::<Envelope>(&mut wire), Err(WireError::UnexpectedEof));
+        body.push(0xAA);
+        let wire = framed(&body);
+        assert_eq!(frame::read::<Envelope>(&mut wire.as_slice()), Err(WireError::UnexpectedEof));
 
         // Absurd count (2^63) with no sub-frames: must error, not OOM.
-        let mut body = BytesMut::new();
+        let mut body = Vec::new();
         put_varint(&mut body, 1);
         put_varint(&mut body, 0); // hlc
         put_varint(&mut body, 1 << 63);
-        let mut wire = BytesMut::new();
-        wire.put_u32_le(body.len() as u32);
-        wire.extend_from_slice(&body);
-        assert_eq!(frame::read::<Envelope>(&mut wire), Err(WireError::UnexpectedEof));
+        let wire = framed(&body);
+        assert_eq!(frame::read::<Envelope>(&mut wire.as_slice()), Err(WireError::UnexpectedEof));
 
         // A sub-frame holding garbage bytes surfaces the codec's error.
-        let mut body = BytesMut::new();
+        let mut body = Vec::new();
         put_varint(&mut body, 1);
         put_varint(&mut body, 0); // hlc
         put_varint(&mut body, 1);
         put_varint(&mut body, 2);
-        body.put_u8(0x00); // lock 0
-        body.put_u8(0x09); // invalid payload tag
-        let mut wire = BytesMut::new();
-        wire.put_u32_le(body.len() as u32);
-        wire.extend_from_slice(&body);
-        assert_eq!(frame::read::<Envelope>(&mut wire), Err(WireError::InvalidTag(9)));
+        body.push(0x00); // lock 0
+        body.push(0x09); // invalid payload tag
+        let wire = framed(&body);
+        assert_eq!(frame::read::<Envelope>(&mut wire.as_slice()), Err(WireError::InvalidTag(9)));
     }
 
-    fn arb_mode() -> impl Strategy<Value = Mode> {
-        prop_oneof![
-            Just(Mode::IntentRead),
-            Just(Mode::Read),
-            Just(Mode::Upgrade),
-            Just(Mode::IntentWrite),
-            Just(Mode::Write),
-        ]
+    fn arb_mode(rng: &mut Rng) -> Mode {
+        ALL_MODES[rng.index(5)]
     }
 
-    fn arb_waiter() -> impl Strategy<Value = Waiter> {
-        prop_oneof![
-            any::<u32>().prop_map(|n| Waiter::Remote(NodeId(n))),
-            any::<u64>().prop_map(|t| Waiter::Local(Ticket(t))),
-            any::<u64>().prop_map(|t| Waiter::LocalUpgrade(Ticket(t))),
-        ]
+    fn arb_opt_mode(rng: &mut Rng) -> Option<Mode> {
+        rng.chance(0.5).then(|| arb_mode(rng))
     }
 
-    fn arb_entry() -> impl Strategy<Value = QueueEntry> {
-        (arb_waiter(), arb_mode(), any::<u64>(), any::<u64>())
-            .prop_map(|(w, m, s, sp)| QueueEntry::new(w, m, Stamp(s)).with_span(Ticket(sp)))
+    fn arb_entry(rng: &mut Rng) -> QueueEntry {
+        let waiter = match rng.below(3) {
+            0 => Waiter::Remote(NodeId(rng.next_u64() as u32)),
+            1 => Waiter::Local(Ticket(rng.next_u64())),
+            _ => Waiter::LocalUpgrade(Ticket(rng.next_u64())),
+        };
+        QueueEntry::new(waiter, arb_mode(rng), Stamp(rng.next_u64()))
+            .with_span(Ticket(rng.next_u64()))
     }
 
-    fn arb_mode_set() -> impl Strategy<Value = ModeSet> {
-        (0u8..=0b1_1111).prop_map(|b| ModeSet::from_bits(b).unwrap())
+    fn arb_mode_set(rng: &mut Rng) -> ModeSet {
+        ModeSet::from_bits(rng.range_inclusive(0..=0b1_1111) as u8).unwrap()
     }
 
-    fn arb_payload() -> impl Strategy<Value = Payload> {
-        prop_oneof![
-            (any::<u32>(), arb_mode(), any::<u64>(), any::<u8>(), any::<u64>()).prop_map(
-                |(o, m, s, p, sp)| Payload::Request {
-                    origin: NodeId(o),
-                    mode: m,
-                    stamp: Stamp(s),
-                    priority: Priority(p),
-                    span: Ticket(sp),
-                }
-            ),
-            (arb_mode(), arb_mode_set()).prop_map(|(m, f)| Payload::Grant { mode: m, frozen: f }),
-            (
-                arb_mode(),
-                proptest::collection::vec(arb_entry(), 0..8),
-                proptest::option::of(arb_mode())
-            )
-                .prop_map(|(m, q, o)| Payload::Token {
-                    mode: m,
-                    queue: q,
-                    sender_owned: o
-                }),
-            proptest::option::of(arb_mode()).prop_map(|o| Payload::Release { new_owned: o }),
-            arb_mode_set().prop_map(|s| Payload::Freeze { modes: s }),
-            arb_mode_set().prop_map(|s| Payload::Update { frozen: s }),
-        ]
-    }
-
-    proptest! {
-        #[test]
-        fn prop_envelope_roundtrip(lock in any::<u32>(), payload in arb_payload()) {
-            roundtrip(&Envelope { lock: LockId(lock), payload });
+    fn arb_payload(rng: &mut Rng) -> Payload {
+        match rng.below(6) {
+            0 => Payload::Request {
+                origin: NodeId(rng.next_u64() as u32),
+                mode: arb_mode(rng),
+                stamp: Stamp(rng.next_u64()),
+                priority: Priority(rng.next_u64() as u8),
+                span: Ticket(rng.next_u64()),
+            },
+            1 => Payload::Grant { mode: arb_mode(rng), frozen: arb_mode_set(rng) },
+            2 => Payload::Token {
+                mode: arb_mode(rng),
+                queue: (0..rng.below(8)).map(|_| arb_entry(rng)).collect(),
+                sender_owned: arb_opt_mode(rng),
+            },
+            3 => Payload::Release { new_owned: arb_opt_mode(rng) },
+            4 => Payload::Freeze { modes: arb_mode_set(rng) },
+            _ => Payload::Update { frozen: arb_mode_set(rng) },
         }
+    }
 
-        #[test]
-        fn prop_varint_roundtrip(v in any::<u64>()) {
-            let mut buf = BytesMut::new();
+    fn arb_bytes(rng: &mut Rng, max_len: u64) -> Vec<u8> {
+        (0..rng.below(max_len)).map(|_| rng.next_u64() as u8).collect()
+    }
+
+    /// Cases per property, proptest's former default.
+    const CASES: u64 = 256;
+
+    #[test]
+    fn prop_envelope_roundtrip() {
+        check_cases(CASES, |rng| {
+            roundtrip(&Envelope { lock: LockId(rng.next_u64() as u32), payload: arb_payload(rng) });
+        });
+    }
+
+    #[test]
+    fn prop_varint_roundtrip() {
+        check_cases(CASES, |rng| {
+            // Every encoded length: a uniform 64-bit draw is ten bytes
+            // nine times in ten.
+            let v = rng.next_u64() >> rng.below(64);
+            let mut buf = Vec::new();
             put_varint(&mut buf, v);
-            prop_assert!(buf.len() <= 10);
-            let mut b = buf.freeze();
-            prop_assert_eq!(get_varint(&mut b).unwrap(), v);
-        }
+            assert!(buf.len() <= 10);
+            let mut b = buf.as_slice();
+            assert_eq!(get_varint(&mut b).unwrap(), v);
+        });
+    }
 
-        /// Causal span tickets survive the wire in both places they
-        /// travel: request messages and queue entries inside a token
-        /// transfer — the invariant the cross-node span ids rely on.
-        #[test]
-        fn prop_span_survives_roundtrip(
-            origin in any::<u32>(),
-            span in any::<u64>(),
-            entry_span in any::<u64>(),
-        ) {
+    /// Causal span tickets survive the wire in both places they
+    /// travel: request messages and queue entries inside a token
+    /// transfer — the invariant the cross-node span ids rely on.
+    #[test]
+    fn prop_span_survives_roundtrip() {
+        check_cases(CASES, |rng| {
+            let (origin, span, entry_span) =
+                (rng.next_u64() as u32, rng.next_u64(), rng.next_u64());
             let req = Envelope {
                 lock: LockId(1),
                 payload: Payload::Request {
@@ -1388,110 +1427,116 @@ mod tests {
                     span: Ticket(span),
                 },
             };
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             req.encode(&mut buf);
-            let mut bytes = buf.freeze();
-            let decoded = Envelope::decode(&mut bytes).unwrap();
+            let decoded = Envelope::decode(&mut buf.as_slice()).unwrap();
             let Payload::Request { span: got, .. } = decoded.payload else {
-                return Err(TestCaseError::fail("not a request"));
+                panic!("not a request");
             };
-            prop_assert_eq!(got, Ticket(span));
+            assert_eq!(got, Ticket(span));
 
             let tok = Envelope {
                 lock: LockId(1),
                 payload: Payload::Token {
                     mode: Mode::Write,
-                    queue: vec![
-                        QueueEntry::new(Waiter::Remote(NodeId(4)), Mode::Read, Stamp(2))
-                            .with_span(Ticket(entry_span)),
-                    ],
+                    queue: vec![QueueEntry::new(Waiter::Remote(NodeId(4)), Mode::Read, Stamp(2))
+                        .with_span(Ticket(entry_span))],
                     sender_owned: None,
                 },
             };
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             tok.encode(&mut buf);
-            let mut bytes = buf.freeze();
-            let decoded = Envelope::decode(&mut bytes).unwrap();
+            let decoded = Envelope::decode(&mut buf.as_slice()).unwrap();
             let Payload::Token { queue, .. } = decoded.payload else {
-                return Err(TestCaseError::fail("not a token"));
+                panic!("not a token");
             };
-            prop_assert_eq!(queue[0].span, Ticket(entry_span));
-        }
+            assert_eq!(queue[0].span, Ticket(entry_span));
+        });
+    }
 
-        #[test]
-        fn prop_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
-            let mut b = Bytes::from(bytes);
-            let _ = Envelope::decode(&mut b); // Err is fine; panic is not.
-        }
+    #[test]
+    fn prop_decode_never_panics() {
+        check_cases(CASES, |rng| {
+            let bytes = arb_bytes(rng, 64);
+            let _ = Envelope::decode(&mut bytes.as_slice()); // Err is fine; panic is not.
+        });
+    }
 
-        #[test]
-        fn prop_naimi_roundtrip(lock in any::<u32>(), origin in proptest::option::of(any::<u32>())) {
-            let payload = match origin {
-                Some(o) => NaimiPayload::Request { origin: NodeId(o) },
-                None => NaimiPayload::Token,
+    #[test]
+    fn prop_naimi_roundtrip() {
+        check_cases(CASES, |rng| {
+            let payload = if rng.chance(0.5) {
+                NaimiPayload::Request { origin: NodeId(rng.next_u64() as u32) }
+            } else {
+                NaimiPayload::Token
             };
-            roundtrip(&NaimiEnvelope { lock: LockId(lock), payload });
-        }
+            roundtrip(&NaimiEnvelope { lock: LockId(rng.next_u64() as u32), payload });
+        });
+    }
 
-        #[test]
-        fn prop_raymond_roundtrip(lock in any::<u32>(), req in any::<bool>()) {
-            let payload = if req { RaymondPayload::Request } else { RaymondPayload::Privilege };
-            roundtrip(&RaymondEnvelope { lock: LockId(lock), payload });
-        }
+    #[test]
+    fn prop_raymond_roundtrip() {
+        check_cases(CASES, |rng| {
+            let payload =
+                if rng.chance(0.5) { RaymondPayload::Request } else { RaymondPayload::Privilege };
+            roundtrip(&RaymondEnvelope { lock: LockId(rng.next_u64() as u32), payload });
+        });
+    }
 
-        #[test]
-        fn prop_session_frame_roundtrip(
-            seq in any::<u64>(),
-            ack in any::<u64>(),
-            payload in arb_payload(),
-            is_ack in any::<bool>(),
-        ) {
-            let frame = if is_ack {
+    #[test]
+    fn prop_session_frame_roundtrip() {
+        check_cases(CASES, |rng| {
+            let (seq, ack) = (rng.next_u64(), rng.next_u64());
+            let frame = if rng.chance(0.5) {
                 SessionFrame::Ack { ack }
             } else {
-                SessionFrame::Data { seq, ack, message: Envelope { lock: LockId(1), payload } }
+                let message = Envelope { lock: LockId(1), payload: arb_payload(rng) };
+                SessionFrame::Data { seq, ack, message }
             };
             roundtrip(&frame);
-        }
+        });
+    }
 
-        #[test]
-        fn prop_frame_roundtrip(sender in any::<u32>(), payload in arb_payload()) {
-            let msg = Envelope { lock: LockId(1), payload };
-            let mut wire = BytesMut::new();
-            frame::write(&mut wire, NodeId(sender), &msg);
+    #[test]
+    fn prop_frame_roundtrip() {
+        check_cases(CASES, |rng| {
+            let sender = NodeId(rng.next_u64() as u32);
+            let msg = Envelope { lock: LockId(1), payload: arb_payload(rng) };
+            let mut wire = Vec::new();
+            frame::write(&mut wire, sender, &msg);
+            let mut wire = wire.as_slice();
             let (from, decoded) = frame::read::<Envelope>(&mut wire).unwrap().unwrap();
-            prop_assert_eq!(from, NodeId(sender));
-            prop_assert_eq!(decoded, vec![msg]);
-            prop_assert!(wire.is_empty());
-        }
+            assert_eq!(from, sender);
+            assert_eq!(decoded, vec![msg]);
+            assert!(wire.is_empty());
+        });
+    }
 
-        #[test]
-        fn prop_batch_frame_roundtrip(
-            sender in any::<u32>(),
-            payloads in proptest::collection::vec(arb_payload(), 1..6),
-        ) {
-            let msgs: Vec<Envelope> = payloads
-                .into_iter()
-                .enumerate()
-                .map(|(i, payload)| Envelope { lock: LockId(i as u32), payload })
+    #[test]
+    fn prop_batch_frame_roundtrip() {
+        check_cases(CASES, |rng| {
+            let sender = NodeId(rng.next_u64() as u32);
+            let msgs: Vec<Envelope> = (0..rng.range(1..6))
+                .map(|i| Envelope { lock: LockId(i as u32), payload: arb_payload(rng) })
                 .collect();
-            let mut wire = BytesMut::new();
-            frame::write_batch(&mut wire, NodeId(sender), &msgs);
+            let mut wire = Vec::new();
+            frame::write_batch(&mut wire, sender, &msgs);
+            let mut wire = wire.as_slice();
             let (from, decoded) = frame::read::<Envelope>(&mut wire).unwrap().unwrap();
-            prop_assert_eq!(from, NodeId(sender));
-            prop_assert_eq!(decoded, msgs);
-            prop_assert!(wire.is_empty());
-        }
+            assert_eq!(from, sender);
+            assert_eq!(decoded, msgs);
+            assert!(wire.is_empty());
+        });
+    }
 
-        #[test]
-        fn prop_batch_read_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..96)) {
+    #[test]
+    fn prop_batch_read_never_panics() {
+        check_cases(CASES, |rng| {
             // Arbitrary bytes fed as a complete frame body: Err or
             // Ok(None) are both fine; panics and runaway allocation are
             // not.
-            let mut wire = BytesMut::new();
-            wire.put_u32_le(bytes.len() as u32);
-            wire.extend_from_slice(&bytes);
-            let _ = frame::read::<Envelope>(&mut wire);
-        }
+            let wire = framed(&arb_bytes(rng, 96));
+            let _ = frame::read::<Envelope>(&mut wire.as_slice());
+        });
     }
 }

@@ -13,13 +13,13 @@ use hlock_sim::{
     Driver, InvariantViolation, LatencyModel, Observer, ProtocolEvent, Sim, SimConfig, SimReport,
 };
 use hlock_suzuki::SuzukiSpace;
-use hlock_wire::{frame, BytesMut, WireCodec};
+use hlock_wire::{frame, WireCodec};
 
 /// Sizes a frame exactly as the TCP transport encodes it, so the
 /// simulator's byte metrics (`wire_bytes`, `bytes_per_grant`) match the
 /// real wire format instead of a per-message guess.
 fn wire_frame_size<M: WireCodec>(messages: &[M]) -> u64 {
-    let mut buf = BytesMut::new();
+    let mut buf = Vec::new();
     frame::write_batch(&mut buf, NodeId(0), messages);
     buf.len() as u64
 }

@@ -1,8 +1,8 @@
 //! Request-mode mixes and workload parameters.
 
+use hlock_core::rng::Rng;
 use hlock_core::Mode;
 use hlock_sim::Duration;
-use rand::Rng;
 
 /// Relative frequencies of the five request modes.
 ///
@@ -41,10 +41,10 @@ impl ModeMix {
     /// # Panics
     ///
     /// Panics if all weights are zero.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Mode {
+    pub fn sample(&self, rng: &mut Rng) -> Mode {
         let total = self.total();
         assert!(total > 0, "mode mix must have a positive weight");
-        let mut pick = rng.gen_range(0..total);
+        let mut pick = rng.below(u64::from(total)) as u32;
         for (i, w) in self.weights.iter().enumerate() {
             if pick < *w {
                 return [
@@ -122,12 +122,11 @@ impl WorkloadConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{rngs::SmallRng, SeedableRng};
 
     #[test]
     fn paper_mix_frequencies() {
         let mix = ModeMix::paper();
-        let mut rng = SmallRng::seed_from_u64(9);
+        let mut rng = Rng::new(9);
         let mut counts = [0u32; 5];
         let n = 100_000;
         for _ in 0..n {
@@ -145,7 +144,7 @@ mod tests {
     #[test]
     fn read_only_mix_never_writes() {
         let mix = ModeMix::read_only();
-        let mut rng = SmallRng::seed_from_u64(2);
+        let mut rng = Rng::new(2);
         for _ in 0..1_000 {
             let m = mix.sample(&mut rng);
             assert!(matches!(m, Mode::IntentRead | Mode::Read));
@@ -156,7 +155,7 @@ mod tests {
     #[should_panic(expected = "positive weight")]
     fn zero_mix_panics() {
         let mix = ModeMix { weights: [0; 5] };
-        let mut rng = SmallRng::seed_from_u64(2);
+        let mut rng = Rng::new(2);
         let _ = mix.sample(&mut rng);
     }
 

@@ -3,10 +3,9 @@
 //! variant executes literally the same work.
 
 use crate::mix::WorkloadConfig;
+use hlock_core::rng::Rng;
 use hlock_core::Mode;
 use hlock_sim::{sample_exponential, Duration};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 /// One application operation of the airline-reservation workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,15 +65,14 @@ pub struct OpPlan {
 /// hierarchical run, "Naimi same work" and "Naimi pure" all execute the
 /// same logical operations with the same hold/idle times.
 pub fn plan_for_node(config: &WorkloadConfig, node: u32) -> Vec<OpPlan> {
-    let mut rng = SmallRng::seed_from_u64(
-        config.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(u64::from(node) + 1),
-    );
+    let mut rng =
+        Rng::new(config.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(u64::from(node) + 1));
     (0..config.ops_per_node)
         .map(|_| {
             let mode = config.mix.sample(&mut rng);
             let kind = match mode {
-                Mode::IntentRead => OpKind::EntryRead(rng.gen_range(0..config.entries)),
-                Mode::IntentWrite => OpKind::EntryWrite(rng.gen_range(0..config.entries)),
+                Mode::IntentRead => OpKind::EntryRead(rng.index(config.entries)),
+                Mode::IntentWrite => OpKind::EntryWrite(rng.index(config.entries)),
                 Mode::Read => OpKind::TableRead,
                 Mode::Write => OpKind::TableWrite,
                 Mode::Upgrade => OpKind::TableUpgrade,

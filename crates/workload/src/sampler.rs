@@ -7,9 +7,8 @@
 //! byte-identical schedules, which is what lets the CI scenario matrix
 //! gate on exact virtual-time behavior instead of wall-clock noise.
 
+use hlock_core::rng::Rng;
 use hlock_sim::{sample_exponential, Duration, SimTime};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 /// A Zipfian distribution over ranks `0..n` (rank 0 is the hottest):
 /// rank `i` is drawn with probability proportional to `1 / (i + 1)^theta`.
@@ -21,11 +20,11 @@ use rand::{Rng, SeedableRng};
 /// spaces.
 ///
 /// ```
+/// use hlock_core::rng::Rng;
 /// use hlock_workload::Zipfian;
-/// use rand::{rngs::SmallRng, SeedableRng};
 ///
 /// let z = Zipfian::new(64, 0.99);
-/// let mut rng = SmallRng::seed_from_u64(7);
+/// let mut rng = Rng::new(7);
 /// let rank = z.sample(&mut rng);
 /// assert!(rank < 64);
 /// ```
@@ -78,8 +77,8 @@ impl Zipfian {
     }
 
     /// Draws one rank.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let u: f64 = rng.gen_range(0.0..1.0);
+    pub fn sample(&self, rng: &mut Rng) -> usize {
+        let u = rng.unit();
         // partition_point: first index whose cumulative weight exceeds u.
         self.cdf.partition_point(|&c| c <= u).min(self.cdf.len() - 1)
     }
@@ -100,7 +99,7 @@ pub fn poisson_schedule(rate_per_sec: f64, duration: Duration, seed: u64) -> Vec
         rate_per_sec.is_finite() && rate_per_sec > 0.0,
         "arrival rate must be positive, got {rate_per_sec}"
     );
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0xA076_1D64_78BD_642F);
+    let mut rng = Rng::new(seed ^ 0xA076_1D64_78BD_642F);
     let mean_gap = Duration::from_millis_f64(1_000.0 / rate_per_sec);
     let mut at = SimTime::ZERO;
     let mut schedule =
@@ -126,7 +125,7 @@ mod tests {
     fn zipfian_matches_theoretical_rank_frequencies() {
         let n = 64;
         let z = Zipfian::new(n, 0.99);
-        let mut rng = SmallRng::seed_from_u64(11);
+        let mut rng = Rng::new(11);
         let draws = 200_000;
         let mut counts = vec![0u64; n];
         for _ in 0..draws {

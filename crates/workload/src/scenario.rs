@@ -25,6 +25,7 @@
 
 use crate::open_loop::{OpenLoopDriver, OpenLoopOp, OpenLoopStats, OpenLoopWindow};
 use crate::sampler::{poisson_schedule, Zipfian};
+use hlock_core::rng::Rng;
 use hlock_core::{
     LockId, LockPlan, LockSpace, Mode, NodeId, ProtocolConfig, ShardSpec, ShardedSpace,
 };
@@ -33,8 +34,6 @@ use hlock_sim::Duration;
 use hlock_sim::{
     sample_exponential, Driver, LatencyModel, Observer, Sim, SimConfig, SimReport, SimTime,
 };
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 /// Which runtime executes a scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -209,8 +208,8 @@ impl Scenario {
         let arrivals = poisson_schedule(self.rate_per_node, self.duration, node_seed);
         // Separate streams for key choice and hold times, so adding a
         // sampler never perturbs the arrival process.
-        let mut keys = SmallRng::seed_from_u64(node_seed ^ 0x9E37_79B9_7F4A_7C15);
-        let mut holds = SmallRng::seed_from_u64(node_seed ^ 0x5851_F42D_4C95_7F2D);
+        let mut keys = Rng::new(node_seed ^ 0x9E37_79B9_7F4A_7C15);
+        let mut holds = Rng::new(node_seed ^ 0x5851_F42D_4C95_7F2D);
         let flat = self.protocol == ScenarioProtocol::FlatExclusive;
         let mut ops: Vec<OpenLoopOp> = arrivals
             .into_iter()
@@ -261,12 +260,12 @@ impl Scenario {
 
     /// Draws one operation's lock plan. `flat` collapses it to a single
     /// exclusive lock on the leaf (the baseline's "same work").
-    fn sample_plan<R: Rng>(&self, rng: &mut R, flat: bool) -> LockPlan {
+    fn sample_plan(&self, rng: &mut Rng, flat: bool) -> LockPlan {
         match &self.kind {
             Kind::ZipfHot { entries, theta, write_pct } => {
                 let zipf = Zipfian::new(*entries, *theta);
                 let entry = zipf.sample(rng);
-                let write = rng.gen_range(0..100u32) < *write_pct;
+                let write = rng.below(100) < u64::from(*write_pct);
                 if flat {
                     LockPlan::single(LockId(entry as u32), Mode::Write)
                 } else {
@@ -275,7 +274,7 @@ impl Scenario {
                 }
             }
             Kind::FlashCrowd { entries, .. } => {
-                let entry = rng.gen_range(0..*entries);
+                let entry = rng.index(*entries);
                 if flat {
                     LockPlan::single(LockId(entry as u32), Mode::Write)
                 } else {
@@ -286,8 +285,8 @@ impl Scenario {
                 // Mild tenant skew: some tenants are busier, none dominates.
                 let zipf = Zipfian::new(*tenants, 0.5);
                 let tenant = zipf.sample(rng);
-                let leaf = rng.gen_range(0..*leaves);
-                let write = rng.gen_range(0..100u32) < 10;
+                let leaf = rng.index(*leaves);
+                let write = rng.below(100) < 10;
                 let base = (tenant * (1 + leaves)) as u32;
                 let mode = if write { Mode::Write } else { Mode::Read };
                 if flat {
@@ -299,11 +298,11 @@ impl Scenario {
             Kind::FsMetadata { dirs, files_per_dir, theta } => {
                 let zipf = Zipfian::new(*dirs, *theta);
                 let dir = zipf.sample(rng);
-                let file = rng.gen_range(0..*files_per_dir);
+                let file = rng.index(*files_per_dir);
                 let root = LockId(0);
                 let dir_lock = LockId(1 + dir as u32);
                 let file_lock = LockId((1 + dirs + dir * files_per_dir + file) as u32);
-                let op = rng.gen_range(0..100u32);
+                let op = rng.below(100);
                 if flat {
                     let leaf = if op < 85 { file_lock } else { dir_lock };
                     return LockPlan::single(leaf, Mode::Write);

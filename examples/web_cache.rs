@@ -16,10 +16,9 @@
 //! cargo run --release --example web_cache
 //! ```
 
+use hlock::core::rng::Rng;
 use hlock::core::{LockId, LockSpace, Mode, NodeId, ProtocolConfig, Ticket};
 use hlock::sim::{Driver, Duration, Sim, SimApi, SimConfig};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 const CACHES: usize = 12;
 const OBJECTS: usize = 6;
@@ -46,7 +45,7 @@ struct CacheDriver {
     origin: Vec<Object>,
     /// Per-cache local copies (None = cold).
     caches: Vec<Vec<Option<Object>>>,
-    rng: Vec<SmallRng>,
+    rng: Vec<Rng>,
     remaining: Vec<u32>,
     current: Vec<Option<CurrentOp>>,
     next_ticket: Vec<u64>,
@@ -60,7 +59,7 @@ impl CacheDriver {
         CacheDriver {
             origin: vec![Object { version: 1, content: 1000 }; OBJECTS],
             caches: vec![vec![None; OBJECTS]; CACHES],
-            rng: (0..CACHES as u64).map(|i| SmallRng::seed_from_u64(77 + i)).collect(),
+            rng: (0..CACHES as u64).map(|i| Rng::new(77 + i)).collect(),
             remaining: vec![OPS_PER_NODE; CACHES],
             current: vec![None; CACHES],
             next_ticket: vec![1; CACHES],
@@ -117,8 +116,8 @@ impl Driver for CacheDriver {
                     return;
                 }
                 self.remaining[i] -= 1;
-                let object = self.rng[i].gen_range(0..OBJECTS);
-                let is_update = self.rng[i].gen_bool(0.15);
+                let object = self.rng[i].index(OBJECTS);
+                let is_update = self.rng[i].chance(0.15);
                 let ticket = Ticket(self.next_ticket[i]);
                 self.next_ticket[i] += 1;
                 self.current[i] = Some(CurrentOp { object, ticket, is_update });

@@ -5,12 +5,12 @@
 
 use hlock::core::{LockId, LockPlan, LockSpace, Mode, NodeId, ProtocolConfig};
 use hlock::sim::{Duration, LatencyModel, Sim, SimConfig};
-use hlock::wire::{frame, BytesMut};
+use hlock::wire::frame;
 use hlock::workload::{run_experiment, PlanDriver, ProtocolKind, WorkloadConfig};
 
 /// Sizes frames exactly as the TCP transport would.
 fn wire_sizer<M: hlock::wire::WireCodec>(messages: &[M]) -> u64 {
-    let mut buf = BytesMut::new();
+    let mut buf = Vec::new();
     frame::write_batch(&mut buf, NodeId(0), messages);
     buf.len() as u64
 }

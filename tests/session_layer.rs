@@ -77,9 +77,9 @@ fn wire_roundtrip_preserves_session_frames() {
             _ => None,
         })
         .expect("request must go on the wire");
-    let mut buf = hlock::wire::BytesMut::new();
+    let mut buf = Vec::new();
     frame.encode(&mut buf);
-    let mut bytes = buf.freeze();
+    let mut bytes = buf.as_slice();
     let decoded = SessionFrame::decode(&mut bytes).expect("decode");
     assert_eq!(frame, decoded);
 }

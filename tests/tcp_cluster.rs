@@ -3,13 +3,17 @@
 //! threads, plus the reservation application on top.
 
 use hlock::app::{AppError, ReservationSystem};
+use hlock::core::rng::Rng;
 use hlock::core::{
-    LockId, LockSpace, Mode, NodeId, Observer, ProtocolConfig, ProtocolEvent, Ticket,
+    LinkDownReason, LockId, LockSpace, Mode, NodeId, Observer, ProtocolConfig, ProtocolEvent,
+    Ticket,
 };
 use hlock::naimi::NaimiSpace;
 use hlock::net::Cluster;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 const TIMEOUT: Duration = Duration::from_secs(30);
@@ -121,12 +125,9 @@ fn sharded_cross_shard_progress_across_seeds() {
             ShardedCluster::spawn_hierarchical(2, 64, SHARDS, ProtocolConfig::default()).unwrap();
         let hold = cluster.node(0).acquire(hot, Mode::Write, TIMEOUT).unwrap();
         let blocked = cluster.node(1).request(hot, Mode::Write).unwrap();
-        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut rng = Rng::new(seed);
         for _ in 0..20 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let mode = if x % 4 == 0 { Mode::Write } else { Mode::Read };
+            let mode = if rng.chance(0.25) { Mode::Write } else { Mode::Read };
             let t = cluster.node(1).acquire(cold, mode, TIMEOUT).unwrap();
             cluster.node(1).release(cold, t).unwrap();
         }
@@ -135,6 +136,39 @@ fn sharded_cross_shard_progress_across_seeds() {
         cluster.node(1).release(hot, blocked).unwrap();
         cluster.shutdown();
     }
+}
+
+#[test]
+fn oversized_length_prefix_drops_the_link_not_the_node() {
+    // A stranger dials node 0 and, before any hello, announces a 4 GiB
+    // frame. The node must refuse the prefix — not wait for the body —
+    // report the teardown as a typed event, hang up, and keep serving.
+    let (downs, down) = mpsc::channel();
+    let config = ProtocolConfig::default();
+    let cluster = Cluster::spawn_observed(
+        3,
+        move |i| LockSpace::new(NodeId(i as u32), 1, NodeId(0), config),
+        |_| {
+            let downs = downs.clone();
+            Some(Box::new(move |_at: u64, event: &ProtocolEvent| {
+                if let ProtocolEvent::LinkDown { node, peer, reason } = *event {
+                    let _ = downs.send((node, peer, reason));
+                }
+            }))
+        },
+    )
+    .unwrap();
+    let mut stranger = TcpStream::connect(cluster.node(0).addr()).unwrap();
+    stranger.write_all(&[0xff; 4]).unwrap();
+    let refused = down.recv_timeout(Duration::from_secs(5)).expect("the link is torn down");
+    assert_eq!(refused, (NodeId(0), None, LinkDownReason::DecodeFailed));
+    stranger.set_read_timeout(Some(TIMEOUT)).unwrap();
+    assert_eq!(stranger.read(&mut [0; 1]).unwrap(), 0, "the node hung up");
+
+    // Node 0 is the token home: this grant crosses the node just attacked.
+    let t = cluster.node(1).acquire(LockId(0), Mode::Write, TIMEOUT).unwrap();
+    cluster.node(1).release(LockId(0), t).unwrap();
+    cluster.shutdown();
 }
 
 #[test]
