@@ -20,13 +20,11 @@
 //! ```
 
 use hlock_core::{
-    check_span_balance, ChromeTraceObserver, JsonlObserver, MetricsRegistry, NodeId, Observer,
-    ProtocolConfig, ProtocolEvent, RecordingAuditor, DEFAULT_FLIGHT_CAPACITY,
+    check_span_balance, ChromeTraceObserver, JsonlObserver, LockSpace, MetricsRegistry, NodeId,
+    Observer, ProtocolConfig, ProtocolEvent, RecordingAuditor, DEFAULT_FLIGHT_CAPACITY,
 };
 use hlock_sim::{Duration as SimDuration, LatencyModel, NodeCrash, SimConfig, SimTime};
-use hlock_workload::{
-    run_observed_experiment, run_observed_recovery_experiment, ProtocolKind, WorkloadConfig,
-};
+use hlock_workload::{run_experiment, run_recovery_experiment, ProtocolKind, WorkloadConfig};
 use std::cell::RefCell;
 use std::fs::File;
 use std::io::BufWriter;
@@ -101,7 +99,7 @@ fn main() {
     };
 
     let workload = WorkloadConfig { entries: 4, ops_per_node: 6, seed: 42, ..Default::default() };
-    let report = match run_observed_experiment(
+    let report = match run_experiment(
         ProtocolKind::Hierarchical(ProtocolConfig::paper()),
         5,
         &workload,
@@ -218,8 +216,8 @@ fn main() {
         watchdog: Some(SimDuration::from_millis(60_000)),
         ..SimConfig::default()
     };
-    let recovery = match run_observed_recovery_experiment(
-        ProtocolConfig::default(),
+    let recovery = match run_recovery_experiment(
+        |id, homes| LockSpace::with_homes(id, homes, ProtocolConfig::default()),
         CRASH_NODES,
         &wl,
         sim,

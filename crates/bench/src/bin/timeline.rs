@@ -191,9 +191,9 @@ fn main() {
         // Terminal anywhere, not just last: a remote copy grant can
         // race past the origin's abort in HLC order (the home does not
         // yet know the origin died), and the span is still closed.
-        let done = milestones
-            .iter()
-            .any(|(_, ev, _)| matches!(ev.as_str(), "granted" | "request_cancelled" | "request_aborted"));
+        let done = milestones.iter().any(|(_, ev, _)| {
+            matches!(ev.as_str(), "granted" | "request_cancelled" | "request_aborted")
+        });
         if done {
             closed += 1;
         } else {

@@ -64,9 +64,7 @@ use hlock_core::{
     ShardedSpace, SpanId, Ticket,
 };
 use hlock_naimi::NaimiSpace;
-use hlock_raymond::RaymondSpace;
 use hlock_session::{SessionConfig, SessionSpace};
-use hlock_suzuki::SuzukiSpace;
 use std::cell::{Cell, RefCell};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashSet;
@@ -453,28 +451,6 @@ impl Checker<NaimiSpace> {
     pub fn naimi() -> Checker<NaimiSpace> {
         Checker::with_factory(move |nodes, locks| {
             (0..nodes).map(|i| NaimiSpace::new(NodeId(i as u32), locks, NodeId(0))).collect()
-        })
-    }
-}
-
-impl Checker<RaymondSpace> {
-    /// A checker for Raymond's static-tree baseline.
-    pub fn raymond() -> Checker<RaymondSpace> {
-        Checker::with_factory(move |nodes, locks| {
-            (0..nodes)
-                .map(|i| RaymondSpace::new(NodeId(i as u32), nodes, locks, NodeId(0)))
-                .collect()
-        })
-    }
-}
-
-impl Checker<SuzukiSpace> {
-    /// A checker for the Suzuki–Kasami broadcast baseline.
-    pub fn suzuki() -> Checker<SuzukiSpace> {
-        Checker::with_factory(move |nodes, locks| {
-            (0..nodes)
-                .map(|i| SuzukiSpace::new(NodeId(i as u32), nodes, locks, NodeId(0)))
-                .collect()
         })
     }
 }

@@ -981,23 +981,19 @@ mod tests {
         assert_eq!(a.findings()[0].invariant, "span_balance");
         let mut b = InvariantAuditor::new();
         feed(&mut b, &[granted_ev(1, 1)]);
-        assert!(b.findings().iter().any(|f| f.invariant == "grant_legitimacy"
-            || f.invariant == "span_balance"));
+        assert!(b
+            .findings()
+            .iter()
+            .any(|f| f.invariant == "grant_legitimacy" || f.invariant == "span_balance"));
         assert!(b.findings().iter().any(|f| f.detail.contains("without a matching open")));
     }
 
     #[test]
     fn live_auditor_flags_never_sent_delivery_but_tolerates_dups_and_reorder() {
-        let sent = |k: MessageKind| ProtocolEvent::MessageSent {
-            node: NodeId(0),
-            to: NodeId(1),
-            kind: k,
-        };
-        let delivered = |k: MessageKind| ProtocolEvent::Delivered {
-            node: NodeId(1),
-            from: NodeId(0),
-            kind: k,
-        };
+        let sent =
+            |k: MessageKind| ProtocolEvent::MessageSent { node: NodeId(0), to: NodeId(1), kind: k };
+        let delivered =
+            |k: MessageKind| ProtocolEvent::Delivered { node: NodeId(1), from: NodeId(0), kind: k };
         // Reorder: request sent then grant sent; grant arrives first.
         let mut a = InvariantAuditor::new();
         feed(

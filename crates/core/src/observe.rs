@@ -1657,16 +1657,16 @@ impl MetricsRegistry {
             "Bytes of frames dropped to outbox backpressure.",
         );
         let _ = writeln!(out, "hlock_backpressure_bytes_total {}", self.backpressure_bytes);
-        counter(
-            &mut out,
-            "hlock_aborts_total",
-            "Requests aborted by node death or epoch fencing.",
-        );
+        counter(&mut out, "hlock_aborts_total", "Requests aborted by node death or epoch fencing.");
         let _ = writeln!(out, "hlock_aborts_total {}", self.aborts);
         counter(&mut out, "hlock_link_down_total", "Transport link teardowns, by reason.");
         for (i, r) in LinkDownReason::ALL.iter().enumerate() {
-            let _ =
-                writeln!(out, "hlock_link_down_total{{reason=\"{}\"}} {}", r.label(), self.link_down[i]);
+            let _ = writeln!(
+                out,
+                "hlock_link_down_total{{reason=\"{}\"}} {}",
+                r.label(),
+                self.link_down[i]
+            );
         }
         let _ = writeln!(out, "# HELP hlock_recovery_epoch Highest installed recovery epoch.");
         let _ = writeln!(out, "# TYPE hlock_recovery_epoch gauge");
@@ -2115,9 +2115,7 @@ mod tests {
         a.on_event(10, &granted(0, 1));
         b.on_event(0, &issued(1, 1));
         b.on_event(30, &granted(1, 1));
-        let mut rt = RuntimeCounters::default();
-        rt.frames = 2;
-        rt.logical_messages = 4;
+        let rt = RuntimeCounters { frames: 2, logical_messages: 4, ..Default::default() };
         a.record_runtime(&rt);
         b.record_runtime(&rt);
         a.merge(&b);
@@ -2221,25 +2219,25 @@ mod tests {
 
     #[test]
     fn balance_accepts_well_formed_streams() {
-        let evs = vec![issued(0, 1), granted(0, 1), issued(0, 1), granted(0, 1)];
+        let evs = [issued(0, 1), granted(0, 1), issued(0, 1), granted(0, 1)];
         assert!(check_span_balance(evs.iter()).is_ok());
     }
 
     #[test]
     fn balance_rejects_unmatched_close() {
-        let evs = vec![granted(0, 1)];
+        let evs = [granted(0, 1)];
         assert!(check_span_balance(evs.iter()).unwrap_err().contains("without a matching open"));
     }
 
     #[test]
     fn balance_rejects_dangling_open() {
-        let evs = vec![issued(0, 1)];
+        let evs = [issued(0, 1)];
         assert!(check_span_balance(evs.iter()).unwrap_err().contains("left open"));
     }
 
     #[test]
     fn balance_rejects_double_open() {
-        let evs = vec![issued(0, 1), issued(0, 1)];
+        let evs = [issued(0, 1), issued(0, 1)];
         assert!(check_span_balance(evs.iter()).unwrap_err().contains("opened twice"));
     }
 
@@ -2333,13 +2331,10 @@ mod tests {
 
     #[test]
     fn aborted_event_closes_span_and_counts() {
-        let aborted = ProtocolEvent::RequestAborted {
-            node: NodeId(0),
-            lock: LockId(0),
-            span: span(0, 1),
-        };
+        let aborted =
+            ProtocolEvent::RequestAborted { node: NodeId(0), lock: LockId(0), span: span(0, 1) };
         assert!(aborted.closes_span());
-        let evs = vec![issued(0, 1), aborted.clone()];
+        let evs = [issued(0, 1), aborted.clone()];
         assert!(check_span_balance(evs.iter()).is_ok());
         let mut reg = MetricsRegistry::new();
         reg.on_event(0, &issued(0, 1));

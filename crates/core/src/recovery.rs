@@ -755,6 +755,9 @@ impl<P: Recoverable> RecoverySpace<P> {
         self.check_completion(fx);
     }
 
+    // One parameter per field of `RecoveryBody::Install`, destructured at
+    // the single call site; a struct would only re-spell the variant.
+    #[allow(clippy::too_many_arguments)]
     fn handle_install(
         &mut self,
         from: NodeId,
@@ -1344,10 +1347,10 @@ mod tests {
         // matters is that every survivor converged on the same one.
         let epoch = spaces[1].epoch();
         assert!(epoch >= 1);
-        for i in 1..=3 {
-            assert_eq!(spaces[i].epoch(), epoch, "node {i}");
-            assert!(!spaces[i].is_recovering(), "node {i}");
-            assert_eq!(spaces[i].suspected(), vec![NodeId(0), NodeId(4)], "node {i}");
+        for (i, space) in spaces.iter().enumerate().take(4).skip(1) {
+            assert_eq!(space.epoch(), epoch, "node {i}");
+            assert!(!space.is_recovering(), "node {i}");
+            assert_eq!(space.suspected(), vec![NodeId(0), NodeId(4)], "node {i}");
         }
         // Exactly one live token.
         let tokens = (1..=3).filter(|&i| spaces[i].holds_token(LockId(0))).count();

@@ -1116,6 +1116,7 @@ where
                 }
             }
             LinkState::Established { stream, token } => {
+                #[allow(clippy::redundant_pattern_matching)]
                 let flush_failed = ev.failed || matches!(link.outbox.write_to(stream), Err(_));
                 if flush_failed {
                     node.io.link_events.push((Some(peer), LinkDownReason::WriteFailed));
@@ -1141,6 +1142,7 @@ where
 
     fn fire_deadlines(&mut self) {
         loop {
+            #[allow(clippy::match_like_matches_macro)]
             let due = match self.deadlines.peek() {
                 Some(&Reverse((at, _))) if at <= Instant::now() => true,
                 _ => false,
@@ -1560,6 +1562,7 @@ pub(crate) struct FlightConfig {
 
 /// Spawns `n` nodes on the readiness mux: node `i` lives in slot
 /// `i / width` of worker `i % width`.
+#[allow(clippy::type_complexity)]
 pub(crate) fn spawn_cluster<P>(
     n: usize,
     make: impl Fn(usize) -> P,

@@ -29,10 +29,10 @@
 //!   owns every outgoing socket, so frames to one peer are written by
 //!   exactly one thread — per-link FIFO is preserved by construction.
 //!   The sockets are nonblocking and each link buffers through a bounded
-//!   [`crate::conn::Outbox`], so one slow peer sheds its own newest
+//!   `crate::conn::Outbox`, so one slow peer sheds its own newest
 //!   frames (surfaced as a backpressure counter) instead of wedging the
 //!   writes to every other peer; dead links redial on the shared
-//!   [`crate::conn::DialBackoff`] schedule from the same thread.
+//!   `crate::conn::DialBackoff` schedule from the same thread.
 //!
 //! Per-shard queue depth, routed-message and park counts surface as
 //! [`ShardGauges`] for the Prometheus registry

@@ -33,6 +33,7 @@ use hlock_core::{
     CancelOutcome, Classify, ConcurrencyProtocol, EffectSink, Inspect, LockId, MessageKind, Mode,
     NodeId, ProtocolError, Ticket,
 };
+use hlock_wire::{get_u8, get_varint, put_varint, WireCodec, WireError};
 use std::collections::VecDeque;
 
 /// A Raymond protocol message about one lock.
@@ -443,6 +444,29 @@ impl ConcurrencyProtocol for RaymondSpace {
     }
 }
 
+const TAG_REQUEST: u8 = 0;
+const TAG_PRIVILEGE: u8 = 2;
+
+impl WireCodec for RaymondEnvelope {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        put_varint(buf, u64::from(self.lock.0));
+        match self.payload {
+            RaymondPayload::Request => buf.push(TAG_REQUEST),
+            RaymondPayload::Privilege => buf.push(TAG_PRIVILEGE),
+        }
+    }
+
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
+        let lock = LockId(get_varint(buf)? as u32);
+        let payload = match get_u8(buf)? {
+            TAG_REQUEST => RaymondPayload::Request,
+            TAG_PRIVILEGE => RaymondPayload::Privilege,
+            other => return Err(WireError::InvalidTag(other)),
+        };
+        Ok(RaymondEnvelope { lock, payload })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -611,5 +635,31 @@ mod tests {
             RaymondEnvelope { lock: L, payload: RaymondPayload::Privilege }.kind(),
             MessageKind::Token
         );
+    }
+
+    fn roundtrip<M: WireCodec + PartialEq + std::fmt::Debug>(m: &M) {
+        let mut buf = Vec::new();
+        m.encode(&mut buf);
+        let mut bytes = buf.as_slice();
+        let decoded = M::decode(&mut bytes).expect("decodes");
+        assert_eq!(&decoded, m);
+        assert!(bytes.is_empty(), "no trailing bytes");
+    }
+
+    #[test]
+    fn wire_variants_roundtrip() {
+        roundtrip(&RaymondEnvelope { lock: LockId(9), payload: RaymondPayload::Request });
+        roundtrip(&RaymondEnvelope { lock: LockId(0), payload: RaymondPayload::Privilege });
+        let mut unknown_tag = &[0x00, 0x07][..];
+        assert_eq!(RaymondEnvelope::decode(&mut unknown_tag), Err(WireError::InvalidTag(7)));
+    }
+
+    #[test]
+    fn prop_wire_roundtrip() {
+        hlock_core::rng::check_cases(256, |rng| {
+            let payload =
+                if rng.chance(0.5) { RaymondPayload::Request } else { RaymondPayload::Privilege };
+            roundtrip(&RaymondEnvelope { lock: LockId(rng.next_u64() as u32), payload });
+        });
     }
 }

@@ -56,6 +56,7 @@ fn timer_token(peer: NodeId) -> u64 {
     TIMER_NAMESPACE | u64::from(peer.0)
 }
 
+#[allow(clippy::unnecessary_lazy_evaluations)] // `then_some` would do; product code left as is
 fn timer_peer(token: u64) -> Option<NodeId> {
     (token & !0xFFFF_FFFF == TIMER_NAMESPACE).then(|| NodeId((token & 0xFFFF_FFFF) as u32))
 }

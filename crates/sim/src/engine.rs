@@ -359,6 +359,7 @@ pub struct Sim<P: ConcurrencyProtocol, D> {
     runtime: HostRuntime<P::Message>,
     /// Computes the encoded size of one outgoing batch (one wire frame),
     /// for wire-byte accounting; `None` counts frames but zero bytes.
+    #[allow(clippy::type_complexity)]
     frame_sizer: Option<Box<dyn Fn(&[P::Message]) -> u64>>,
     delivered: u64,
     observer: Box<dyn Observer>,
@@ -771,6 +772,7 @@ where
     /// ticket, mode, age), or `None` when nothing live is outstanding.
     /// A crashed node's requests die with it and are not wedged.
     fn stuck_report(&self) -> Option<String> {
+        #[allow(clippy::type_complexity)]
         let mut entries: Vec<(&(NodeId, LockId, Ticket), &(SimTime, Mode))> = self
             .outstanding
             .iter()
@@ -966,6 +968,7 @@ where
     P: ConcurrencyProtocol + Inspect,
     D: Driver,
 {
+    #[allow(clippy::assign_op_pattern)]
     fn on_batch(&mut self, to: NodeId, messages: Vec<P::Message>) {
         let sim = &mut *self.sim;
         let from = self.node;

@@ -5,6 +5,11 @@ use crate::time::Duration;
 use hlock_core::{MessageKind, Mode, NodeId, Reservoir, ALL_MODES};
 use std::collections::HashMap;
 
+/// Position of `mode` in [`ALL_MODES`].
+fn mode_index(mode: Mode) -> usize {
+    usize::from(mode.wire_tag())
+}
+
 /// Aggregated measurements of one simulation run.
 #[derive(Debug, Clone, Default)]
 pub struct Metrics {
@@ -23,15 +28,16 @@ pub struct Metrics {
     frame_messages: u64,
     /// Encoded bytes of all counted frames (0 without a frame sizer).
     wire_bytes: u64,
-    /// Request-to-grant latency samples, per requested mode. Each entry
-    /// is a bounded [`Reservoir`]: exact sum/count/max forever, with a
-    /// fixed-size uniform sample for percentile queries — memory stays
-    /// constant no matter how long the run is.
-    latency: HashMap<ModeKey, Reservoir>,
+    /// Request-to-grant latency samples, per requested mode in
+    /// [`ALL_MODES`] order (exclusive baselines use `Write` for all).
+    /// Each entry is a bounded [`Reservoir`]: exact sum/count/max
+    /// forever, with a fixed-size uniform sample for percentile queries —
+    /// memory stays constant no matter how long the run is. An array, not
+    /// a hash map: merging reservoirs past their capacity subsamples, so
+    /// the order they are visited in must be the mode order for a
+    /// percentile to be a function of the seed.
+    latency: [Reservoir; ALL_MODES.len()],
 }
-
-/// Latencies are keyed by mode; exclusive baselines use `Write` for all.
-type ModeKey = Mode;
 
 impl Metrics {
     /// Fresh, empty metrics.
@@ -120,7 +126,7 @@ impl Metrics {
     /// Records a grant and its request-to-grant latency.
     pub fn record_grant(&mut self, mode: Mode, latency: Duration) {
         self.grants += 1;
-        self.latency.entry(mode).or_default().record(latency.as_micros());
+        self.latency[mode_index(mode)].record(latency.as_micros());
     }
 
     /// Total messages of one kind.
@@ -162,7 +168,7 @@ impl Metrics {
     /// Average request-to-grant latency over all modes (Figure 6 metric).
     pub fn mean_latency(&self) -> Duration {
         let (sum, count) =
-            self.latency.values().fold((0u128, 0u64), |(s, c), a| (s + a.sum(), c + a.count()));
+            self.latency.iter().fold((0u128, 0u64), |(s, c), a| (s + a.sum(), c + a.count()));
         if count == 0 {
             Duration::ZERO
         } else {
@@ -172,14 +178,13 @@ impl Metrics {
 
     /// Average latency for one requested mode, if any samples exist.
     pub fn mean_latency_for(&self, mode: Mode) -> Option<Duration> {
-        self.latency.get(&mode).and_then(|a| {
-            (!a.is_empty()).then(|| Duration((a.sum() / u128::from(a.count())) as u64))
-        })
+        let a = &self.latency[mode_index(mode)];
+        (!a.is_empty()).then(|| Duration((a.sum() / u128::from(a.count())) as u64))
     }
 
     /// Worst observed latency across all modes.
     pub fn max_latency(&self) -> Duration {
-        Duration(self.latency.values().map(Reservoir::max).max().unwrap_or(0))
+        Duration(self.latency.iter().map(Reservoir::max).max().unwrap_or(0))
     }
 
     /// Latency percentile over all modes (`p` in `0.0..=1.0`, e.g. `0.99`).
@@ -192,15 +197,10 @@ impl Metrics {
     pub fn latency_percentile(&self, p: f64) -> Duration {
         assert!((0.0..=1.0).contains(&p), "percentile must be in [0, 1]");
         let mut all = Reservoir::default();
-        for a in self.latency.values() {
+        for a in &self.latency {
             all.merge(a);
         }
         Duration(all.percentile(p).unwrap_or(0))
-    }
-
-    /// The per-mode latency reservoir, if any samples were recorded.
-    pub fn latency_reservoir(&self, mode: Mode) -> Option<&Reservoir> {
-        self.latency.get(&mode)
     }
 
     /// Figure 6 metric: mean latency as a multiple of `base`.
@@ -233,10 +233,8 @@ impl Metrics {
         ALL_MODES
             .into_iter()
             .filter_map(|m| {
-                self.latency.get(&m).and_then(|a| {
-                    (!a.is_empty())
-                        .then(|| (m, Duration((a.sum() / u128::from(a.count())) as u64), a.count()))
-                })
+                let mean = self.mean_latency_for(m)?;
+                Some((m, mean, self.latency[mode_index(m)].count()))
             })
             .collect()
     }
@@ -255,8 +253,8 @@ impl Metrics {
         self.frames += other.frames;
         self.frame_messages += other.frame_messages;
         self.wire_bytes += other.wire_bytes;
-        for (m, a) in &other.latency {
-            self.latency.entry(*m).or_default().merge(a);
+        for (mine, theirs) in self.latency.iter_mut().zip(&other.latency) {
+            mine.merge(theirs);
         }
     }
 }
@@ -323,6 +321,27 @@ mod tests {
         let p99 = m.latency_percentile(0.99).as_millis_f64();
         assert!((p99 - 99.0).abs() <= 1.0, "{p99}");
         assert_eq!(Metrics::new().latency_percentile(0.5), Duration::ZERO);
+    }
+
+    /// Past the reservoir capacity a merge subsamples, so the order the
+    /// per-mode reservoirs are folded in decides which samples survive:
+    /// it must be the mode order, not a hash map's.
+    #[test]
+    fn percentile_past_capacity_is_a_function_of_the_samples() {
+        let build = || {
+            let mut m = Metrics::new();
+            for i in 0..2_000u64 {
+                let mode = ALL_MODES[(i % 5) as usize];
+                m.record_grant(mode, Duration::from_millis(1 + (i * 7919) % 1_000));
+            }
+            m
+        };
+        let p99s: Vec<Duration> = (0..8).map(|_| build().latency_percentile(0.99)).collect();
+        assert!(p99s.iter().all(|p| *p == p99s[0]), "{p99s:?}");
+        let (mut a, mut b) = (build(), build());
+        a.merge(&build());
+        b.merge(&build());
+        assert_eq!(a.latency_percentile(0.5), b.latency_percentile(0.5));
     }
 
     #[test]

@@ -26,6 +26,7 @@ use hlock_core::{
     CancelOutcome, Classify, ConcurrencyProtocol, EffectSink, Inspect, LockId, MessageKind, Mode,
     NodeId, ProtocolError, Ticket,
 };
+use hlock_wire::{get_u8, get_varint, put_varint, WireCodec, WireError};
 use std::collections::VecDeque;
 
 /// A Suzuki–Kasami message about one lock.
@@ -443,6 +444,58 @@ impl ConcurrencyProtocol for SuzukiSpace {
     }
 }
 
+const TAG_REQUEST: u8 = 0;
+const TAG_TOKEN: u8 = 2;
+
+impl WireCodec for SuzukiEnvelope {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        put_varint(buf, u64::from(self.lock.0));
+        match &self.payload {
+            SuzukiPayload::Request { origin, seq } => {
+                buf.push(TAG_REQUEST);
+                put_varint(buf, u64::from(origin.0));
+                put_varint(buf, *seq);
+            }
+            SuzukiPayload::Token { last_served, queue } => {
+                buf.push(TAG_TOKEN);
+                put_varint(buf, last_served.len() as u64);
+                for v in last_served {
+                    put_varint(buf, *v);
+                }
+                put_varint(buf, queue.len() as u64);
+                for n in queue {
+                    put_varint(buf, u64::from(n.0));
+                }
+            }
+        }
+    }
+
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
+        let lock = LockId(get_varint(buf)? as u32);
+        let payload = match get_u8(buf)? {
+            TAG_REQUEST => SuzukiPayload::Request {
+                origin: NodeId(get_varint(buf)? as u32),
+                seq: get_varint(buf)?,
+            },
+            TAG_TOKEN => {
+                let n = get_varint(buf)? as usize;
+                let mut last_served = Vec::with_capacity(n.min(4096));
+                for _ in 0..n {
+                    last_served.push(get_varint(buf)?);
+                }
+                let q = get_varint(buf)? as usize;
+                let mut queue = Vec::with_capacity(q.min(4096));
+                for _ in 0..q {
+                    queue.push(NodeId(get_varint(buf)? as u32));
+                }
+                SuzukiPayload::Token { last_served, queue }
+            }
+            other => return Err(WireError::InvalidTag(other)),
+        };
+        Ok(SuzukiEnvelope { lock, payload })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -618,5 +671,29 @@ mod tests {
             .kind(),
             MessageKind::Token
         );
+    }
+
+    fn roundtrip<M: WireCodec + PartialEq + std::fmt::Debug>(m: &M) {
+        let mut buf = Vec::new();
+        m.encode(&mut buf);
+        let mut bytes = buf.as_slice();
+        let decoded = M::decode(&mut bytes).expect("decodes");
+        assert_eq!(&decoded, m);
+        assert!(bytes.is_empty(), "no trailing bytes");
+    }
+
+    #[test]
+    fn wire_variants_roundtrip() {
+        roundtrip(&SuzukiEnvelope {
+            lock: LockId(2),
+            payload: SuzukiPayload::Request { origin: NodeId(9), seq: 1234 },
+        });
+        roundtrip(&SuzukiEnvelope {
+            lock: LockId(0),
+            payload: SuzukiPayload::Token {
+                last_served: vec![0, 3, 999, u64::MAX],
+                queue: vec![NodeId(1), NodeId(3)],
+            },
+        });
     }
 }

@@ -37,9 +37,7 @@ use hlock_core::{
     RecoveryBody, RecoveryEnvelope, Stamp, Ticket, Waiter,
 };
 use hlock_naimi::{NaimiEnvelope, NaimiPayload};
-use hlock_raymond::{RaymondEnvelope, RaymondPayload};
 use hlock_session::SessionFrame;
-use hlock_suzuki::{SuzukiEnvelope, SuzukiPayload};
 use std::fmt;
 
 /// The buffer every encoder appends to, under the name the repository
@@ -106,7 +104,12 @@ pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-fn get_u8(buf: &mut &[u8]) -> Result<u8, WireError> {
+/// Reads one byte (a tag).
+///
+/// # Errors
+///
+/// [`WireError::UnexpectedEof`] on an empty buffer.
+pub fn get_u8(buf: &mut &[u8]) -> Result<u8, WireError> {
     let (&byte, rest) = buf.split_first().ok_or(WireError::UnexpectedEof)?;
     *buf = rest;
     Ok(byte)
@@ -423,75 +426,6 @@ impl WireCodec for NaimiEnvelope {
     }
 }
 
-impl WireCodec for RaymondEnvelope {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        put_varint(buf, u64::from(self.lock.0));
-        match self.payload {
-            RaymondPayload::Request => buf.push(TAG_REQUEST),
-            RaymondPayload::Privilege => buf.push(TAG_TOKEN),
-        }
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        let lock = LockId(get_varint(buf)? as u32);
-        let payload = match get_u8(buf)? {
-            TAG_REQUEST => RaymondPayload::Request,
-            TAG_TOKEN => RaymondPayload::Privilege,
-            other => return Err(WireError::InvalidTag(other)),
-        };
-        Ok(RaymondEnvelope { lock, payload })
-    }
-}
-
-impl WireCodec for SuzukiEnvelope {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        put_varint(buf, u64::from(self.lock.0));
-        match &self.payload {
-            SuzukiPayload::Request { origin, seq } => {
-                buf.push(TAG_REQUEST);
-                put_varint(buf, u64::from(origin.0));
-                put_varint(buf, *seq);
-            }
-            SuzukiPayload::Token { last_served, queue } => {
-                buf.push(TAG_TOKEN);
-                put_varint(buf, last_served.len() as u64);
-                for v in last_served {
-                    put_varint(buf, *v);
-                }
-                put_varint(buf, queue.len() as u64);
-                for n in queue {
-                    put_varint(buf, u64::from(n.0));
-                }
-            }
-        }
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        let lock = LockId(get_varint(buf)? as u32);
-        let payload = match get_u8(buf)? {
-            TAG_REQUEST => SuzukiPayload::Request {
-                origin: NodeId(get_varint(buf)? as u32),
-                seq: get_varint(buf)?,
-            },
-            TAG_TOKEN => {
-                let n = get_varint(buf)? as usize;
-                let mut last_served = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    last_served.push(get_varint(buf)?);
-                }
-                let q = get_varint(buf)? as usize;
-                let mut queue = Vec::with_capacity(q.min(4096));
-                for _ in 0..q {
-                    queue.push(NodeId(get_varint(buf)? as u32));
-                }
-                SuzukiPayload::Token { last_served, queue }
-            }
-            other => return Err(WireError::InvalidTag(other)),
-        };
-        Ok(SuzukiEnvelope { lock, payload })
-    }
-}
-
 const TAG_SESSION_DATA: u8 = 0;
 const TAG_SESSION_ACK: u8 = 1;
 
@@ -754,6 +688,7 @@ pub mod frame {
         /// # Errors
         ///
         /// As for [`read`].
+        #[allow(clippy::should_implement_trait)] // generic in the message type per call
         pub fn next<M: WireCodec>(&mut self) -> Result<Option<(NodeId, Vec<M>)>, WireError> {
             Ok(self.pop(read_stamped)?.map(|(sender, hlc, messages)| {
                 self.last_hlc = hlc;
@@ -813,10 +748,7 @@ mod tests {
 
     #[test]
     fn varint_overflow_errors() {
-        let mut buf = Vec::new();
-        for _ in 0..10 {
-            buf.push(0xFF);
-        }
+        let mut buf = vec![0xFF; 10];
         buf.push(0x01);
         let mut b = buf.as_slice();
         assert_eq!(get_varint(&mut b), Err(WireError::VarintOverflow));
@@ -919,27 +851,6 @@ mod tests {
             payload: NaimiPayload::Request { origin: NodeId(250) },
         });
         roundtrip(&NaimiEnvelope { lock: LockId(65_000), payload: NaimiPayload::Token });
-    }
-
-    #[test]
-    fn raymond_variants_roundtrip() {
-        roundtrip(&RaymondEnvelope { lock: LockId(9), payload: RaymondPayload::Request });
-        roundtrip(&RaymondEnvelope { lock: LockId(0), payload: RaymondPayload::Privilege });
-    }
-
-    #[test]
-    fn suzuki_variants_roundtrip() {
-        roundtrip(&SuzukiEnvelope {
-            lock: LockId(2),
-            payload: SuzukiPayload::Request { origin: NodeId(9), seq: 1234 },
-        });
-        roundtrip(&SuzukiEnvelope {
-            lock: LockId(0),
-            payload: SuzukiPayload::Token {
-                last_served: vec![0, 3, 999, u64::MAX],
-                queue: vec![NodeId(1), NodeId(3)],
-            },
-        });
     }
 
     #[test]
@@ -1471,15 +1382,6 @@ mod tests {
                 NaimiPayload::Token
             };
             roundtrip(&NaimiEnvelope { lock: LockId(rng.next_u64() as u32), payload });
-        });
-    }
-
-    #[test]
-    fn prop_raymond_roundtrip() {
-        check_cases(CASES, |rng| {
-            let payload =
-                if rng.chance(0.5) { RaymondPayload::Request } else { RaymondPayload::Privilege };
-            roundtrip(&RaymondEnvelope { lock: LockId(rng.next_u64() as u32), payload });
         });
     }
 

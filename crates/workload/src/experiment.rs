@@ -15,17 +15,8 @@ use hlock_sim::{
 use hlock_suzuki::SuzukiSpace;
 use hlock_wire::{frame, WireCodec};
 
-/// Sizes a frame exactly as the TCP transport encodes it, so the
-/// simulator's byte metrics (`wire_bytes`, `bytes_per_grant`) match the
-/// real wire format instead of a per-message guess.
-fn wire_frame_size<M: WireCodec>(messages: &[M]) -> u64 {
-    let mut buf = Vec::new();
-    frame::write_batch(&mut buf, NodeId(0), messages);
-    buf.len() as u64
-}
-
 /// Which system runs the workload.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProtocolKind {
     /// The paper's hierarchical protocol with the given configuration.
     Hierarchical(ProtocolConfig),
@@ -81,10 +72,45 @@ fn token_homes(workload: &WorkloadConfig, nodes: usize, lock_count: usize) -> Ve
         .collect()
 }
 
+/// The one place a simulation is assembled and run: every runner of this
+/// crate builds its nodes and driver and ends here. Without an observer
+/// the simulation takes the unobserved fast path (no event construction).
+pub(crate) fn run_sim<P, D>(
+    nodes: Vec<P>,
+    driver: D,
+    config: SimConfig,
+    observer: Option<Box<dyn Observer>>,
+) -> Result<(SimReport, Vec<P>), InvariantViolation>
+where
+    P: ConcurrencyProtocol + Inspect,
+    P::Message: WireCodec + 'static,
+    D: Driver,
+{
+    // Frames are sized exactly as the TCP transport encodes them, so the
+    // byte metrics (`wire_bytes`, `bytes_per_grant`) match the real wire
+    // format instead of a per-message guess.
+    let sim = Sim::new(nodes, driver, config).with_frame_sizer(|messages: &[P::Message]| {
+        let mut buf = Vec::new();
+        frame::write_batch(&mut buf, NodeId(0), messages);
+        buf.len() as u64
+    });
+    match observer {
+        // A closure, because a bare `Box<dyn Observer>` is not an `Observer`.
+        Some(mut obs) => sim
+            .with_observer(move |at: u64, event: &ProtocolEvent| obs.on_event(at, event))
+            .run_with_nodes(),
+        None => sim.run_with_nodes(),
+    }
+}
+
 /// Runs the airline workload for `nodes` nodes under `kind`.
 ///
 /// `check_every` enables global safety checking every N delivered
-/// messages (0 = off; turn it on in tests, off in large sweeps).
+/// messages (0 = off; turn it on in tests, off in large sweeps). With an
+/// `observer`, every [`ProtocolEvent`] of the run is streamed into it
+/// (stamped with virtual time in microseconds): attach a
+/// `hlock_core::JsonlObserver`, `ChromeTraceObserver` or
+/// `MetricsRegistry` to export the run.
 ///
 /// # Errors
 ///
@@ -96,122 +122,65 @@ pub fn run_experiment(
     workload: &WorkloadConfig,
     latency: LatencyModel,
     check_every: u64,
-) -> Result<SimReport, InvariantViolation> {
-    run_observed_experiment(kind, nodes, workload, latency, check_every, None)
-}
-
-/// Adapts a boxed observer to `Sim::with_observer`'s `impl Observer`
-/// parameter (a bare `Box<dyn Observer>` cannot implement [`Observer`]
-/// here without clashing with the closure blanket impl).
-struct BoxedObserver(Box<dyn Observer>);
-
-impl Observer for BoxedObserver {
-    fn on_event(&mut self, at_micros: u64, event: &ProtocolEvent) {
-        self.0.on_event(at_micros, event);
-    }
-}
-
-/// Applies the optional observer and runs — the shared tail of every
-/// [`run_observed_experiment`] arm. Without an observer the simulation
-/// takes the unobserved fast path (no event construction at all).
-fn finish<P, D>(
-    sim: Sim<P, D>,
-    observer: Option<Box<dyn Observer>>,
-) -> Result<SimReport, InvariantViolation>
-where
-    P: ConcurrencyProtocol + Inspect,
-    D: Driver,
-{
-    match observer {
-        Some(obs) => sim.with_observer(BoxedObserver(obs)).run(),
-        None => sim.run(),
-    }
-}
-
-/// Like [`run_experiment`], additionally streaming every
-/// [`ProtocolEvent`] of the run into `observer` (stamped with virtual
-/// time in microseconds). Attach a `hlock_core::JsonlObserver`,
-/// `ChromeTraceObserver` or `MetricsRegistry` to export the run.
-///
-/// # Errors
-///
-/// Propagates [`InvariantViolation`] from the simulator — which would
-/// indicate a protocol bug, so callers usually `expect` it.
-pub fn run_observed_experiment(
-    kind: ProtocolKind,
-    nodes: usize,
-    workload: &WorkloadConfig,
-    latency: LatencyModel,
-    check_every: u64,
     observer: Option<Box<dyn Observer>>,
 ) -> Result<SimReport, InvariantViolation> {
-    let seed = derive_seed(workload, nodes);
+    let sim = SimConfig { latency, check_every, ..SimConfig::default() };
+    let config =
+        |lock_count| SimConfig { seed: derive_seed(workload, nodes), lock_count, ..sim.clone() };
+    let ids = || (0..nodes as u32).map(NodeId);
+    let pure = || NaimiPureDriver::new(workload, nodes);
     match kind {
         ProtocolKind::Hierarchical(cfg) => {
-            let lock_count = workload.hierarchical_lock_count();
-            let homes = token_homes(workload, nodes, lock_count);
-            let spaces =
-                (0..nodes).map(|i| LockSpace::with_homes(NodeId(i as u32), &homes, cfg)).collect();
-            let sim_cfg =
-                SimConfig { seed, latency, lock_count, check_every, ..SimConfig::default() };
-            let sim = Sim::new(spaces, HierarchicalDriver::new(workload, nodes), sim_cfg)
-                .with_frame_sizer(wire_frame_size);
-            finish(sim, observer)
+            let build = |id, homes: &[NodeId]| LockSpace::with_homes(id, homes, cfg);
+            Ok(run_layered(build, nodes, workload, sim, observer)?.0)
         }
         ProtocolKind::ShardedHierarchical(cfg, shards) => {
-            let lock_count = workload.hierarchical_lock_count();
-            let homes = token_homes(workload, nodes, lock_count);
             let spec = ShardSpec::new(shards);
-            let spaces = (0..nodes)
-                .map(|i| ShardedSpace::with_homes(NodeId(i as u32), &homes, cfg, spec))
-                .collect();
-            let sim_cfg =
-                SimConfig { seed, latency, lock_count, check_every, ..SimConfig::default() };
-            let sim = Sim::new(spaces, HierarchicalDriver::new(workload, nodes), sim_cfg)
-                .with_frame_sizer(wire_frame_size);
-            finish(sim, observer)
+            let build = |id, homes: &[NodeId]| ShardedSpace::with_homes(id, homes, cfg, spec);
+            Ok(run_layered(build, nodes, workload, sim, observer)?.0)
         }
         ProtocolKind::NaimiSameWork => {
             let lock_count = workload.naimi_lock_count();
-            let spaces = (0..nodes)
-                .map(|i| NaimiSpace::new(NodeId(i as u32), lock_count, NodeId(0)))
-                .collect();
-            let sim_cfg =
-                SimConfig { seed, latency, lock_count, check_every, ..SimConfig::default() };
-            let sim = Sim::new(spaces, NaimiSameWorkDriver::new(workload, nodes), sim_cfg)
-                .with_frame_sizer(wire_frame_size);
-            finish(sim, observer)
+            let spaces = ids().map(|id| NaimiSpace::new(id, lock_count, NodeId(0))).collect();
+            let driver = NaimiSameWorkDriver::new(workload, nodes);
+            Ok(run_sim(spaces, driver, config(lock_count), observer)?.0)
         }
         ProtocolKind::NaimiPure => {
-            let spaces =
-                (0..nodes).map(|i| NaimiSpace::new(NodeId(i as u32), 1, NodeId(0))).collect();
-            let sim_cfg =
-                SimConfig { seed, latency, lock_count: 1, check_every, ..SimConfig::default() };
-            let sim = Sim::new(spaces, NaimiPureDriver::new(workload, nodes), sim_cfg)
-                .with_frame_sizer(wire_frame_size);
-            finish(sim, observer)
+            let spaces = ids().map(|id| NaimiSpace::new(id, 1, NodeId(0))).collect();
+            Ok(run_sim(spaces, pure(), config(1), observer)?.0)
         }
         ProtocolKind::RaymondPure => {
-            let spaces = (0..nodes)
-                .map(|i| RaymondSpace::new(NodeId(i as u32), nodes, 1, NodeId(0)))
-                .collect();
-            let sim_cfg =
-                SimConfig { seed, latency, lock_count: 1, check_every, ..SimConfig::default() };
-            let sim = Sim::new(spaces, NaimiPureDriver::new(workload, nodes), sim_cfg)
-                .with_frame_sizer(wire_frame_size);
-            finish(sim, observer)
+            let spaces = ids().map(|id| RaymondSpace::new(id, nodes, 1, NodeId(0))).collect();
+            Ok(run_sim(spaces, pure(), config(1), observer)?.0)
         }
         ProtocolKind::SuzukiPure => {
-            let spaces = (0..nodes)
-                .map(|i| SuzukiSpace::new(NodeId(i as u32), nodes, 1, NodeId(0)))
-                .collect();
-            let sim_cfg =
-                SimConfig { seed, latency, lock_count: 1, check_every, ..SimConfig::default() };
-            let sim = Sim::new(spaces, NaimiPureDriver::new(workload, nodes), sim_cfg)
-                .with_frame_sizer(wire_frame_size);
-            finish(sim, observer)
+            let spaces = ids().map(|id| SuzukiSpace::new(id, nodes, 1, NodeId(0))).collect();
+            Ok(run_sim(spaces, pure(), config(1), observer)?.0)
         }
     }
+}
+
+/// Runs the airline workload on hierarchical nodes built by `build` from
+/// `(node id, token homes)` — the shared body of every hierarchical run,
+/// bare or wrapped in a layer. The `seed` (one derivation, so raw and
+/// wrapped runs face the same latency process) and `lock_count` fields of
+/// `sim` are overwritten; every other field is honoured.
+fn run_layered<P>(
+    build: impl Fn(NodeId, &[NodeId]) -> P,
+    nodes: usize,
+    workload: &WorkloadConfig,
+    sim: SimConfig,
+    observer: Option<Box<dyn Observer>>,
+) -> Result<(SimReport, Vec<P>), InvariantViolation>
+where
+    P: ConcurrencyProtocol + Inspect,
+    P::Message: WireCodec + 'static,
+{
+    let lock_count = workload.hierarchical_lock_count();
+    let homes = token_homes(workload, nodes, lock_count);
+    let spaces = (0..nodes as u32).map(|i| build(NodeId(i), &homes)).collect();
+    let config = SimConfig { seed: derive_seed(workload, nodes), lock_count, ..sim };
+    run_sim(spaces, HierarchicalDriver::new(workload, nodes), config, observer)
 }
 
 /// Result of [`run_session_experiment`]: the simulator report plus the
@@ -229,10 +198,8 @@ pub struct SessionExperimentReport {
 ///
 /// Unlike [`run_experiment`], this takes a full [`SimConfig`] so callers
 /// can dial in drop/duplicate/reorder probabilities, partitions, node
-/// pauses and the liveness watchdog. The `seed` (derived from the
-/// workload exactly as [`run_experiment`] derives it, so raw and
-/// session-wrapped runs face the same latency process) and `lock_count`
-/// fields are overwritten; every other field is honoured.
+/// pauses and the liveness watchdog; its `seed` and `lock_count` fields
+/// are overwritten.
 ///
 /// # Errors
 ///
@@ -245,15 +212,9 @@ pub fn run_session_experiment(
     workload: &WorkloadConfig,
     sim: SimConfig,
 ) -> Result<SessionExperimentReport, InvariantViolation> {
-    let lock_count = workload.hierarchical_lock_count();
-    let homes = token_homes(workload, nodes, lock_count);
-    let spaces: Vec<SessionSpace<LockSpace>> = (0..nodes)
-        .map(|i| SessionSpace::new(LockSpace::with_homes(NodeId(i as u32), &homes, cfg), session))
-        .collect();
-    let sim_cfg = SimConfig { seed: derive_seed(workload, nodes), lock_count, ..sim };
-    let (report, spaces) = Sim::new(spaces, HierarchicalDriver::new(workload, nodes), sim_cfg)
-        .with_frame_sizer(wire_frame_size)
-        .run_with_nodes()?;
+    let build =
+        |id, homes: &[NodeId]| SessionSpace::new(LockSpace::with_homes(id, homes, cfg), session);
+    let (report, spaces) = run_layered(build, nodes, workload, sim, None)?;
     let mut stats = SessionStats::default();
     for space in &spaces {
         stats.merge(&space.stats());
@@ -261,10 +222,8 @@ pub fn run_session_experiment(
     Ok(SessionExperimentReport { report, session: stats })
 }
 
-/// Result of [`run_recovery_experiment`] (flat, the default `P`) or
-/// [`run_sharded_recovery_experiment`] (`P = ShardedSpace`): the
-/// simulator report plus the final recovery epoch and the surviving
-/// protocol states.
+/// Result of [`run_recovery_experiment`]: the simulator report plus the
+/// final recovery epoch and the surviving protocol states.
 #[derive(Debug)]
 pub struct RecoveryExperimentReport<P: Recoverable = LockSpace> {
     /// Metrics, end time and quiescence from the simulator.
@@ -276,34 +235,24 @@ pub struct RecoveryExperimentReport<P: Recoverable = LockSpace> {
     pub spaces: Vec<RecoverySpace<P>>,
 }
 
-/// Runs the airline workload on the hierarchical protocol wrapped in the
+/// Runs the airline workload on a hierarchical runtime wrapped in the
 /// crash-recovery layer, under the fault model carried by `sim` —
 /// typically with [`hlock_sim::NodeCrash`] schedules and the liveness
 /// watchdog armed, so that crash-stops of token homes are detected,
 /// survivors elect and install a new epoch, and every surviving request
 /// is still granted.
 ///
-/// Like [`run_session_experiment`], the `seed` and `lock_count` fields
-/// of `sim` are overwritten; every other field is honoured.
-///
-/// # Errors
-///
-/// Propagates [`InvariantViolation`] from the simulator — either a
-/// protocol bug or, with `sim.watchdog` set, a liveness stall that
-/// recovery failed to clear.
-pub fn run_recovery_experiment(
-    cfg: ProtocolConfig,
-    nodes: usize,
-    workload: &WorkloadConfig,
-    sim: SimConfig,
-) -> Result<RecoveryExperimentReport, InvariantViolation> {
-    run_observed_recovery_experiment(cfg, nodes, workload, sim, None)
-}
-
-/// Like [`run_recovery_experiment`], additionally streaming every
+/// `inner` builds the runtime under the recovery layer from `(node id,
+/// token homes)`: `|id, homes| LockSpace::with_homes(id, homes, cfg)` for
+/// the flat runtime, `ShardedSpace::with_homes(id, homes, cfg, spec)` for
+/// the sharded one — there a crash (and the recovery round it triggers)
+/// lands on *one* epoch for the whole node, but grants on shards that
+/// never lost a token must neither be dropped nor reordered; the
+/// simulator's per-step invariant checks and the live-scoped quiescence
+/// audit enforce exactly that. With an `observer`, every
 /// [`ProtocolEvent`] of the run — including the crash-time
-/// `request_aborted` span closers and the recovery/fencing events —
-/// into `observer`. Attach a `hlock_core::ClusterRecorder` or
+/// `request_aborted` span closers and the recovery/fencing events — is
+/// streamed into it: attach a `hlock_core::ClusterRecorder` or
 /// `RecordingAuditor` to flight-record and live-audit a faulty run.
 ///
 /// # Errors
@@ -311,80 +260,23 @@ pub fn run_recovery_experiment(
 /// Propagates [`InvariantViolation`] from the simulator — either a
 /// protocol bug or, with `sim.watchdog` set, a liveness stall that
 /// recovery failed to clear.
-pub fn run_observed_recovery_experiment(
-    cfg: ProtocolConfig,
+pub fn run_recovery_experiment<P: Recoverable>(
+    inner: impl Fn(NodeId, &[NodeId]) -> P,
     nodes: usize,
     workload: &WorkloadConfig,
     sim: SimConfig,
     observer: Option<Box<dyn Observer>>,
-) -> Result<RecoveryExperimentReport, InvariantViolation> {
+) -> Result<RecoveryExperimentReport<P>, InvariantViolation> {
     // Keepalive probes let a falsely-suspected node announce itself
     // after resuming, so it gets fenced, taught the new epoch, and its
     // outstanding requests are re-issued.
     const PROBE_INTERVAL_MICROS: u64 = 5_000_000;
-    let lock_count = workload.hierarchical_lock_count();
-    let homes = token_homes(workload, nodes, lock_count);
-    let spaces: Vec<RecoverySpace<LockSpace>> = (0..nodes)
-        .map(|i| {
-            RecoverySpace::with_homes(NodeId(i as u32), &homes, nodes as u32, cfg)
-                .with_probe_interval(PROBE_INTERVAL_MICROS)
-        })
-        .collect();
     let crashed: Vec<NodeId> = sim.crashes.iter().map(|c| c.node).collect();
-    let sim_cfg = SimConfig { seed: derive_seed(workload, nodes), lock_count, ..sim };
-    let sim = Sim::new(spaces, HierarchicalDriver::new(workload, nodes), sim_cfg)
-        .with_frame_sizer(wire_frame_size);
-    let (report, spaces) = match observer {
-        Some(obs) => sim.with_observer(BoxedObserver(obs)).run_with_nodes()?,
-        None => sim.run_with_nodes()?,
-    };
-    let max_epoch = spaces
-        .iter()
-        .filter(|s| !crashed.contains(&s.node_id()))
-        .map(RecoverySpace::epoch)
-        .max()
-        .unwrap_or(0);
-    Ok(RecoveryExperimentReport { report, max_epoch, spaces })
-}
-
-/// Like [`run_recovery_experiment`], but on the sharded lock-space
-/// runtime: every node runs a [`ShardedSpace`] split into `shards`
-/// shards, wrapped in the crash-recovery layer. A crash (and the
-/// recovery round it triggers) lands on *one* epoch for the whole node,
-/// but grants on shards that never lost a token must neither be dropped
-/// nor reordered — the simulator's per-step invariant checks and the
-/// live-scoped quiescence audit enforce exactly that.
-///
-/// # Errors
-///
-/// Propagates [`InvariantViolation`] from the simulator — either a
-/// protocol bug or, with `sim.watchdog` set, a liveness stall that
-/// recovery failed to clear.
-pub fn run_sharded_recovery_experiment(
-    cfg: ProtocolConfig,
-    nodes: usize,
-    shards: usize,
-    workload: &WorkloadConfig,
-    sim: SimConfig,
-) -> Result<RecoveryExperimentReport<ShardedSpace>, InvariantViolation> {
-    const PROBE_INTERVAL_MICROS: u64 = 5_000_000;
-    let lock_count = workload.hierarchical_lock_count();
-    let homes = token_homes(workload, nodes, lock_count);
-    let spec = ShardSpec::new(shards);
-    let spaces: Vec<RecoverySpace<ShardedSpace>> = (0..nodes)
-        .map(|i| {
-            RecoverySpace::wrap(
-                ShardedSpace::with_homes(NodeId(i as u32), &homes, cfg, spec),
-                (0..nodes as u32).map(NodeId),
-            )
+    let build = |id, homes: &[NodeId]| {
+        RecoverySpace::wrap(inner(id, homes), (0..nodes as u32).map(NodeId))
             .with_probe_interval(PROBE_INTERVAL_MICROS)
-        })
-        .collect();
-    let crashed: Vec<NodeId> = sim.crashes.iter().map(|c| c.node).collect();
-    let sim_cfg = SimConfig { seed: derive_seed(workload, nodes), lock_count, ..sim };
-    let (report, spaces) = Sim::new(spaces, HierarchicalDriver::new(workload, nodes), sim_cfg)
-        .with_frame_sizer(wire_frame_size)
-        .run_with_nodes()?;
+    };
+    let (report, spaces) = run_layered(build, nodes, workload, sim, observer)?;
     let max_epoch = spaces
         .iter()
         .filter(|s| !crashed.contains(&s.node_id()))
@@ -411,6 +303,7 @@ mod tests {
             &small_workload(),
             LatencyModel::paper(),
             1,
+            None,
         )
         .expect("safe");
         assert!(r.quiescent);
@@ -425,6 +318,7 @@ mod tests {
             &small_workload(),
             LatencyModel::paper(),
             1,
+            None,
         )
         .expect("safe");
         assert!(r.quiescent);
@@ -432,9 +326,15 @@ mod tests {
 
     #[test]
     fn naimi_pure_runs_to_quiescence() {
-        let r =
-            run_experiment(ProtocolKind::NaimiPure, 5, &small_workload(), LatencyModel::paper(), 1)
-                .expect("safe");
+        let r = run_experiment(
+            ProtocolKind::NaimiPure,
+            5,
+            &small_workload(),
+            LatencyModel::paper(),
+            1,
+            None,
+        )
+        .expect("safe");
         assert!(r.quiescent);
         // Pure: exactly one request per op.
         assert_eq!(r.metrics.total_requests(), 5 * 6);
@@ -449,10 +349,12 @@ mod tests {
             &wl,
             LatencyModel::paper(),
             0,
+            None,
         )
         .unwrap();
         let same =
-            run_experiment(ProtocolKind::NaimiSameWork, 8, &wl, LatencyModel::paper(), 0).unwrap();
+            run_experiment(ProtocolKind::NaimiSameWork, 8, &wl, LatencyModel::paper(), 0, None)
+                .unwrap();
         assert!(
             ours.metrics.messages_per_request() < same.metrics.messages_per_request() + 2.0,
             "ours {:.2} vs same-work {:.2}",
@@ -515,7 +417,7 @@ mod tests {
         let registry = Rc::new(RefCell::new(MetricsRegistry::new()));
         let sink = Rc::clone(&registry);
         let obs = move |at: u64, e: &ProtocolEvent| sink.borrow_mut().on_event(at, e);
-        let r = run_observed_experiment(
+        let r = run_experiment(
             ProtocolKind::Hierarchical(ProtocolConfig::default()),
             4,
             &small_workload(),
@@ -551,6 +453,7 @@ mod tests {
             &wl,
             LatencyModel::paper(),
             1,
+            None,
         )
         .expect("safe under upgrade-heavy load");
         assert!(r.quiescent);

@@ -25,6 +25,7 @@
 //!     &wl,
 //!     LatencyModel::paper(),   // exponential, mean 150 ms
 //!     0,                       // invariant checking off
+//!     None,                    // no observer
 //! ).expect("run completes");
 //! assert!(report.quiescent);
 //! println!("messages/request = {:.2}", report.metrics.messages_per_request());
@@ -44,8 +45,7 @@ mod scenario;
 
 pub use drivers::{HierarchicalDriver, NaimiPureDriver, NaimiSameWorkDriver};
 pub use experiment::{
-    run_experiment, run_observed_experiment, run_observed_recovery_experiment,
-    run_recovery_experiment, run_session_experiment, run_sharded_recovery_experiment, ProtocolKind,
+    run_experiment, run_recovery_experiment, run_session_experiment, ProtocolKind,
     RecoveryExperimentReport, SessionExperimentReport,
 };
 pub use mix::{ModeMix, WorkloadConfig};

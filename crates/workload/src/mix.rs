@@ -9,7 +9,7 @@ use hlock_sim::Duration;
 /// The paper's experiment randomizes the mode of each iteration so that
 /// "the IR, R, U, IW and W requests are 80 %, 10 %, 4 %, 5 % and 1 % of
 /// the total requests" — reads dominate writes, as in practice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ModeMix {
     /// Weights for `[IR, R, U, IW, W]`, in that order.
     pub weights: [u32; 5],
@@ -68,7 +68,7 @@ impl Default for ModeMix {
 }
 
 /// Parameters of the multi-airline reservation experiment (§4).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WorkloadConfig {
     /// Number of fare-table entries `E` (each guarded by its own lock;
     /// the table itself is one more lock in the hierarchical protocol).

@@ -23,6 +23,7 @@
 //! assert!(report.achieved_rate < report.offered_rate);
 //! ```
 
+use crate::experiment::run_sim;
 use crate::open_loop::{OpenLoopDriver, OpenLoopOp, OpenLoopStats, OpenLoopWindow};
 use crate::sampler::{poisson_schedule, Zipfian};
 use hlock_core::rng::Rng;
@@ -31,9 +32,7 @@ use hlock_core::{
 };
 use hlock_naimi::NaimiSpace;
 use hlock_sim::Duration;
-use hlock_sim::{
-    sample_exponential, Driver, LatencyModel, Observer, Sim, SimConfig, SimReport, SimTime,
-};
+use hlock_sim::{sample_exponential, LatencyModel, Observer, SimConfig, SimReport, SimTime};
 
 /// Which runtime executes a scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -460,52 +459,28 @@ fn run_configured(
         watchdog: Some(Duration(60_000_000)),
         ..SimConfig::default()
     };
-    let report = match scenario.protocol {
+    let ids = (0..scenario.nodes as u32).map(NodeId);
+    let result = match scenario.protocol {
         ScenarioProtocol::Hierarchical => {
             let homes = scenario.token_homes();
-            let spaces = (0..scenario.nodes)
-                .map(|i| LockSpace::with_homes(NodeId(i as u32), &homes, pc))
-                .collect();
-            run(Sim::new(spaces, driver, cfg), observer)
+            let spaces = ids.map(|id| LockSpace::with_homes(id, &homes, pc)).collect();
+            run_sim(spaces, driver, cfg, observer).map(|r| r.0)
         }
         ScenarioProtocol::Sharded(shards) => {
             let homes = scenario.token_homes();
             let spec = ShardSpec::new(shards);
-            let spaces = (0..scenario.nodes)
-                .map(|i| ShardedSpace::with_homes(NodeId(i as u32), &homes, pc, spec))
-                .collect();
-            run(Sim::new(spaces, driver, cfg), observer)
+            let spaces = ids.map(|id| ShardedSpace::with_homes(id, &homes, pc, spec)).collect();
+            run_sim(spaces, driver, cfg, observer).map(|r| r.0)
         }
         ScenarioProtocol::FlatExclusive => {
-            let spaces = (0..scenario.nodes)
-                .map(|i| NaimiSpace::new(NodeId(i as u32), lock_count, NodeId(0)))
-                .collect();
-            run(Sim::new(spaces, driver, cfg), observer)
+            let spaces = ids.map(|id| NaimiSpace::new(id, lock_count, NodeId(0))).collect();
+            run_sim(spaces, driver, cfg, observer).map(|r| r.0)
         }
     };
+    let report = result.unwrap_or_else(|e| panic!("scenario violated an invariant: {e}"));
     assert!(report.quiescent, "scenario '{}' did not quiesce", scenario.name);
     let stats = stats.borrow();
     ScenarioReport::new(scenario, &report, &stats)
-}
-
-struct BoxedObserver(Box<dyn Observer>);
-
-impl Observer for BoxedObserver {
-    fn on_event(&mut self, at_micros: u64, event: &hlock_core::ProtocolEvent) {
-        self.0.on_event(at_micros, event);
-    }
-}
-
-fn run<P, D>(sim: Sim<P, D>, observer: Option<Box<dyn Observer>>) -> SimReport
-where
-    P: hlock_core::ConcurrencyProtocol + hlock_core::Inspect,
-    D: Driver,
-{
-    let result = match observer {
-        Some(obs) => sim.with_observer(BoxedObserver(obs)).run(),
-        None => sim.run(),
-    };
-    result.unwrap_or_else(|e| panic!("scenario violated an invariant: {e}"))
 }
 
 /// The scenario library: every preset of the CI matrix.

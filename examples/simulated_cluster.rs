@@ -31,7 +31,7 @@ fn main() {
         ProtocolKind::NaimiPure,
     ] {
         let report =
-            run_experiment(kind, nodes, &workload, latency, 0).expect("simulation completes");
+            run_experiment(kind, nodes, &workload, latency, 0, None).expect("simulation completes");
         assert!(report.quiescent, "all requests served");
         let m = report.metrics;
         println!(

@@ -17,9 +17,7 @@ use hlock::core::{
 };
 use hlock::net::Cluster;
 use hlock::sim::{NodeCrash, SimConfig, SimTime};
-use hlock::workload::{
-    run_observed_experiment, run_observed_recovery_experiment, ProtocolKind, WorkloadConfig,
-};
+use hlock::workload::{run_experiment, run_recovery_experiment, ProtocolKind, WorkloadConfig};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Duration;
@@ -29,7 +27,7 @@ fn sim_trace() -> Vec<(u64, ProtocolEvent)> {
     let events: Rc<RefCell<Vec<(u64, ProtocolEvent)>>> = Rc::default();
     let sink = Rc::clone(&events);
     let wl = WorkloadConfig { entries: 4, ops_per_node: 6, seed: 42, ..Default::default() };
-    let report = run_observed_experiment(
+    let report = run_experiment(
         ProtocolKind::Hierarchical(ProtocolConfig::paper()),
         5,
         &wl,
@@ -62,8 +60,8 @@ fn recovery_trace() -> Vec<(u64, ProtocolEvent)> {
         watchdog: Some(hlock::sim::Duration::from_millis(60_000)),
         ..SimConfig::default()
     };
-    let r = run_observed_recovery_experiment(
-        ProtocolConfig::default(),
+    let r = run_recovery_experiment(
+        |id, homes| LockSpace::with_homes(id, homes, ProtocolConfig::default()),
         5,
         &wl,
         sim,
@@ -167,11 +165,7 @@ fn clean_tcp_run_produces_zero_findings() {
         }
     }
     cluster.shutdown();
-    assert!(
-        flight.auditor().is_clean(),
-        "TCP run flagged: {:?}",
-        flight.auditor().findings()
-    );
+    assert!(flight.auditor().is_clean(), "TCP run flagged: {:?}", flight.auditor().findings());
     assert!(!flight.auditor().dumped(), "no violation, no dump");
 }
 
@@ -275,11 +269,7 @@ fn mutant_never_sent_delivery_is_killed() {
         if armed {
             if let ProtocolEvent::Delivered { node, kind, .. } = e {
                 armed = false;
-                out.push(ProtocolEvent::Delivered {
-                    node: *node,
-                    from: NodeId(96),
-                    kind: *kind,
-                });
+                out.push(ProtocolEvent::Delivered { node: *node, from: NodeId(96), kind: *kind });
             }
         }
         out

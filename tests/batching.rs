@@ -90,6 +90,7 @@ fn batching_does_not_change_experiment_outcomes() {
         &wl,
         LatencyModel::paper(),
         1,
+        None,
     )
     .expect("safe");
     assert!(r.quiescent);

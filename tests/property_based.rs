@@ -77,6 +77,7 @@ fn hierarchical_workload_is_safe(seed: u64, nodes: usize, entries: usize, ops: u
         &config,
         LatencyModel::paper(),
         1,
+        None,
     )
     .unwrap_or_else(|e| panic!("{e}"));
     assert!(report.quiescent);
@@ -117,9 +118,15 @@ fn random_workloads_safe_for_naimi() {
             ..Default::default()
         };
         let nodes = rng.range(2..7) as usize;
-        let report =
-            run_experiment(ProtocolKind::NaimiSameWork, nodes, &config, LatencyModel::paper(), 1)
-                .unwrap_or_else(|e| panic!("{e}"));
+        let report = run_experiment(
+            ProtocolKind::NaimiSameWork,
+            nodes,
+            &config,
+            LatencyModel::paper(),
+            1,
+            None,
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
         assert!(report.quiescent);
     });
 }

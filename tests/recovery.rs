@@ -13,6 +13,11 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
+/// The flat runtime under the recovery layer.
+fn flat(id: NodeId, homes: &[NodeId]) -> LockSpace {
+    LockSpace::with_homes(id, homes, ProtocolConfig::default())
+}
+
 #[test]
 fn crashed_token_home_recovers_and_survivors_finish() {
     // Kill the token home mid-workload: the watchdog must flag it, the
@@ -25,7 +30,7 @@ fn crashed_token_home_recovers_and_survivors_finish() {
         watchdog: Some(Duration::from_millis(60_000)),
         ..SimConfig::default()
     };
-    let r = run_recovery_experiment(ProtocolConfig::default(), 5, &wl, sim)
+    let r = run_recovery_experiment(flat, 5, &wl, sim, None)
         .expect("crash must be recovered, not wedge the run");
     assert!(r.max_epoch >= 1, "the crash must have forced a recovery epoch");
     assert!(r.report.quiescent, "survivors must drain to quiescence");
@@ -37,7 +42,7 @@ fn crash_free_recovery_run_matches_plain_protocol() {
     // epoch bump, and the workload completes exactly as without it.
     let wl = WorkloadConfig { entries: 4, ops_per_node: 6, seed: 13, ..Default::default() };
     let sim = SimConfig { check_every: 1, ..SimConfig::default() };
-    let r = run_recovery_experiment(ProtocolConfig::default(), 5, &wl, sim).expect("safe");
+    let r = run_recovery_experiment(flat, 5, &wl, sim, None).expect("safe");
     assert_eq!(r.max_epoch, 0, "no crash, no recovery round");
     assert!(r.report.quiescent);
     assert_eq!(r.report.metrics.total_grants(), r.report.metrics.total_requests());

@@ -15,6 +15,7 @@ fn full_size_hierarchical_run_checked() {
         &wl,
         LatencyModel::paper(),
         1, // safety checked after every delivered message
+        None,
     )
     .expect("safe at full scale");
     assert!(report.quiescent);
@@ -33,6 +34,7 @@ fn full_size_eager_transfers_still_safe() {
         &wl,
         LatencyModel::paper(),
         1,
+        None,
     )
     .expect("literal Rule 3.2 is safe (just slower)");
     assert!(report.quiescent);
@@ -43,7 +45,7 @@ fn full_size_eager_transfers_still_safe() {
 fn full_size_baselines_run() {
     let wl = WorkloadConfig { ops_per_node: 6, seed: 9, ..Default::default() };
     for kind in [ProtocolKind::NaimiSameWork, ProtocolKind::NaimiPure, ProtocolKind::RaymondPure] {
-        let report = run_experiment(kind, 120, &wl, LatencyModel::paper(), 0)
+        let report = run_experiment(kind, 120, &wl, LatencyModel::paper(), 0, None)
             .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
         assert!(report.quiescent, "{kind:?}");
     }

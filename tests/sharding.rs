@@ -35,12 +35,12 @@ fn locks_on_same_shard(spec: ShardSpec) -> (LockId, LockId) {
 fn sharded_sim_is_deterministic_and_quiescent_across_seeds() {
     for seed in 0..8 {
         let kind = ProtocolKind::ShardedHierarchical(ProtocolConfig::default(), 4);
-        let a = run_experiment(kind, 7, &wl(seed), LatencyModel::paper(), 1)
+        let a = run_experiment(kind, 7, &wl(seed), LatencyModel::paper(), 1, None)
             .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         assert!(a.quiescent, "seed {seed} did not quiesce");
         assert_eq!(a.metrics.total_grants(), a.metrics.total_requests());
         // Same seed, same binary: bit-identical schedule and metrics.
-        let b = run_experiment(kind, 7, &wl(seed), LatencyModel::paper(), 1).unwrap();
+        let b = run_experiment(kind, 7, &wl(seed), LatencyModel::paper(), 1, None).unwrap();
         assert_eq!(a.metrics.total_messages(), b.metrics.total_messages(), "seed {seed}");
         assert_eq!(a.metrics.total_grants(), b.metrics.total_grants());
         assert_eq!(a.end_time, b.end_time, "seed {seed}: virtual clocks diverged");
@@ -59,6 +59,7 @@ fn sharded_sim_grants_match_unsharded_run() {
             &wl(5),
             LatencyModel::paper(),
             1,
+            None,
         )
         .unwrap();
         let flat = run_experiment(
@@ -67,6 +68,7 @@ fn sharded_sim_grants_match_unsharded_run() {
             &wl(5),
             LatencyModel::paper(),
             1,
+            None,
         )
         .unwrap();
         assert!(sharded.quiescent && flat.quiescent);
@@ -223,11 +225,16 @@ fn shard_spec_spreads_the_airline_lock_table() {
     }
 }
 
+/// The four-shard runtime under the recovery layer.
+fn four_shards(id: NodeId, homes: &[NodeId]) -> ShardedSpace {
+    ShardedSpace::with_homes(id, homes, ProtocolConfig::default(), ShardSpec::new(4))
+}
+
 #[test]
 fn sharded_recovery_crash_schedule_seed_matrix() {
     use hlock::core::ConcurrencyProtocol;
     use hlock::sim::{Duration, NodeCrash, SimConfig, SimTime};
-    use hlock::workload::run_sharded_recovery_experiment;
+    use hlock::workload::run_recovery_experiment;
     // Crash the token home at a different point of the schedule for each
     // seed. Recovery replaces the tokens the dead node owned, but shards
     // that never lost a token must keep their in-flight grants: nothing
@@ -245,7 +252,7 @@ fn sharded_recovery_crash_schedule_seed_matrix() {
             watchdog: Some(Duration::from_millis(60_000)),
             ..SimConfig::default()
         };
-        let r = run_sharded_recovery_experiment(ProtocolConfig::default(), 5, 4, &wl(seed), sim)
+        let r = run_recovery_experiment(four_shards, 5, &wl(seed), sim, None)
             .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         assert!(r.max_epoch >= 1, "seed {seed}: the crash must force a recovery epoch");
         assert!(r.report.quiescent, "seed {seed}: survivors must drain every in-flight grant");
@@ -259,10 +266,10 @@ fn sharded_recovery_crash_schedule_seed_matrix() {
 #[test]
 fn sharded_recovery_wrapper_is_invisible_without_crashes() {
     use hlock::sim::SimConfig;
-    use hlock::workload::run_sharded_recovery_experiment;
+    use hlock::workload::run_recovery_experiment;
     let sim = SimConfig { check_every: 1, ..SimConfig::default() };
-    let r = run_sharded_recovery_experiment(ProtocolConfig::default(), 5, 4, &wl(7), sim)
-        .expect("crash-free run is safe");
+    let r =
+        run_recovery_experiment(four_shards, 5, &wl(7), sim, None).expect("crash-free run is safe");
     assert_eq!(r.max_epoch, 0, "no crash, no recovery round");
     assert!(r.report.quiescent);
     assert_eq!(r.report.metrics.total_grants(), r.report.metrics.total_requests());

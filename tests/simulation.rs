@@ -18,6 +18,7 @@ fn hierarchical_many_seeds_safe_and_quiescent() {
             &wl(seed),
             LatencyModel::paper(),
             1,
+            None,
         )
         .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         assert!(r.quiescent, "seed {seed} did not quiesce");
@@ -28,8 +29,15 @@ fn hierarchical_many_seeds_safe_and_quiescent() {
 #[test]
 fn naimi_same_work_many_seeds_safe_and_quiescent() {
     for seed in 0..4 {
-        let r = run_experiment(ProtocolKind::NaimiSameWork, 6, &wl(seed), LatencyModel::paper(), 1)
-            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let r = run_experiment(
+            ProtocolKind::NaimiSameWork,
+            6,
+            &wl(seed),
+            LatencyModel::paper(),
+            1,
+            None,
+        )
+        .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         assert!(r.quiescent);
     }
 }
@@ -37,8 +45,9 @@ fn naimi_same_work_many_seeds_safe_and_quiescent() {
 #[test]
 fn naimi_pure_many_seeds_safe_and_quiescent() {
     for seed in 0..4 {
-        let r = run_experiment(ProtocolKind::NaimiPure, 6, &wl(seed), LatencyModel::paper(), 1)
-            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let r =
+            run_experiment(ProtocolKind::NaimiPure, 6, &wl(seed), LatencyModel::paper(), 1, None)
+                .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         assert!(r.quiescent);
     }
 }
@@ -60,9 +69,15 @@ fn every_ablation_variant_is_safe() {
         },
     ];
     for (i, cfg) in variants.into_iter().enumerate() {
-        let r =
-            run_experiment(ProtocolKind::Hierarchical(cfg), 6, &wl(3), LatencyModel::paper(), 1)
-                .unwrap_or_else(|e| panic!("variant {i}: {e}"));
+        let r = run_experiment(
+            ProtocolKind::Hierarchical(cfg),
+            6,
+            &wl(3),
+            LatencyModel::paper(),
+            1,
+            None,
+        )
+        .unwrap_or_else(|e| panic!("variant {i}: {e}"));
         assert!(r.quiescent, "variant {i} did not quiesce");
     }
 }
@@ -82,6 +97,7 @@ fn write_heavy_mix_is_safe() {
         &config,
         LatencyModel::paper(),
         1,
+        None,
     )
     .expect("safe");
     assert!(r.quiescent);
@@ -102,6 +118,7 @@ fn read_only_mix_needs_no_freezes() {
         &config,
         LatencyModel::paper(),
         1,
+        None,
     )
     .expect("safe");
     assert!(r.quiescent);
@@ -122,6 +139,7 @@ fn fixed_latency_model_works_too() {
         &wl(4),
         LatencyModel::Fixed(Duration::from_millis(150)),
         1,
+        None,
     )
     .expect("safe");
     assert!(r.quiescent);
@@ -202,10 +220,11 @@ fn message_overhead_ordering_matches_paper_at_scale() {
         &config,
         LatencyModel::paper(),
         0,
+        None,
     )
     .unwrap();
-    let pure =
-        run_experiment(ProtocolKind::NaimiPure, 24, &config, LatencyModel::paper(), 0).unwrap();
+    let pure = run_experiment(ProtocolKind::NaimiPure, 24, &config, LatencyModel::paper(), 0, None)
+        .unwrap();
     let ours_mpr = ours.metrics.messages_per_request();
     let pure_mpr = pure.metrics.messages_per_request();
     assert!(ours_mpr > 0.5 && ours_mpr < 8.0, "ours {ours_mpr}");
