@@ -323,14 +323,16 @@ fn ablations(sweep: &mut Sweep) -> String {
         ("eager transfers (Rule 3.2 to the letter)", paper.with_eager_transfers(), false),
         ("token homes spread over the nodes", paper, true),
     ];
+    // Relative deltas: two mid-size systems suffice. At 120 nodes only the
+    // pair that decides whether path compression keeps its flag; the
+    // first of the two is the Figure-5 cell.
+    let cells = [10, 40].into_iter().flat_map(|nodes| variants.map(|v| (nodes, v)));
+    let cells = cells.chain([variants[0], variants[4]].map(|v| (120, v)));
     let mut rows = Vec::new();
-    // Relative deltas: two mid-size systems suffice.
-    for nodes in [10, 40] {
-        for (name, cfg, spread_token_homes) in variants {
-            let workload = WorkloadConfig { spread_token_homes, ..sweep.harness.workload };
-            let cell = sweep.cell_on(name, workload, ProtocolKind::Hierarchical(cfg), nodes);
-            rows.push((nodes, name, cell.metrics.clone()));
-        }
+    for (nodes, (name, cfg, spread_token_homes)) in cells {
+        let workload = WorkloadConfig { spread_token_homes, ..sweep.harness.workload };
+        let cell = sweep.cell_on(name, workload, ProtocolKind::Hierarchical(cfg), nodes);
+        rows.push((nodes, name, cell.metrics.clone()));
     }
     let factor = |latency: Duration| num(latency.as_millis_f64() / base, 1);
     table(

@@ -6,8 +6,8 @@
 //! the platform, so a seed names the same stream on every machine.
 //!
 //! Every draw consumes exactly one `next_u64`, and the arithmetic of
-//! each is pinned by the golden vectors below: the simulator figures
-//! committed in `BENCH_perf.json` and the benchmark's `sim_*` rows are
+//! each is pinned by the golden vectors below: the simulator tables
+//! generated into EXPERIMENTS.md and the benchmark's `sim_*` rows are
 //! exact functions of these streams. The draws are `#[inline]` because
 //! their callers — the simulator's per-message path first — live in
 //! other crates.

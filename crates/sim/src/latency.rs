@@ -86,8 +86,8 @@ mod tests {
     }
 
     /// The draws behind every simulated message delay, pinned: moving
-    /// them moves the benchmark's `sim_*` rows and the committed
-    /// scenario figures of `BENCH_perf.json`.
+    /// them moves the benchmark's `sim_*` rows and the generated tables
+    /// of EXPERIMENTS.md.
     #[test]
     fn samples_are_pinned_to_the_seed() {
         let mut rng = Rng::new(1);

@@ -53,7 +53,4 @@ pub use open_loop::{OpenLoopDriver, OpenLoopOp, OpenLoopStats, OpenLoopWindow};
 pub use ops::{plan_for_node, OpKind, OpPlan};
 pub use plan_driver::PlanDriver;
 pub use sampler::{poisson_schedule, Zipfian};
-pub use scenario::{
-    run_observed_scenario, run_scenario, scenario_presets, Scenario, ScenarioProtocol,
-    ScenarioReport, ScenarioWindow,
-};
+pub use scenario::{run_scenario, scenario_presets, Scenario, ScenarioProtocol, ScenarioReport};

@@ -75,7 +75,7 @@ impl OpenLoopStats {
             completed: 0,
             last_completion: None,
             // Exact (non-sampled) percentiles for any realistic scenario
-            // size: the CI gate reads p99.9 off this reservoir, and a
+            // size: EXPERIMENTS.md prints p99.9 off this reservoir, and a
             // sampled estimate would wobble across otherwise-identical
             // runs once op counts pass the default 1024 capacity.
             sojourn_micros: Reservoir::with_capacity(1 << 17),

@@ -4,8 +4,9 @@
 //! (think-time-free open-loop load).
 //!
 //! Both are deterministic given their seed/RNG: equal seeds produce
-//! byte-identical schedules, which is what lets the CI scenario matrix
-//! gate on exact virtual-time behavior instead of wall-clock noise.
+//! byte-identical schedules, which is what lets `experiments --check`
+//! hold the scenario cells to exact virtual-time behavior instead of
+//! wall-clock noise.
 
 use hlock_core::rng::Rng;
 use hlock_sim::{sample_exponential, Duration, SimTime};

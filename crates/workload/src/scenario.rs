@@ -3,8 +3,8 @@
 //! Each [`Scenario`] fixes a lock topology, an arrival process (Poisson,
 //! seeded), a key-popularity distribution (usually [`Zipfian`]) and a
 //! protocol, and [`run_scenario`] executes it in the deterministic
-//! simulator — so every cell of the CI scenario matrix is a pure
-//! function of its seed and compares exactly across machines. The
+//! simulator — so every cell of EXPERIMENTS.md's `scenarios` block is
+//! a pure function of its seed and compares exactly across machines. The
 //! library covers the contention shapes closed-loop benchmarks cannot
 //! produce: Zipfian-skewed hot locks, a flash crowd (mid-run write
 //! burst on one subtree), multi-tenant namespaces (thousands of
@@ -24,7 +24,7 @@
 //! ```
 
 use crate::experiment::run_sim;
-use crate::open_loop::{OpenLoopDriver, OpenLoopOp, OpenLoopStats, OpenLoopWindow};
+use crate::open_loop::{OpenLoopDriver, OpenLoopOp, OpenLoopStats};
 use crate::sampler::{poisson_schedule, Zipfian};
 use hlock_core::rng::Rng;
 use hlock_core::{
@@ -32,7 +32,7 @@ use hlock_core::{
 };
 use hlock_naimi::NaimiSpace;
 use hlock_sim::Duration;
-use hlock_sim::{sample_exponential, LatencyModel, Observer, SimConfig, SimReport, SimTime};
+use hlock_sim::{sample_exponential, LatencyModel, SimConfig, SimReport, SimTime};
 
 /// Which runtime executes a scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,7 +60,7 @@ impl ScenarioProtocol {
 }
 
 /// The workload shape; private so presets stay the single source of
-/// scenario truth (the bench bin and CI select by name).
+/// scenario truth (figures and tests select by name).
 #[derive(Debug, Clone)]
 enum Kind {
     /// Reads/writes over `entries` leaves of one table, leaf popularity
@@ -83,10 +83,10 @@ enum Kind {
 
 /// A named open-loop workload: topology + arrival process + protocol.
 ///
-/// Construct via [`scenario_presets`]; tune with the builder methods.
+/// Construct via [`scenario_presets`]; shrink with [`Scenario::quick`].
 #[derive(Debug, Clone)]
 pub struct Scenario {
-    /// Unique preset name (the CI matrix and gate key cells by it).
+    /// Unique preset name (figures and tests key cells by it).
     pub name: String,
     /// Which runtime executes the workload.
     pub protocol: ScenarioProtocol,
@@ -104,17 +104,12 @@ pub struct Scenario {
     pub hold_mean: Duration,
     /// Mean one-way network latency (exponential).
     pub net_mean: Duration,
-    /// Tail-regression injection: multiply the hold time of roughly one
-    /// op in 256 by this factor. `1.0` = off. Exists so the perf gate's
-    /// p99.9 backstop can be validated end-to-end (a seeded tail
-    /// regression must fail the gate).
-    pub tail_inject: f64,
     kind: Kind,
 }
 
 impl Scenario {
-    /// Shrinks the run (shorter window, lower rate) to CI-smoke size
-    /// while keeping the workload shape. Used by `--quick`.
+    /// Shrinks the run (a quarter of the arrival window) to test size
+    /// while keeping the workload shape.
     pub fn quick(mut self) -> Scenario {
         self.duration = Duration(self.duration.as_micros() / 4);
         if let Kind::FlashCrowd { burst_from, burst_until, .. } = &mut self.kind {
@@ -124,14 +119,7 @@ impl Scenario {
         self
     }
 
-    /// Sets the tail-injection multiplier (see [`Scenario::tail_inject`]).
-    pub fn with_tail_injection(mut self, mult: f64) -> Scenario {
-        assert!(mult.is_finite() && mult >= 1.0, "tail multiplier must be >= 1, got {mult}");
-        self.tail_inject = mult;
-        self
-    }
-
-    /// One-line description for docs and `--list`.
+    /// One-line description for docs.
     pub fn describe(&self) -> String {
         let what = match &self.kind {
             Kind::ZipfHot { entries, theta, write_pct } => {
@@ -234,26 +222,6 @@ impl Scenario {
             }));
             ops.sort_by_key(|op| op.at);
         }
-        if self.tail_inject > 1.0 {
-            // A seeded tail regression: one op in ~128 becomes a
-            // straggler *writer* holding its leaf exclusively for
-            // `tail_inject` times the normal hold. Everything queued
-            // behind it inherits the delay, so the p99.9 sojourn
-            // inflates while medians barely move — exactly the
-            // regression shape the gate's tail backstop exists to
-            // catch. (Forcing Write matters: in read-heavy cells a slow
-            // *reader* blocks almost nobody.)
-            for (i, op) in ops.iter_mut().enumerate() {
-                if i % 128 == 17 {
-                    op.hold = Duration((op.hold.as_micros() as f64 * self.tail_inject) as u64);
-                    let steps = op.plan.steps();
-                    let leaf = steps.last().expect("plans are non-empty").lock;
-                    let ancestors: Vec<LockId> =
-                        steps[..steps.len() - 1].iter().map(|s| s.lock).collect();
-                    op.plan = LockPlan::for_leaf(&ancestors, leaf, Mode::Write);
-                }
-            }
-        }
         ops
     }
 
@@ -331,10 +299,6 @@ impl Scenario {
     }
 }
 
-/// One per-second window of a [`ScenarioReport`]'s offered-vs-achieved
-/// time series (re-exported view of [`OpenLoopWindow`]).
-pub type ScenarioWindow = OpenLoopWindow;
-
 /// The measured outcome of one scenario cell.
 #[derive(Debug, Clone)]
 pub struct ScenarioReport {
@@ -342,10 +306,6 @@ pub struct ScenarioReport {
     pub name: String,
     /// Protocol label ([`ScenarioProtocol::label`]).
     pub protocol: String,
-    /// Cluster size.
-    pub nodes: usize,
-    /// Locks in the topology.
-    pub locks: usize,
     /// Ops whose arrival fired (scheduled offered load).
     pub offered_ops: u64,
     /// Ops fully granted.
@@ -357,16 +317,8 @@ pub struct ScenarioReport {
     pub achieved_rate: f64,
     /// Sojourn (arrival → fully granted) percentiles, microseconds.
     pub sojourn_p50: u64,
-    /// 90th-percentile sojourn, microseconds.
-    pub sojourn_p90: u64,
-    /// 99th-percentile sojourn, microseconds.
-    pub sojourn_p99: u64,
     /// 99.9th-percentile sojourn, microseconds.
     pub sojourn_p999: u64,
-    /// Mean sojourn, microseconds.
-    pub sojourn_mean: f64,
-    /// Maximum sojourn, microseconds.
-    pub sojourn_max: u64,
     /// Total protocol messages on the wire.
     pub messages: u64,
     /// Total grants (lock-level, not op-level).
@@ -379,10 +331,6 @@ pub struct ScenarioReport {
     pub messages_per_op: f64,
     /// Largest number of ops simultaneously in flight (backlog depth).
     pub max_in_flight: u64,
-    /// Virtual end time of the run, microseconds.
-    pub end_time_micros: u64,
-    /// Per-second arrivals/completions time series.
-    pub windows: Vec<ScenarioWindow>,
 }
 
 impl ScenarioReport {
@@ -391,26 +339,18 @@ impl ScenarioReport {
         ScenarioReport {
             name: s.name.clone(),
             protocol: s.protocol.label().to_string(),
-            nodes: s.nodes,
-            locks: s.lock_count(),
             offered_ops: stats.offered,
             completed_ops: stats.completed,
             offered_rate: stats.offered as f64 / duration_s,
             achieved_rate: stats.achieved_ops_per_sec(),
             sojourn_p50: stats.sojourn_percentile(0.50),
-            sojourn_p90: stats.sojourn_percentile(0.90),
-            sojourn_p99: stats.sojourn_percentile(0.99),
             sojourn_p999: stats.sojourn_percentile(0.999),
-            sojourn_mean: stats.sojourn_micros.mean(),
-            sojourn_max: stats.sojourn_micros.max(),
             messages: report.metrics.total_messages(),
             grants: report.metrics.total_grants(),
             messages_per_grant: report.metrics.total_messages() as f64
                 / report.metrics.total_grants().max(1) as f64,
             messages_per_op: report.metrics.total_messages() as f64 / stats.completed.max(1) as f64,
             max_in_flight: stats.max_in_flight,
-            end_time_micros: report.end_time.as_micros(),
-            windows: stats.windows.clone(),
         }
     }
 }
@@ -425,30 +365,13 @@ const WINDOW: Duration = Duration(1_000_000);
 /// Panics if the run violates a protocol invariant or fails to quiesce —
 /// either is a bug, not a measurement.
 pub fn run_scenario(scenario: &Scenario) -> ScenarioReport {
-    run_observed_scenario(scenario, None)
+    run_configured(scenario, ProtocolConfig::default())
 }
 
-/// Like [`run_scenario`], streaming every protocol event into `observer`
-/// (attach a `hlock_core::ClusterRecorder` to flight-record the run).
-///
-/// # Panics
-///
-/// Panics if the run violates a protocol invariant or fails to quiesce.
-pub fn run_observed_scenario(
-    scenario: &Scenario,
-    observer: Option<Box<dyn Observer>>,
-) -> ScenarioReport {
-    run_configured(scenario, ProtocolConfig::default(), observer)
-}
-
-/// [`run_observed_scenario`] with the hierarchical runtimes built from
-/// `pc` instead of the paper's configuration (the flat baseline has no
+/// [`run_scenario`] with the hierarchical runtimes built from `pc`
+/// instead of the paper's configuration (the flat baseline has no
 /// configuration to vary).
-fn run_configured(
-    scenario: &Scenario,
-    pc: ProtocolConfig,
-    observer: Option<Box<dyn Observer>>,
-) -> ScenarioReport {
+fn run_configured(scenario: &Scenario, pc: ProtocolConfig) -> ScenarioReport {
     let (driver, stats) = OpenLoopDriver::new(scenario.scripts(), WINDOW);
     let lock_count = scenario.lock_count();
     let cfg = SimConfig {
@@ -464,17 +387,17 @@ fn run_configured(
         ScenarioProtocol::Hierarchical => {
             let homes = scenario.token_homes();
             let spaces = ids.map(|id| LockSpace::with_homes(id, &homes, pc)).collect();
-            run_sim(spaces, driver, cfg, observer).map(|r| r.0)
+            run_sim(spaces, driver, cfg, None).map(|r| r.0)
         }
         ScenarioProtocol::Sharded(shards) => {
             let homes = scenario.token_homes();
             let spec = ShardSpec::new(shards);
             let spaces = ids.map(|id| ShardedSpace::with_homes(id, &homes, pc, spec)).collect();
-            run_sim(spaces, driver, cfg, observer).map(|r| r.0)
+            run_sim(spaces, driver, cfg, None).map(|r| r.0)
         }
         ScenarioProtocol::FlatExclusive => {
             let spaces = ids.map(|id| NaimiSpace::new(id, lock_count, NodeId(0))).collect();
-            run_sim(spaces, driver, cfg, observer).map(|r| r.0)
+            run_sim(spaces, driver, cfg, None).map(|r| r.0)
         }
     };
     let report = result.unwrap_or_else(|e| panic!("scenario violated an invariant: {e}"));
@@ -483,9 +406,9 @@ fn run_configured(
     ScenarioReport::new(scenario, &report, &stats)
 }
 
-/// The scenario library: every preset of the CI matrix.
+/// The scenario library: every row of EXPERIMENTS.md's `scenarios` block.
 ///
-/// Sizes are chosen so the full matrix runs in seconds of wall time
+/// Sizes are chosen so the full library runs in seconds of wall time
 /// (virtual time is free; compute scales with event count). Cells:
 ///
 /// | name                  | protocol       | shape |
@@ -507,7 +430,6 @@ pub fn scenario_presets() -> Vec<Scenario> {
         seed: 0xC0FFEE,
         hold_mean: Duration(500),
         net_mean: Duration(2_000),
-        tail_inject: 1.0,
         kind: Kind::Saturation,
     };
     vec![
@@ -662,7 +584,7 @@ mod tests {
         let scenario = preset("zipf_read_heavy");
         let retained = run_scenario(&scenario);
         let eager =
-            run_configured(&scenario, ProtocolConfig::paper().without_release_suppression(), None);
+            run_configured(&scenario, ProtocolConfig::paper().without_release_suppression());
         let flat = run_scenario(&preset("zipf_read_heavy_flat"));
         assert_eq!(retained.offered_ops, eager.offered_ops, "identical arrivals");
         assert!(
@@ -686,28 +608,6 @@ mod tests {
             retained.messages_per_op < flat.messages_per_op + 1.0,
             "the per-op gap to flat ({:.2}) stays under one message, was 2.25",
             flat.messages_per_op
-        );
-    }
-
-    #[test]
-    fn tail_injection_inflates_p999_but_not_median() {
-        // Read-heavy means a slow reader only blocks the 10% of writers
-        // (and whoever queues behind them), so the injection needs to be
-        // heavy-handed to punch through — which is fine: the knob exists
-        // to validate the gate's tail backstop, not to be subtle.
-        let clean = run_scenario(&preset("zipf_read_heavy").quick());
-        let hurt = run_scenario(&preset("zipf_read_heavy").quick().with_tail_injection(50.0));
-        assert!(
-            hurt.sojourn_p999 as f64 > 1.25 * clean.sojourn_p999 as f64,
-            "injected tail must inflate p99.9: {} -> {}",
-            clean.sojourn_p999,
-            hurt.sojourn_p999
-        );
-        assert!(
-            (hurt.sojourn_p50 as f64) < 2.0 * clean.sojourn_p50.max(1) as f64,
-            "median should barely move: {} -> {}",
-            clean.sojourn_p50,
-            hurt.sojourn_p50
         );
     }
 }

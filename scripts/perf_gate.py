@@ -4,61 +4,30 @@ BENCH_perf.json and fail on regressions.
 
 Usage:
     perf_gate.py --baseline BENCH_perf.json --current BENCH_perf.current.json
-                 [--cells {wall,scenarios,all}]
-                 [--throughput-drop 0.15] [--p99-inflate 0.20]
-                 [--max-cell-drop 0.40] [--normalize]
-                 [--scenario-tput-drop 0.10] [--scenario-p999-inflate 0.25]
-                 [--scenario-mpg-inflate 0.20]
 
-The artifact has two kinds of cells, gated very differently:
-
-**Wall-clock cells** (``entries``): the sharded-runtime matrix measured
-on the real TCP transport. Per-cell numbers from a 2-second run are
-noisy (a single unlucky scheduler episode can inflate one cell's p99 by
-50%), so the gate applies the documented thresholds to *noise-robust
-aggregates* across the whole sharded matrix:
+The cells (``entries``) are the sharded-runtime matrix measured on the
+real TCP transport. Per-cell numbers from a 2-second run are noisy (a
+single unlucky scheduler episode can inflate one cell's p99 by 50%), so
+the gate applies fixed thresholds to *noise-robust aggregates* across
+the whole sharded matrix:
 
 - The geometric mean of sharded-row throughput must not drop by more
-  than ``--throughput-drop`` (default 15%).
+  than ``THROUGHPUT_DROP`` (15%).
 - The geometric mean of sharded-row p99 request-to-grant latency must
-  not inflate by more than ``--p99-inflate`` (default 20%).
-- No single sharded cell may lose more than ``--max-cell-drop``
-  (default 40%) of its throughput — the catastrophic-regression
-  backstop that aggregates could otherwise average away.
+  not inflate by more than ``P99_INFLATE`` (20%).
+- No single sharded cell may lose more than ``MAX_CELL_DROP`` (40%) of
+  its throughput — the catastrophic-regression backstop that aggregates
+  could otherwise average away.
 - The current run's own 4-shard read-heavy throughput must stay at
   least 1.5x its 1-shard row (the committed baseline records >=2x; CI
   allows slack for small runners).
 
-**Scenario cells** (``scenarios``): the open-loop scenario library run
-in the deterministic simulator — virtual time, fixed seeds, so a cell's
-numbers are bit-identical across machines and runs. No noise means the
-per-cell backstops can be tight:
+A per-cell table (baseline vs current vs limit, pass/fail) is always
+printed so any regression is diagnosable from the CI log alone.
 
-- achieved throughput must not drop more than ``--scenario-tput-drop``
-  (default 10%),
-- p99.9 sojourn must not inflate more than ``--scenario-p999-inflate``
-  (default 25%),
-- messages-per-grant must not inflate more than
-  ``--scenario-mpg-inflate`` (default 20%),
-
-plus two structural invariants checked on the current run alone: the
-``saturation`` cell must actually saturate (achieved < 90% of offered —
-if it stops saturating, the open-loop driver has gone closed-loop), and
-the hierarchical ``zipf_read_heavy`` cell must beat its flat-exclusive
-twin on messages per grant (the paper's headline advantage).
-
-``--cells`` scopes which sections are gated (CI runs the wall matrix
-and the scenario matrix as separate jobs, each producing a partial
-artifact); missing-cell failures apply only within the selected
-sections. A per-cell table (baseline vs current vs limit, pass/fail) is
-always printed so any regression is diagnosable from the CI log alone.
-
-Comparisons of wall cells are raw by default: CI always benches on the
-same runner class, and the committed baseline must be refreshed from the
-bench-perf CI artifact (docs/PERFORMANCE.md), never from a developer
-machine. Pass ``--normalize`` to divide each run by its own Naimi
-calibration row first when comparing runs from different machines.
-(Scenario cells never need normalizing — they are machine-independent.)
+Comparisons are raw: CI always benches on the same runner class, and the
+committed baseline must be refreshed from the bench-perf CI artifact
+(docs/PERFORMANCE.md), never from a developer machine.
 """
 
 import argparse
@@ -66,26 +35,21 @@ import json
 import math
 import sys
 
-SCHEMAS = ("hlock-perf-baseline/v1", "hlock-perf-baseline/v2")
+SCHEMA = "hlock-perf-baseline/v3"
+THROUGHPUT_DROP = 0.15
+P99_INFLATE = 0.20
+MAX_CELL_DROP = 0.40
 
 
 def load(path):
     with open(path) as f:
         doc = json.load(f)
-    assert doc.get("schema") in SCHEMAS, f"{path}: unknown schema {doc.get('schema')!r}"
-    doc.setdefault("scenarios", [])  # v1 artifacts predate scenario cells
+    assert doc.get("schema") == SCHEMA, f"{path}: schema {doc.get('schema')!r}, want {SCHEMA!r}"
     return doc
 
 
 def key(entry):
     return (entry["protocol"], entry["shards"], entry["mix"])
-
-
-def calibration(doc):
-    for e in doc["entries"]:
-        if e["protocol"] == "naimi":
-            return e
-    raise SystemExit("no naimi calibration row in run")
 
 
 def geomean(xs):
@@ -123,19 +87,9 @@ class Table:
         return ("cell", "metric", "baseline", "current", "limit", "status")
 
 
-def gate_wall(base, cur, args, table, failures):
+def gate(base, cur, table, failures):
     base_by_key = {key(e): e for e in base["entries"]}
     cur_by_key = {key(e): e for e in cur["entries"]}
-
-    if args.normalize:
-        base_cal, cur_cal = calibration(base), calibration(cur)
-        base_tput_ref = base_cal["throughput_ops_per_sec"]
-        cur_tput_ref = cur_cal["throughput_ops_per_sec"]
-        base_p99_ref = float(base_cal["latency_micros"]["p99"])
-        cur_p99_ref = float(cur_cal["latency_micros"]["p99"])
-    else:
-        base_tput_ref = cur_tput_ref = 1.0
-        base_p99_ref = cur_p99_ref = 1.0
 
     b_tputs, c_tputs, b_p99s, c_p99s = [], [], [], []
     for k, b in sorted(base_by_key.items()):
@@ -145,6 +99,7 @@ def gate_wall(base, cur, args, table, failures):
             failures.append(f"{cell}: entry missing from current run")
             table.add(cell, "tput", f"{b['throughput_ops_per_sec']:.0f}", "missing", "-", False)
             continue
+        b_tput, c_tput = b["throughput_ops_per_sec"], c["throughput_ops_per_sec"]
         if b["protocol"] in ("mux-hierarchical", "mux-hierarchical-flight"):
             # Connection-scaling and flight-recorder cells: a different
             # regime (cold dials, hundreds of links) than the sharded
@@ -155,25 +110,21 @@ def gate_wall(base, cur, args, table, failures):
             # 60% threshold: the backstop exists to catch the cell
             # wedging or collapsing by an order of magnitude, not to
             # referee connect-storm jitter.
-            b_t = b["throughput_ops_per_sec"] / base_tput_ref
-            c_t = c["throughput_ops_per_sec"] / cur_tput_ref
-            ok = c_t >= b_t * 0.4
-            table.add(cell, "tput", f"{b_t:.0f}", f"{c_t:.0f}", f">={b_t * 0.4:.0f}", ok)
+            ok = c_tput >= b_tput * 0.4
+            table.add(cell, "tput", f"{b_tput:.0f}", f"{c_tput:.0f}", f">={b_tput * 0.4:.0f}", ok)
             if not ok:
                 failures.append(
                     f"{cell}: connection-scaling throughput collapsed "
-                    f"{100 * (1 - c_t / b_t):.1f}% ({b_t:.0f} -> {c_t:.0f})"
+                    f"{100 * (1 - c_tput / b_tput):.1f}% ({b_tput:.0f} -> {c_tput:.0f})"
                 )
             continue
         if b["protocol"] != "sharded-hierarchical":
             continue  # naimi/raymond rows are scale references, not gated
-        b_tput = b["throughput_ops_per_sec"] / base_tput_ref
-        c_tput = c["throughput_ops_per_sec"] / cur_tput_ref
         b_tputs.append(b_tput)
         c_tputs.append(c_tput)
-        b_p99s.append(max(1.0, b["latency_micros"]["p99"] / base_p99_ref))
-        c_p99s.append(max(1.0, c["latency_micros"]["p99"] / cur_p99_ref))
-        floor = b_tput * (1.0 - args.max_cell_drop)
+        b_p99s.append(max(1.0, b["latency_micros"]["p99"]))
+        c_p99s.append(max(1.0, c["latency_micros"]["p99"]))
+        floor = b_tput * (1.0 - MAX_CELL_DROP)
         ok = c_tput >= floor
         table.add(cell, "tput", f"{b_tput:.0f}", f"{c_tput:.0f}", f">={floor:.0f}", ok)
         if not ok:
@@ -185,14 +136,14 @@ def gate_wall(base, cur, args, table, failures):
     if b_tputs:
         b_gm, c_gm = geomean(b_tputs), geomean(c_tputs)
         print(f"throughput geomean: {b_gm:.0f} -> {c_gm:.0f} ({100 * (c_gm / b_gm - 1):+.1f}%)")
-        if c_gm < b_gm * (1.0 - args.throughput_drop):
+        if c_gm < b_gm * (1.0 - THROUGHPUT_DROP):
             failures.append(
                 f"matrix throughput geomean regressed {100 * (1 - c_gm / b_gm):.1f}% "
                 f"({b_gm:.0f} -> {c_gm:.0f})"
             )
         b_gm, c_gm = geomean(b_p99s), geomean(c_p99s)
         print(f"p99 geomean: {b_gm:.1f} -> {c_gm:.1f} ({100 * (c_gm / b_gm - 1):+.1f}%)")
-        if c_gm > b_gm * (1.0 + args.p99_inflate):
+        if c_gm > b_gm * (1.0 + P99_INFLATE):
             failures.append(
                 f"matrix p99 geomean inflated {100 * (c_gm / b_gm - 1):.1f}% "
                 f"({b_gm:.1f} -> {c_gm:.1f})"
@@ -212,110 +163,15 @@ def gate_wall(base, cur, args, table, failures):
     return len(b_tputs)
 
 
-def gate_scenarios(base, cur, args, table, failures):
-    base_by_name = {s["name"]: s for s in base["scenarios"]}
-    cur_by_name = {s["name"]: s for s in cur["scenarios"]}
-
-    gated = 0
-    for name, b in sorted(base_by_name.items()):
-        c = cur_by_name.get(name)
-        if c is None:
-            failures.append(f"scenario {name}: cell missing from current run")
-            table.add(name, "achieved", f"{b['achieved_rate']:.0f}", "missing", "-", False)
-            continue
-        gated += 1
-
-        floor = b["achieved_rate"] * (1.0 - args.scenario_tput_drop)
-        ok = c["achieved_rate"] >= floor
-        table.add(
-            name, "achieved/s", f"{b['achieved_rate']:.0f}", f"{c['achieved_rate']:.0f}",
-            f">={floor:.0f}", ok,
-        )
-        if not ok:
-            failures.append(
-                f"scenario {name}: achieved throughput dropped "
-                f"{100 * (1 - c['achieved_rate'] / b['achieved_rate']):.1f}% "
-                f"({b['achieved_rate']:.0f}/s -> {c['achieved_rate']:.0f}/s)"
-            )
-
-        b_p999 = b["sojourn_micros"]["p999"]
-        c_p999 = c["sojourn_micros"]["p999"]
-        ceil = b_p999 * (1.0 + args.scenario_p999_inflate)
-        ok = c_p999 <= ceil
-        table.add(name, "p999_us", b_p999, c_p999, f"<={ceil:.0f}", ok)
-        if not ok:
-            failures.append(
-                f"scenario {name}: p99.9 sojourn inflated "
-                f"{100 * (c_p999 / b_p999 - 1):.1f}% ({b_p999}us -> {c_p999}us)"
-            )
-
-        b_mpg = b["messages_per_grant"]
-        c_mpg = c["messages_per_grant"]
-        ceil = b_mpg * (1.0 + args.scenario_mpg_inflate)
-        ok = c_mpg <= ceil
-        table.add(name, "msgs/grant", f"{b_mpg:.2f}", f"{c_mpg:.2f}", f"<={ceil:.2f}", ok)
-        if not ok:
-            failures.append(
-                f"scenario {name}: messages per grant inflated "
-                f"{100 * (c_mpg / b_mpg - 1):.1f}% ({b_mpg:.2f} -> {c_mpg:.2f})"
-            )
-
-    # Structural invariants on the current run alone: these hold for any
-    # correct open-loop implementation, so a violation means the harness
-    # (not the protocol) regressed.
-    sat = cur_by_name.get("saturation")
-    if sat is not None:
-        knee = sat["achieved_rate"] / max(sat["offered_rate"], 1e-9)
-        ok = knee < 0.9
-        table.add("saturation", "achieved/offered", "-", f"{knee:.2f}", "<0.90", ok)
-        if not ok:
-            failures.append(
-                f"saturation cell no longer saturates (achieved/offered {knee:.2f} >= 0.9): "
-                "the open-loop driver is self-throttling into closed-loop behavior"
-            )
-    hier = cur_by_name.get("zipf_read_heavy")
-    flat = cur_by_name.get("zipf_read_heavy_flat")
-    if hier is not None and flat is not None:
-        ratio = flat["messages_per_grant"] / max(hier["messages_per_grant"], 1e-9)
-        ok = ratio > 1.0
-        table.add("zipf_read_heavy", "flat/hier mpg", "-", f"{ratio:.3f}", ">1.000", ok)
-        if not ok:
-            failures.append(
-                f"hierarchical protocol lost its messages-per-grant advantage under Zipf skew "
-                f"(flat/hier ratio {ratio:.3f} <= 1)"
-            )
-    return gated
-
-
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--baseline", required=True)
     ap.add_argument("--current", required=True)
-    ap.add_argument(
-        "--cells",
-        choices=("wall", "scenarios", "all"),
-        default="all",
-        help="which artifact sections to gate (CI jobs produce partial artifacts)",
-    )
-    ap.add_argument("--throughput-drop", type=float, default=0.15)
-    ap.add_argument("--p99-inflate", type=float, default=0.20)
-    ap.add_argument("--max-cell-drop", type=float, default=0.40)
-    ap.add_argument("--normalize", action="store_true")
-    ap.add_argument("--scenario-tput-drop", type=float, default=0.10)
-    ap.add_argument("--scenario-p999-inflate", type=float, default=0.25)
-    ap.add_argument("--scenario-mpg-inflate", type=float, default=0.20)
     args = ap.parse_args()
-
-    base = load(args.baseline)
-    cur = load(args.current)
 
     failures = []
     table = Table()
-    wall_cells = scenario_cells = 0
-    if args.cells in ("wall", "all"):
-        wall_cells = gate_wall(base, cur, args, table, failures)
-    if args.cells in ("scenarios", "all"):
-        scenario_cells = gate_scenarios(base, cur, args, table, failures)
+    cells = gate(load(args.baseline), load(args.current), table, failures)
 
     print("per-cell comparison:")
     table.print()
@@ -327,10 +183,7 @@ def main() -> int:
         print("If this change intentionally trades performance, refresh the")
         print("baseline per docs/PERFORMANCE.md or apply the perf-exempt label.")
         return 1
-    print(
-        f"perf gate passed: {wall_cells} sharded cells, "
-        f"{scenario_cells} scenario cells within thresholds"
-    )
+    print(f"perf gate passed: {cells} sharded cells within thresholds")
     return 0
 
 

@@ -18,11 +18,11 @@
 //!   TCP mesh transport.
 //! * [`workload`] — the airline-reservation workload and
 //!   experiment runners for Figures 5–7.
-//! * [`app`] — the multi-airline reservation application on
-//!   real sockets.
 //!
-//! See `examples/` for runnable walkthroughs and `crates/bench` for the
-//! binaries that regenerate every table and figure of the paper.
+//! See `examples/` for runnable walkthroughs (`airline_reservation` is
+//! the reservation application itself, on real sockets) and
+//! `crates/bench` for the binaries that regenerate every table and figure
+//! of the paper.
 //!
 //! ```
 //! use hlock::core::{Mode, ALL_MODES};
@@ -32,7 +32,6 @@
 
 #![warn(missing_docs)]
 
-pub use hlock_app as app;
 pub use hlock_check as check;
 pub use hlock_core as core;
 pub use hlock_naimi as naimi;

@@ -1,8 +1,8 @@
 //! End-to-end tests over the real TCP transport: the same sans-I/O
 //! protocol running over localhost sockets, exercised from multiple
-//! threads, plus the reservation application on top.
+//! threads. The reservation application on top of it is tested in its
+//! example (`cargo test --example airline_reservation`).
 
-use hlock::app::{AppError, ReservationSystem};
 use hlock::core::rng::Rng;
 use hlock::core::{
     LinkDownReason, LockId, LockSpace, MessageKind, Mode, NodeId, Observer, ProtocolConfig,
@@ -91,29 +91,6 @@ fn suzuki_cluster_mutual_exclusion() {
     let stats = cluster.message_stats();
     assert!(stats[&MessageKind::Request] >= 3 * 3, "{stats:?}");
     cluster.shutdown();
-}
-
-#[test]
-fn reservation_app_end_to_end() {
-    let sys = Arc::new(ReservationSystem::launch(3, 4, 200.0, 3).unwrap());
-    // Fare queries from every node.
-    for n in 0..3 {
-        assert_eq!(sys.agent(n).query_fare(1).unwrap(), 200.0);
-    }
-    // Book all seats of entry 2 from different nodes.
-    assert_eq!(sys.agent(0).book_seat(2).unwrap().seats_left, 2);
-    assert_eq!(sys.agent(1).book_seat(2).unwrap().seats_left, 1);
-    assert_eq!(sys.agent(2).book_seat(2).unwrap().seats_left, 0);
-    assert!(matches!(sys.agent(0).book_seat(2), Err(AppError::SoldOut { entry: 2 })));
-    // Bulk reprice and verify atomically-updated snapshot.
-    sys.agent(1).bulk_reprice(0.5).unwrap();
-    let snap = sys.agent(2).snapshot().unwrap();
-    assert!(snap.iter().all(|e| (e.fare - 100.0).abs() < 1e-9));
-    assert!(snap.iter().all(|e| e.generation == 1));
-    match Arc::try_unwrap(sys) {
-        Ok(s) => s.shutdown(),
-        Err(_) => panic!("no other refs"),
-    }
 }
 
 #[test]
