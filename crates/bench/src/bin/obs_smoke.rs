@@ -10,17 +10,18 @@
 //! * `obs_smoke_metrics.prom` — Prometheus text exposition dump with
 //!   request-to-grant latency quantiles per mode
 //!
-//! Checks: the JSONL parses line-by-line, the event stream's request
-//! spans balance (every span opened is closed exactly once), event
-//! counts agree with the simulator's own metrics, and the trace/metrics
-//! dumps contain what dashboards expect.
+//! Checks: the JSONL parses line-by-line, the invariant auditor finds
+//! nothing in the event stream (every span opened is closed exactly
+//! once, end of stream included), event counts agree with the
+//! simulator's own metrics, and the trace/metrics dumps contain what
+//! dashboards expect.
 //!
 //! ```text
 //! cargo run --release -p hlock-bench --bin obs_smoke
 //! ```
 
 use hlock_core::{
-    check_span_balance, ChromeTraceObserver, JsonlObserver, LockSpace, MetricsRegistry, NodeId,
+    ChromeTraceObserver, InvariantAuditor, JsonlObserver, LockSpace, MetricsRegistry, NodeId,
     Observer, ProtocolConfig, ProtocolEvent, RecordingAuditor, DEFAULT_FLIGHT_CAPACITY,
 };
 use hlock_sim::{Duration as SimDuration, LatencyModel, NodeCrash, SimConfig, SimTime};
@@ -119,8 +120,9 @@ fn main() {
     if events.is_empty() {
         fail("no events observed");
     }
-    if let Err(e) = check_span_balance(events.iter()) {
-        fail(&format!("span imbalance: {e}"));
+    let findings = InvariantAuditor::audit_stream(events.iter());
+    if !findings.is_empty() {
+        fail(&format!("auditor flagged the observed run: {findings:?}"));
     }
     let requests = events.iter().filter(|e| e.name() == "request_issued").count() as u64;
     if requests != report.metrics.total_requests() {
@@ -232,7 +234,8 @@ fn main() {
     if recovery.max_epoch == 0 {
         fail("crash did not trigger a recovery round");
     }
-    let auditor = auditor.borrow();
+    let mut auditor = auditor.borrow_mut();
+    auditor.auditor.finish(recovery.report.end_time.0);
     if !auditor.auditor.is_clean() {
         fail(&format!("auditor flagged a clean recovery run: {:?}", auditor.auditor.findings()));
     }
@@ -240,9 +243,6 @@ fn main() {
         fail("flight dump triggered without a violation");
     }
     let crash_events = crash_events.borrow();
-    if let Err(e) = check_span_balance(crash_events.iter()) {
-        fail(&format!("span imbalance across crash: {e}"));
-    }
     let aborted = crash_events.iter().filter(|e| e.name() == "request_aborted").count();
     if aborted == 0 {
         fail("crash closed no spans via request_aborted");

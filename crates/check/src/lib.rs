@@ -6,13 +6,13 @@
 //! deliveries and application actions, asserting in every reachable
 //! state:
 //!
-//! * **Mutual-exclusion safety** — all concurrently held modes are
-//!   pairwise compatible (for the hierarchical protocol) / at most one
-//!   holder (for the exclusive baseline);
-//! * **Single token** — at most one node possesses the token per lock;
+//! * **Safety** — [`hlock_core::audit_live`]: at most one token per lock
+//!   and pairwise-compatible holders (for the exclusive baseline: at
+//!   most one holder);
 //! * **Progress** — every terminal state (no more possible steps) has
 //!   every scripted request granted and every node protocol-quiescent,
-//!   i.e. no deadlock and no lost request.
+//!   i.e. no deadlock and no lost request, and passes
+//!   [`hlock_core::audit_at_rest`].
 //!
 //! Scenarios are scripts of [`Action`]s per node, executed in order; a
 //! release or upgrade only becomes enabled once its ticket is granted,
@@ -27,19 +27,16 @@
 //! survivor, kept enabled so no terminal state precedes full
 //! detection). Deliveries route through [`HostRuntime::deliver`] so
 //! epoch fencing behaves exactly as in the simulator and the TCP
-//! transport. Safety then means *never two live tokens for one lock*
-//! in any reachable state, and progress means every **surviving**
-//! requester is granted after recovery — crashed nodes' scripts are
-//! exempt. Only recovery-capable protocols (see
-//! [`Checker::hierarchical_recovery`]) pass; raw protocols deadlock.
+//! transport. Safety then holds over the **live** nodes, and progress
+//! means every **surviving** requester is granted after recovery —
+//! crashed nodes' scripts are exempt. Only recovery-capable protocols
+//! (see [`Checker::hierarchical_recovery`]) pass; raw protocols deadlock.
 //!
 //! [`Checker::false_suspect_candidates`] additionally lets the
 //! adversary's detectors name **live** nodes dead — the false-positive
 //! scenario epoch fencing exists for, including schedules where a
 //! coordinator that already installed an epoch is recovered around.
-//! Safety is then asserted per epoch (see
-//! [`Checker::max_false_suspects`]): never two live tokens for one
-//! lock *at the same epoch*.
+//! Safety is then asserted per epoch ([`hlock_core::EpochScope`]).
 //!
 //! ```
 //! use hlock_check::{Action, Checker, Scenario};
@@ -59,9 +56,9 @@
 #![warn(rust_2018_idioms)]
 
 use hlock_core::{
-    BatchHost, Classify, ConcurrencyProtocol, EffectSink, HostRuntime, Inspect, LockId, LockSpace,
-    Mode, NodeId, Observer, Priority, ProtocolConfig, ProtocolEvent, RecoverySpace, ShardSpec,
-    ShardedSpace, SpanId, Ticket,
+    audit_at_rest, audit_live, BatchHost, Classify, ConcurrencyProtocol, EffectSink, EpochScope,
+    HostRuntime, Inspect, LockId, LockSpace, Mode, NodeId, Observer, Priority, ProtocolConfig,
+    ProtocolEvent, RecoverySpace, ShardSpec, ShardedSpace, SpanId, Ticket,
 };
 use hlock_naimi::NaimiSpace;
 use hlock_session::{SessionConfig, SessionSpace};
@@ -293,14 +290,10 @@ pub struct Checker<P: ConcurrencyProtocol> {
     /// Each suspicion spends one unit of [`Checker::max_false_suspects`].
     pub false_suspect_candidates: Vec<NodeId>,
     /// Budget of false suspicions per explored path (`0`, the default,
-    /// disables the step). With a positive budget the safety predicate
-    /// becomes **epoch-scoped**: a falsely-suspected node keeps running
-    /// at its stale epoch until fenced on contact, so its token and
-    /// grants are voided leases that may transiently coexist with the
-    /// new epoch's (the documented fencing model). The checker then
-    /// asserts "never two live tokens for one lock *at the same
-    /// epoch*" and compares held-mode compatibility within an epoch,
-    /// instead of the global counts used for crash-only schedules.
+    /// disables the step). With a positive budget the safety oracle
+    /// compares nodes per epoch ([`hlock_core::EpochScope::PerEpoch`]):
+    /// a falsely-suspected node keeps running at its stale epoch until
+    /// fenced on contact, and its token and grants are voided leases.
     pub max_false_suspects: u32,
     /// Optional event sink: when attached, every explored transition
     /// emits the same [`ProtocolEvent`] vocabulary as the simulator and
@@ -807,14 +800,10 @@ where
         Ok(())
     }
 
-    /// Safety in every state: pairwise-compatible holders, ≤ 1 token per
-    /// lock (in nodes; plus in-flight tokens must keep the total at 1 —
-    /// checked approximately as "held tokens + in-flight token messages ≥ 1").
-    ///
-    /// Only **live** nodes count: a crashed node's frozen state is dead
-    /// by definition, and the whole point of epoch fencing is that the
-    /// regenerated token can never coexist with a *live* copy of the
-    /// old one.
+    /// Safety in every state: [`hlock_core::audit_live`] over the live
+    /// nodes. A crashed node's frozen state is dead by definition, and
+    /// the whole point of epoch fencing is that the regenerated token
+    /// can never coexist with a *live* copy of the old one.
     fn check_safety(
         &self,
         scenario: &Scenario,
@@ -822,59 +811,17 @@ where
         trace: &[String],
         label: &str,
     ) -> Result<(), CheckError> {
-        // With false suspicion enabled, a recovered-around node keeps
-        // running at its stale epoch until fenced on contact: its token
-        // and grants are voided leases that may transiently coexist
-        // with the new epoch's, so uniqueness and compatibility are
-        // asserted per epoch (installs are totally ordered, one per
-        // epoch). Crash-only schedules keep the stricter global counts.
-        let epoch_scoped = self.max_false_suspects > 0;
-        for l in 0..scenario.locks {
-            let lock = LockId(l as u32);
-            let mut held: Vec<(NodeId, Mode, u64)> = Vec::new();
-            let mut token_epochs: Vec<u64> = Vec::new();
-            for (i, n) in s.nodes.iter().enumerate() {
-                if s.crashed[i] {
-                    continue;
-                }
-                let epoch = n.epoch();
-                for m in n.held_modes(lock) {
-                    held.push((n.node_id(), m, epoch));
-                }
-                if n.holds_token(lock) {
-                    token_epochs.push(epoch);
-                }
-            }
-            token_epochs.sort_unstable();
-            let same_epoch_tokens = token_epochs.windows(2).any(|w| w[0] == w[1]);
-            if same_epoch_tokens || (!epoch_scoped && token_epochs.len() > 1) {
-                return Err(self.err(
-                    format!(
-                        "{} live token holders for {lock} (epochs {token_epochs:?})",
-                        token_epochs.len()
-                    ),
-                    trace,
-                    label,
-                ));
-            }
-            for i in 0..held.len() {
-                for j in i + 1..held.len() {
-                    let (na, ma, ea) = held[i];
-                    let (nb, mb, eb) = held[j];
-                    if epoch_scoped && ea != eb {
-                        continue; // a stale-epoch grant is a voided lease
-                    }
-                    if na != nb && !ma.compatible(mb) {
-                        return Err(self.err(
-                            format!("incompatible holders on {lock}: {na}:{ma} vs {nb}:{mb}"),
-                            trace,
-                            label,
-                        ));
-                    }
-                }
-            }
+        let findings = audit_live(&live(s), scenario.locks, self.scope(), self.steps.get());
+        match findings.into_iter().next() {
+            Some(first) => Err(self.err(first.detail, trace, label)),
+            None => Ok(()),
         }
-        Ok(())
+    }
+
+    /// The oracle's [`EpochScope`]: per epoch when the adversary may
+    /// falsely suspect a live node (see [`Checker::max_false_suspects`]).
+    fn scope(&self) -> EpochScope {
+        EpochScope::for_run(self.max_false_suspects > 0)
     }
 
     /// Terminal states must have completed every script and be quiescent.
@@ -888,7 +835,6 @@ where
             // Unreachable: deliveries are always enabled.
             return Err(self.err("terminal state with in-flight messages".into(), trace, "end"));
         }
-        let any_crashed = s.crashed.iter().any(|&c| c);
         // Per-node failure-detector/epoch summary, appended to liveness
         // failures so stuck-election states are diagnosable from the
         // error alone.
@@ -942,62 +888,16 @@ where
                 ));
             }
         }
-        // Exactly one live token per lock must exist at quiescence —
-        // after a recovery that is the regenerated (or surviving) one.
-        // Under false suspicion, only the newest live epoch counts: a
-        // recovered-around node that never re-contacted the cluster may
-        // quiesce still holding its voided stale-epoch token.
-        let max_epoch = s
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| !s.crashed[i])
-            .map(|(_, n)| n.epoch())
-            .max()
-            .unwrap_or(0);
-        let epoch_scoped = self.max_false_suspects > 0;
-        for l in 0..scenario.locks {
-            let lock = LockId(l as u32);
-            let tokens = s
-                .nodes
-                .iter()
-                .enumerate()
-                .filter(|&(i, n)| {
-                    !s.crashed[i]
-                        && n.holds_token(lock)
-                        && (!epoch_scoped || n.epoch() == max_epoch)
-                })
-                .count();
-            if tokens != 1 {
-                return Err(self.err(
-                    format!("{tokens} live tokens for {lock} at quiescence"),
-                    trace,
-                    "end",
-                ));
-            }
-            // Deep structural audit (hierarchical protocol only; skipped
-            // after a crash or false suspicion — a dead node's frozen
-            // tree and a recovered-around straggler's stale one are
-            // garbage).
-            let states: Vec<&hlock_core::LockNode> =
-                s.nodes.iter().filter_map(|n| n.lock_node(lock)).collect();
-            if !any_crashed && s.false_suspects_used == 0 && states.len() == s.nodes.len() {
-                let findings = hlock_core::audit_lock(states);
-                if let Some(first) = findings.first() {
-                    // Surface every finding on the event stream before
-                    // failing, matching the simulator's audit reporting.
-                    for finding in &findings {
-                        self.observe_with(|| ProtocolEvent::AuditViolation {
-                            node: NodeId(0),
-                            lock,
-                            detail: finding.to_string(),
-                        });
-                    }
-                    return Err(self.err(format!("terminal-state audit: {first}"), trace, "end"));
-                }
-            }
+        // At rest: one live token per lock — after a recovery, the
+        // regenerated (or surviving) one — and, while no node has crashed
+        // or been recovered around, a consistent tree.
+        let whole = !s.crashed.contains(&true) && s.false_suspects_used == 0;
+        let (live, at) = (live(s), self.steps.get());
+        let mut report = |_, e: &ProtocolEvent| self.observe_with(|| e.clone());
+        match audit_at_rest(&live, scenario.locks, self.scope(), whole, at, &mut report).first() {
+            Some(f) => Err(self.err(format!("terminal-state audit: {}", f.detail), trace, "end")),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     fn err(&self, message: String, trace: &[String], label: &str) -> CheckError {
@@ -1005,6 +905,16 @@ where
         t.push(label.to_string());
         CheckError { message, trace: t }
     }
+}
+
+/// The live nodes of `s`, for the safety oracle.
+fn live<P: ConcurrencyProtocol + Inspect>(s: &State<P>) -> Vec<(NodeId, &P)> {
+    s.nodes
+        .iter()
+        .zip(&s.crashed)
+        .filter(|(_, &dead)| !dead)
+        .map(|(n, _)| (n.node_id(), n))
+        .collect()
 }
 
 /// The model checker's [`BatchHost`]: state mutation only, no I/O. The

@@ -76,8 +76,8 @@ mod shard;
 mod space;
 
 pub use audit::{
-    audit_lock, mean_tree_depth, tree_depths, AuditFinding, InvariantAuditor, LiveAuditFinding,
-    RecordingAuditor, SharedAuditor,
+    audit_at_rest, audit_live, audit_lock, mean_tree_depth, tree_depths, AuditFinding, EpochScope,
+    InvariantAuditor, RecordingAuditor, SharedAuditor,
 };
 pub use config::ProtocolConfig;
 pub use effect::{Effect, EffectSink, StepEffect};
@@ -94,10 +94,9 @@ pub use mode::{
 };
 pub use node::LockNode;
 pub use observe::{
-    check_span_balance, ChromeTraceObserver, ClusterRecorder, FlightRecorder, Hlc, HlcClock,
-    JsonlObserver, LinkDownReason, MetricsRegistry, NullObserver, Observer, ProtocolEvent,
-    Reservoir, ShardGauges, SharedRecorder, SpanId, VecObserver, DEFAULT_FLIGHT_CAPACITY,
-    DEFAULT_RESERVOIR_CAPACITY,
+    ChromeTraceObserver, ClusterRecorder, FlightRecorder, Hlc, HlcClock, JsonlObserver,
+    LinkDownReason, MetricsRegistry, NullObserver, Observer, ProtocolEvent, Reservoir, ShardGauges,
+    SharedRecorder, SpanId, VecObserver, DEFAULT_FLIGHT_CAPACITY, DEFAULT_RESERVOIR_CAPACITY,
 };
 pub use protocol::{CancelOutcome, ConcurrencyProtocol, Inspect};
 pub use queue::{QueueEntry, RequestQueue, Waiter};

@@ -2393,10 +2393,10 @@ mod tests {
     /// With observing enabled, a remote request produces a causally
     /// consistent span: one `request_issued` at the origin, matching
     /// span ids on every hop, and a balanced open/close per
-    /// [`crate::check_span_balance`].
+    /// [`crate::InvariantAuditor`].
     #[test]
     fn span_follows_remote_request_across_hops() {
-        use crate::observe::{check_span_balance, ProtocolEvent, SpanId};
+        use crate::observe::{ProtocolEvent, SpanId};
         let mut fx = sink();
         fx.set_observing(true);
         let mut a = LockNode::new(NodeId(0), L, NodeId(0), CFG);
@@ -2429,14 +2429,15 @@ mod tests {
                 assert_eq!(s, span, "stray span in {e:?}");
             }
         }
-        check_span_balance(&events).expect("span opens and closes exactly once");
+        let findings = crate::InvariantAuditor::audit_stream(&events);
+        assert!(findings.is_empty(), "span opens and closes exactly once: {findings:?}");
     }
 
     /// A token transfer preserves the requester's span and carries local
     /// queue entries onward with their own spans intact.
     #[test]
     fn span_survives_token_transfer() {
-        use crate::observe::{check_span_balance, ProtocolEvent, SpanId};
+        use crate::observe::{ProtocolEvent, SpanId};
         let mut fx = sink();
         fx.set_observing(true);
         let mut a = LockNode::new(NodeId(0), L, NodeId(0), CFG);
@@ -2462,7 +2463,8 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| matches!(e, ProtocolEvent::TokenReceived { .. }) && e.span() == Some(span)));
-        check_span_balance(&events).expect("span opens and closes exactly once");
+        let findings = crate::InvariantAuditor::audit_stream(&events);
+        assert!(findings.is_empty(), "span opens and closes exactly once: {findings:?}");
     }
 
     /// With observing off (the default), no events accumulate anywhere —

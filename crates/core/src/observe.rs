@@ -38,8 +38,8 @@ use std::io::{self, Write};
 /// Causal identifier of one request span: the ticket as assigned at the
 /// node that issued the request. Globally unique among *outstanding*
 /// requests (tickets are unique per origin); a ticket may be reused
-/// sequentially after its span closes, which balance checking
-/// ([`check_span_balance`]) permits.
+/// sequentially after its span closes, which span balance checking
+/// ([`crate::InvariantAuditor`]) permits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SpanId {
     /// The node that issued the request.
@@ -243,7 +243,7 @@ pub enum ProtocolEvent {
         /// The cancelled request's span.
         span: SpanId,
     },
-    /// An [`crate::audit_lock`] finding, reported through the event
+    /// An [`crate::audit_at_rest`] finding, reported through the event
     /// stream by the simulator / model checker at quiescence.
     AuditViolation {
         /// Node reporting the audit (host-chosen; `NodeId(0)` for
@@ -251,7 +251,8 @@ pub enum ProtocolEvent {
         node: NodeId,
         /// Lock concerned.
         lock: LockId,
-        /// Human-readable description of the inconsistency.
+        /// The finding's invariant label and description,
+        /// `"<invariant>: <detail>"`.
         detail: String,
     },
     /// A logical protocol message left the observing node (emitted by
@@ -1884,54 +1885,6 @@ impl Observer for MetricsRegistry {
     }
 }
 
-/// Verifies span accounting over an event stream: every close
-/// ([`ProtocolEvent::Granted`] / [`ProtocolEvent::RequestCancelled`] /
-/// [`ProtocolEvent::RequestAborted`]) matches a prior open ([`ProtocolEvent::RequestIssued`]) of the same
-/// span id, no span is closed more often than opened at any prefix, and
-/// every opened span is closed by the end. Sequential ticket reuse
-/// (request → grant → request again) is legal, as is re-opening a
-/// still-open span after a recovery round started (token regeneration
-/// wipes the wait queues, so survivors re-issue wiped requests under
-/// the same span — the two opens still end in one close).
-pub fn check_span_balance<'a>(
-    events: impl IntoIterator<Item = &'a ProtocolEvent>,
-) -> Result<(), String> {
-    let mut open: HashMap<SpanId, (i64, u64)> = HashMap::new();
-    let mut recovery_gen = 0u64;
-    for event in events {
-        if matches!(event, ProtocolEvent::RecoveryStarted { .. }) {
-            recovery_gen += 1;
-        }
-        if event.opens_span() {
-            if let Some(span) = event.span() {
-                let (c, gen) = open.entry(span).or_insert((0, recovery_gen));
-                if *c > 0 && *gen == recovery_gen {
-                    return Err(format!("span {span} opened twice without closing"));
-                }
-                *c = 1;
-                *gen = recovery_gen;
-            }
-        } else if event.closes_span() {
-            if let Some(span) = event.span() {
-                let (c, _) = open.entry(span).or_insert((0, recovery_gen));
-                *c -= 1;
-                if *c < 0 {
-                    return Err(format!("span {span} closed without a matching open"));
-                }
-            }
-        }
-    }
-    let dangling: Vec<String> =
-        open.iter().filter(|(_, &(c, _))| c != 0).map(|(s, _)| s.to_string()).collect();
-    if dangling.is_empty() {
-        Ok(())
-    } else {
-        let mut d = dangling;
-        d.sort();
-        Err(format!("spans left open at end of stream: {}", d.join(", ")))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2218,30 +2171,6 @@ mod tests {
     }
 
     #[test]
-    fn balance_accepts_well_formed_streams() {
-        let evs = [issued(0, 1), granted(0, 1), issued(0, 1), granted(0, 1)];
-        assert!(check_span_balance(evs.iter()).is_ok());
-    }
-
-    #[test]
-    fn balance_rejects_unmatched_close() {
-        let evs = [granted(0, 1)];
-        assert!(check_span_balance(evs.iter()).unwrap_err().contains("without a matching open"));
-    }
-
-    #[test]
-    fn balance_rejects_dangling_open() {
-        let evs = [issued(0, 1)];
-        assert!(check_span_balance(evs.iter()).unwrap_err().contains("left open"));
-    }
-
-    #[test]
-    fn balance_rejects_double_open() {
-        let evs = [issued(0, 1), issued(0, 1)];
-        assert!(check_span_balance(evs.iter()).unwrap_err().contains("opened twice"));
-    }
-
-    #[test]
     fn hlc_tick_is_monotone_even_when_time_stalls() {
         let mut c = HlcClock::new();
         let a = c.tick(100);
@@ -2335,7 +2264,7 @@ mod tests {
             ProtocolEvent::RequestAborted { node: NodeId(0), lock: LockId(0), span: span(0, 1) };
         assert!(aborted.closes_span());
         let evs = [issued(0, 1), aborted.clone()];
-        assert!(check_span_balance(evs.iter()).is_ok());
+        assert_eq!(crate::InvariantAuditor::audit_stream(&evs), vec![]);
         let mut reg = MetricsRegistry::new();
         reg.on_event(0, &issued(0, 1));
         reg.on_event(10, &aborted);

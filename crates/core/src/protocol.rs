@@ -220,9 +220,11 @@ pub trait ConcurrencyProtocol {
 
 /// Read-only introspection for invariant checking.
 ///
-/// Hosts (the simulator and the model checker) use this to assert global
-/// safety: all concurrently held modes must be pairwise compatible, and
-/// exactly one token may exist per lock (counting in-flight transfers).
+/// Hosts (the simulator and the model checker) hand this view of their
+/// live nodes to the safety oracle ([`crate::audit_live`],
+/// [`crate::audit_at_rest`]): all concurrently held modes must be
+/// pairwise compatible, at most one token may exist per lock, and
+/// exactly one once the run is at rest.
 pub trait Inspect {
     /// The modes currently held (inside critical sections) at this node
     /// for `lock`. A mode the node merely *retains* (Rule 5.3: owned, but
@@ -244,9 +246,11 @@ pub trait Inspect {
     }
 
     /// The recovery epoch this node's state belongs to (0 for epoch-free
-    /// protocols). Hosts compare states only within the newest live
-    /// epoch: a straggler still rebuilding from an older epoch carries
-    /// state the current epoch has already superseded.
+    /// protocols). The oracle compares live nodes across epochs unless
+    /// the run can falsely suspect a live node; then it compares them
+    /// only within an epoch, since a recovered-around node keeps running
+    /// at its stale epoch until fenced, and at rest it counts the token
+    /// at the newest live epoch ([`crate::EpochScope`]).
     fn epoch(&self) -> u64 {
         0
     }

@@ -16,8 +16,9 @@ use crate::metrics::Metrics;
 use crate::time::{Duration, SimTime};
 use hlock_core::rng::Rng;
 use hlock_core::{
-    BatchHost, Classify, ConcurrencyProtocol, EffectSink, HostRuntime, Inspect, LockId, Mode,
-    NodeId, NullObserver, Observer, Priority, ProtocolEvent, SpanId, Ticket,
+    audit_at_rest, audit_live, BatchHost, Classify, ConcurrencyProtocol, EffectSink, EpochScope,
+    HostRuntime, Inspect, LockId, Mode, NodeId, NullObserver, Observer, Priority, ProtocolEvent,
+    SpanId, Ticket,
 };
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap};
@@ -33,8 +34,8 @@ pub struct SimConfig {
     pub fifo_links: bool,
     /// Number of locks in the system (for invariant checks).
     pub lock_count: usize,
-    /// Check global safety invariants every N delivered events
-    /// (0 disables checking; checking is `O(nodes × locks)` per check).
+    /// Run the safety oracle (`hlock_core::audit`) every N delivered
+    /// messages and at the end of the run (0 disables checking).
     pub check_every: u64,
     /// Hard stop: abort the run if virtual time exceeds this bound.
     pub max_virtual_time: SimTime,
@@ -610,7 +611,7 @@ where
                         && before / self.config.check_every
                             != self.delivered / self.config.check_every
                     {
-                        self.check_invariants()?;
+                        self.check_invariants(false)?;
                     }
                 }
                 EventKind::Timer { node, timer } => {
@@ -634,8 +635,7 @@ where
             }
         }
         if self.config.check_every > 0 {
-            self.check_invariants()?;
-            self.audit_quiescent()?;
+            self.check_invariants(true)?;
         }
         // A crashed node is out of the system; only survivors owe
         // quiescence.
@@ -856,99 +856,42 @@ where
         Ok(recovering)
     }
 
-    /// Global audit at quiescence: copyset/parent agreement, single
-    /// accounting, acyclicity, dominance and drained frozen state (only
-    /// for protocols exposing their lock nodes; see `hlock_core::audit`).
-    fn audit_quiescent(&mut self) -> Result<(), InvariantViolation> {
-        if !self.config.crashes.is_empty() {
-            // A crashed node's frozen pre-crash state would trip the
-            // cross-node agreement checks; the epoch-scoped safety
-            // invariants in `check_invariants` cover crashed runs.
-            return Ok(());
-        }
-        if !self.nodes.iter().all(|n| n.is_quiescent()) {
-            return Ok(()); // a faulted run may legitimately be wedged
-        }
-        for l in 0..self.config.lock_count {
-            let lock = LockId(l as u32);
-            let findings: Vec<String> = {
-                let states: Vec<&hlock_core::LockNode> =
-                    self.nodes.iter().filter_map(|n| n.lock_node(lock)).collect();
-                if states.len() != self.nodes.len() {
-                    return Ok(()); // not the hierarchical protocol
-                }
-                hlock_core::audit_lock(states).iter().map(ToString::to_string).collect()
-            };
-            if findings.is_empty() {
-                continue;
-            }
-            // Surface every finding on the event stream before failing,
-            // so an exported log or metrics dump records the audit too.
-            for detail in &findings {
-                self.observe_with(|| ProtocolEvent::AuditViolation {
-                    node: NodeId(0),
-                    lock,
-                    detail: detail.clone(),
-                });
-            }
-            return Err(InvariantViolation(format!(
-                "quiescent-state audit failed ({} findings): {}",
-                findings.len(),
-                findings[0]
-            )));
-        }
-        Ok(())
-    }
-
-    /// Global safety: for every lock, all concurrently held modes must be
-    /// pairwise compatible and at most one node may hold the token.
-    ///
-    /// Safety is claimed over live nodes at the newest recovery epoch any
-    /// live node has installed: a crashed node is out of the system, and
-    /// a live node still at an older epoch is logically fenced — its
-    /// holds are expired leases that every current-epoch node will refuse
-    /// to honor (see `hlock_core::RecoverySpace`). Without recovery all
-    /// nodes report epoch 0 and this reduces to the plain global check.
-    fn check_invariants(&self) -> Result<(), InvariantViolation> {
-        let max_epoch = self
+    /// The safety oracle over the nodes that have not crashed:
+    /// [`hlock_core::audit_live`] in every checked state and, at the end
+    /// of the run, [`hlock_core::audit_at_rest`] — once every live node
+    /// is quiescent (a faulted run may legitimately be wedged) and every
+    /// crash has been suspected: a crash the watchdog never had cause to
+    /// suspect still owes its recovery, so its token may be missing. The
+    /// structural audit runs while no node has been suspected at all.
+    fn check_invariants(&mut self, at_end: bool) -> Result<(), InvariantViolation> {
+        let (crashes, now) = (&self.config.crashes, self.now);
+        let live: Vec<(NodeId, &P)> = self
             .nodes
             .iter()
-            .filter(|n| !self.is_crashed(n.node_id(), self.now))
-            .map(Inspect::epoch)
-            .max()
-            .unwrap_or(0);
-        for l in 0..self.config.lock_count {
-            let lock = LockId(l as u32);
-            let mut held: Vec<(NodeId, Mode)> = Vec::new();
-            let mut tokens = 0usize;
-            for n in &self.nodes {
-                if self.is_crashed(n.node_id(), self.now) || n.epoch() != max_epoch {
-                    continue;
-                }
-                for m in n.held_modes(lock) {
-                    held.push((n.node_id(), m));
-                }
-                if n.holds_token(lock) {
-                    tokens += 1;
-                }
-            }
-            if tokens > 1 {
-                return Err(InvariantViolation(format!("{tokens} tokens exist for {lock}")));
-            }
-            for i in 0..held.len() {
-                for j in i + 1..held.len() {
-                    let (na, ma) = held[i];
-                    let (nb, mb) = held[j];
-                    if na != nb && !ma.compatible(mb) {
-                        return Err(InvariantViolation(format!(
-                            "incompatible holders on {lock}: {na} holds {ma}, {nb} holds {mb} at {}",
-                            self.now
-                        )));
-                    }
-                }
-            }
+            .map(|n| (n.node_id(), n))
+            .filter(|&(id, _)| !crashes.iter().any(|c| c.covers(id, now)))
+            .collect();
+        // A pause is the one fault that makes a live node look dead: the
+        // watchdog suspects it like a crash.
+        let scope = EpochScope::for_run(!self.config.pauses.is_empty());
+        let locks = self.config.lock_count;
+        if let Some(first) = audit_live(&live, locks, scope, now.0).first() {
+            return Err(InvariantViolation(first.to_string()));
         }
-        Ok(())
+        let unsuspected_crash =
+            crashes.iter().any(|c| c.at <= now && !self.last_suspects.contains(&c.node));
+        if !at_end || unsuspected_crash || !live.iter().all(|(_, n)| n.is_quiescent()) {
+            return Ok(());
+        }
+        let whole = self.last_suspects.is_empty();
+        let findings = audit_at_rest(&live, locks, scope, whole, now.0, &mut *self.observer);
+        match findings.first() {
+            Some(first) => Err(InvariantViolation(format!(
+                "quiescent-state audit failed ({} findings): {first}",
+                findings.len()
+            ))),
+            None => Ok(()),
+        }
     }
 }
 

@@ -193,7 +193,7 @@ mod tests {
 
     #[test]
     fn observer_sees_balanced_spans_and_transport_events() {
-        use hlock_core::check_span_balance;
+        use hlock_core::InvariantAuditor;
         use std::cell::RefCell;
         use std::rc::Rc;
 
@@ -220,7 +220,8 @@ mod tests {
         assert!(count("message_sent") > 0, "no message_sent events");
         assert_eq!(count("message_sent"), count("delivered"));
         assert_eq!(count("dropped"), 0);
-        check_span_balance(events.iter().map(|(_, e)| e)).expect("spans balance");
+        let findings = InvariantAuditor::audit_stream(events.iter().map(|(_, e)| e));
+        assert!(findings.is_empty(), "spans balance: {findings:?}");
         // Timestamps are the virtual clock, which never runs backwards.
         assert!(events.windows(2).all(|w| w[0].0 <= w[1].0));
     }

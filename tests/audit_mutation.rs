@@ -8,16 +8,20 @@
 //! every DFS branch of the state exploration merged into one stream, so
 //! a stateful auditor would flag cross-branch "duplicates" that are
 //! really alternate histories — linearity is not a property that stream
-//! has.
+//! has. The last mutant is seeded in a node's state instead, and the
+//! simulator's safety oracle must kill it.
 
 use hlock::check::{Action, Checker, Scenario};
 use hlock::core::{
-    InvariantAuditor, LockId, LockSpace, Mode, NodeId, Observer, ProtocolConfig, ProtocolEvent,
-    Ticket,
+    CancelOutcome, Classify, ConcurrencyProtocol, EffectSink, Inspect, InvariantAuditor, LockId,
+    LockNode, LockSpace, MessageKind, Mode, NodeId, Observer, Priority, ProtocolConfig,
+    ProtocolError, ProtocolEvent, RecoveryEnvelope, RecoverySpace, Ticket,
 };
 use hlock::net::Cluster;
-use hlock::sim::{NodeCrash, SimConfig, SimTime};
-use hlock::workload::{run_experiment, run_recovery_experiment, ProtocolKind, WorkloadConfig};
+use hlock::sim::{NodeCrash, Sim, SimConfig, SimTime};
+use hlock::workload::{
+    run_experiment, run_recovery_experiment, HierarchicalDriver, ProtocolKind, WorkloadConfig,
+};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Duration;
@@ -319,4 +323,171 @@ fn mutant_fence_above_installed_epoch_is_killed() {
     });
     assert!(!armed, "trace never completed a recovery");
     assert!(flagged.contains(&"epoch_fencing"), "mutant survived: {flagged:?}");
+}
+
+/// The seeded fault for the simulator's safety oracle: once node 1 has
+/// installed a recovery epoch that a peer has already spoken at, it
+/// shows the host the epoch before and a `W` on the table lock held
+/// there — an older-epoch hold, incompatible with every newest-epoch
+/// grant on the table. (Waiting for the peer keeps a newer epoch in view
+/// whenever the hold shows.) Everything else is the wrapped node's.
+struct StaleHold {
+    node: RecoverySpace<LockSpace>,
+    /// The newest installed epoch a peer has spoken at.
+    heard: u64,
+}
+
+impl StaleHold {
+    /// Lock-protocol traffic is stamped with its sender's installed
+    /// epoch (election traffic may carry a proposed one).
+    fn hear(&mut self, messages: &[RecoveryEnvelope]) {
+        for m in messages.iter().filter(|m| m.kind() != MessageKind::Recovery) {
+            self.heard = self.heard.max(m.epoch().unwrap_or(0));
+        }
+    }
+
+    fn seeded(&self) -> bool {
+        let epoch = self.node.epoch();
+        self.node.node_id() == NodeId(1) && epoch > 0 && self.heard >= epoch
+    }
+}
+
+impl Inspect for StaleHold {
+    fn held_modes(&self, lock: LockId) -> Vec<Mode> {
+        let mut held = self.node.held_modes(lock);
+        if self.seeded() && lock == LockId(0) {
+            held.push(Mode::Write);
+        }
+        held
+    }
+    fn holds_token(&self, lock: LockId) -> bool {
+        self.node.holds_token(lock)
+    }
+    fn lock_node(&self, lock: LockId) -> Option<&LockNode> {
+        self.node.lock_node(lock)
+    }
+    fn epoch(&self) -> u64 {
+        self.node.epoch() - u64::from(self.seeded())
+    }
+    fn suspects(&self, peer: NodeId) -> bool {
+        Inspect::suspects(&self.node, peer)
+    }
+    fn frozen(&self) -> bool {
+        Inspect::frozen(&self.node)
+    }
+    fn open_requests(&self) -> Vec<(LockId, Ticket)> {
+        self.node.open_requests()
+    }
+}
+
+type Fx = EffectSink<RecoveryEnvelope>;
+
+impl ConcurrencyProtocol for StaleHold {
+    type Message = RecoveryEnvelope;
+    fn node_id(&self) -> NodeId {
+        self.node.node_id()
+    }
+    fn request(&mut self, l: LockId, m: Mode, t: Ticket, fx: &mut Fx) -> Result<(), ProtocolError> {
+        self.node.request(l, m, t, fx)
+    }
+    fn request_with_priority(
+        &mut self,
+        l: LockId,
+        m: Mode,
+        t: Ticket,
+        p: Priority,
+        fx: &mut Fx,
+    ) -> Result<(), ProtocolError> {
+        self.node.request_with_priority(l, m, t, p, fx)
+    }
+    fn release(&mut self, l: LockId, t: Ticket, fx: &mut Fx) -> Result<(), ProtocolError> {
+        self.node.release(l, t, fx)
+    }
+    fn upgrade(&mut self, l: LockId, t: Ticket, fx: &mut Fx) -> Result<(), ProtocolError> {
+        self.node.upgrade(l, t, fx)
+    }
+    fn try_request(
+        &mut self,
+        l: LockId,
+        m: Mode,
+        t: Ticket,
+        fx: &mut Fx,
+    ) -> Result<bool, ProtocolError> {
+        self.node.try_request(l, m, t, fx)
+    }
+    fn downgrade(
+        &mut self,
+        l: LockId,
+        t: Ticket,
+        m: Mode,
+        fx: &mut Fx,
+    ) -> Result<(), ProtocolError> {
+        self.node.downgrade(l, t, m, fx)
+    }
+    fn cancel(
+        &mut self,
+        l: LockId,
+        t: Ticket,
+        fx: &mut Fx,
+    ) -> Result<CancelOutcome, ProtocolError> {
+        self.node.cancel(l, t, fx)
+    }
+    fn on_message(&mut self, from: NodeId, message: RecoveryEnvelope, fx: &mut Fx) {
+        self.hear(std::slice::from_ref(&message));
+        self.node.on_message(from, message, fx)
+    }
+    fn on_message_batch(&mut self, from: NodeId, messages: Vec<RecoveryEnvelope>, fx: &mut Fx) {
+        self.hear(&messages);
+        self.node.on_message_batch(from, messages, fx)
+    }
+    fn on_timer(&mut self, token: u64, fx: &mut Fx) {
+        self.node.on_timer(token, fx)
+    }
+    fn on_link_reset(&mut self, peer: NodeId, fx: &mut Fx) {
+        self.node.on_link_reset(peer, fx)
+    }
+    fn is_quiescent(&self) -> bool {
+        self.node.is_quiescent()
+    }
+    fn fence_epoch(&self) -> Option<u64> {
+        self.node.fence_epoch()
+    }
+    fn on_suspect(&mut self, dead: &[NodeId], fx: &mut Fx) -> bool {
+        self.node.on_suspect(dead, fx)
+    }
+    fn on_stale_message(&mut self, from: NodeId, epoch: u64, fx: &mut Fx) {
+        self.node.on_stale_message(from, epoch, fx)
+    }
+}
+
+/// A crash-only run cannot falsely suspect a live node, so no live node
+/// can be running at a voided epoch: the simulator compares every live
+/// node with every other, whatever epoch each shows, and kills the
+/// older-epoch hold of [`StaleHold`] the first time a newest-epoch grant
+/// on the table meets it.
+#[test]
+fn mutant_older_epoch_hold_is_killed_on_a_crash_only_run() {
+    let wl = WorkloadConfig { entries: 4, ops_per_node: 6, seed: 13, ..Default::default() };
+    let locks = wl.hierarchical_lock_count();
+    let nodes: Vec<StaleHold> = (0..5)
+        .map(|i| {
+            let space =
+                RecoverySpace::new(NodeId(i), locks, NodeId(0), 5, ProtocolConfig::default());
+            StaleHold { node: space.with_probe_interval(5_000_000), heard: 0 }
+        })
+        .collect();
+    let sim = SimConfig {
+        seed: 13,
+        lock_count: locks,
+        check_every: 1,
+        crashes: vec![NodeCrash { node: NodeId(0), at: SimTime::from_millis(600) }],
+        watchdog: Some(hlock::sim::Duration::from_millis(60_000)),
+        ..SimConfig::default()
+    };
+    let err = Sim::new(nodes, HierarchicalDriver::new(&wl, 5), sim)
+        .run()
+        .expect_err("an older-epoch hold incompatible with a newest-epoch grant must be flagged");
+    let report = err.to_string();
+    assert!(report.contains("incompatible holders on L0: n1:W vs"), "{report}");
+    assert!(report.contains("[holder_compatibility]"), "{report}");
 }

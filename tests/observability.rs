@@ -5,7 +5,7 @@
 
 use hlock::check::{Action, Checker, Scenario};
 use hlock::core::{
-    check_span_balance, LockId, LockSpace, Mode, NodeId, ProtocolConfig, ProtocolEvent, SpanId,
+    InvariantAuditor, LockId, LockSpace, Mode, NodeId, ProtocolConfig, ProtocolEvent, SpanId,
     Ticket,
 };
 use hlock::net::Cluster;
@@ -155,7 +155,8 @@ fn spans_open_once_close_once_and_grants_match_requests() {
     assert!(report.quiescent);
 
     let events = events.borrow();
-    check_span_balance(events.iter()).expect("every span closes exactly once");
+    let findings = InvariantAuditor::audit_stream(events.iter());
+    assert!(findings.is_empty(), "every span closes exactly once: {findings:?}");
 
     // Every Granted carries the span its RequestIssued opened, and each
     // closes at most once.

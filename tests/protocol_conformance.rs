@@ -5,8 +5,8 @@
 //! cases, cancel/try/downgrade behavior, quiescence — shows up here.
 
 use hlock::core::{
-    CancelOutcome, ConcurrencyProtocol, Effect, EffectSink, Inspect, LockId, LockSpace, Mode,
-    NodeId, ProtocolConfig, ProtocolError, Ticket,
+    audit_at_rest, CancelOutcome, ConcurrencyProtocol, Effect, EffectSink, EpochScope, Inspect,
+    LockId, LockSpace, Mode, NodeId, NullObserver, ProtocolConfig, ProtocolError, Ticket,
 };
 use hlock::naimi::NaimiSpace;
 use hlock::raymond::RaymondSpace;
@@ -104,10 +104,12 @@ fn conformance<P: ConcurrencyProtocol + Inspect>(mut nodes: Vec<P>, name: &str) 
         "{name}: cancelled ticket must not surface on release: {grants:?}"
     );
 
-    // 7. Quiescence and single token at the end.
+    // 7. Quiescence and the at-rest safety oracle at the end: exactly one
+    //    token, and a consistent tree for the hierarchical protocol.
     assert!(nodes.iter().all(|n| n.is_quiescent()), "{name}");
-    let tokens = nodes.iter().filter(|n| n.holds_token(L)).count();
-    assert_eq!(tokens, 1, "{name}: exactly one token at rest");
+    let live: Vec<(NodeId, &P)> = nodes.iter().map(|n| (n.node_id(), n)).collect();
+    let findings = audit_at_rest(&live, 1, EpochScope::Global, true, 0, &mut NullObserver);
+    assert!(findings.is_empty(), "{name}: {findings:?}");
     // 8. One more full cycle to prove the system is still live.
     nodes[1].request(L, Mode::Write, Ticket(3), &mut fx).unwrap();
     let grants = pump(&mut nodes, &mut fx, NodeId(1));
