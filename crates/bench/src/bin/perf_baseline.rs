@@ -363,11 +363,7 @@ fn main() {
         )
         .expect("spawn recorded cluster");
         let run = drive_baseline(cluster.node(0), ops_per_thread);
-        assert!(
-            flight.auditor().is_clean(),
-            "auditor flagged the clean benchmark: {:?}",
-            flight.auditor().findings()
-        );
+        assert!(flight.is_clean(), "auditor flagged the clean benchmark: {:?}", flight.findings());
         cluster.shutdown();
         run
     });

@@ -1,8 +1,15 @@
 //! **Causal cluster timeline**: merges per-node flight-recorder dumps
 //! (`flight-node-*.jsonl`) into one HLC-ordered cluster timeline and
-//! renders it through the Chrome-trace sink, so a crash or an audit
-//! violation can be inspected as a single cross-node trace in
-//! `chrome://tracing` or <https://ui.perfetto.dev>.
+//! renders it as a Chrome trace (Trace Event Format), so a run, a crash
+//! or an audit violation can be inspected as a single cross-node trace
+//! in `chrome://tracing` or <https://ui.perfetto.dev>. This is the
+//! repository's only Chrome-trace renderer.
+//!
+//! Every node gets one track (`pid` 1, `tid` = node id). Each event
+//! appears as an instant (`ph:"i"`) on its node's track; request spans
+//! additionally appear as async begin/end pairs (`ph:"b"`/`"e"`) keyed
+//! by the span id, so a request's whole journey — across nodes — renders
+//! as one horizontal span.
 //!
 //! Each request span additionally gets a **latency waterfall**: the
 //! segments between its consecutive events (issue → queue wait →
@@ -18,7 +25,6 @@
 //! Exits non-zero if the directory has no parseable dumps, so CI can
 //! gate on artifact integrity.
 
-use hlock_core::ChromeTraceObserver;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -146,7 +152,7 @@ fn main() {
     // its send. `node` breaks exact ties deterministically.
     entries.sort_by_key(|e| (e.hlc, e.node));
 
-    let mut trace = ChromeTraceObserver::new();
+    let mut trace: Vec<String> = Vec::new();
     let mut nodes: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
     // span id → ordered (hlc, event name, node) milestones.
     let mut spans: BTreeMap<u64, Vec<(u64, String, u64)>> = BTreeMap::new();
@@ -160,7 +166,7 @@ fn main() {
                 _ => None,
             };
             if let Some(ph) = ph {
-                trace.push_entry(format!(
+                trace.push(format!(
                     "{{\"ph\":\"{ph}\",\"cat\":\"request\",\"name\":\"request\",\
                      \"id\":\"0x{span:x}\",\"pid\":1,\"tid\":{},\"ts\":{ts}}}",
                     e.node
@@ -175,7 +181,7 @@ fn main() {
         );
         json_str(&mut inst, &e.raw);
         inst.push_str("}}");
-        trace.push_entry(inst);
+        trace.push(inst);
     }
 
     // Per-span latency waterfall: each segment between consecutive span
@@ -205,7 +211,7 @@ fn main() {
             let ts = from_hlc >> 16;
             let dur = (to_hlc >> 16).saturating_sub(ts);
             let phase = format!("{from_ev}\u{2192}{to_ev}");
-            trace.push_entry(format!(
+            trace.push(format!(
                 "{{\"ph\":\"X\",\"cat\":\"waterfall\",\"name\":\"{phase}\",\
                  \"pid\":2,\"tid\":{origin},\"ts\":{ts},\"dur\":{dur},\
                  \"args\":{{\"span\":\"0x{span:x}\"}}}}"
@@ -219,13 +225,13 @@ fn main() {
     // Name the tracks so the viewer shows "cluster"/"waterfall" rather
     // than bare pids.
     for (pid, name) in [(1, "cluster"), (2, "waterfall")] {
-        trace.push_entry(format!(
+        trace.push(format!(
             "{{\"ph\":\"M\",\"pid\":{pid},\"name\":\"process_name\",\
              \"args\":{{\"name\":\"{name}\"}}}}"
         ));
     }
 
-    let doc = trace.finish();
+    let doc = format!("{{\"traceEvents\":[\n{}\n]}}\n", trace.join(",\n"));
     if let Err(e) = write_doc(&out_path, &doc) {
         fail(&format!("cannot write {}: {e}", out_path.display()));
     }

@@ -39,18 +39,23 @@
 //! traced benchmark round): at most one live token per lock, no grant
 //! without token or copyset membership, span open/close balance, no
 //! never-sent delivery per link, and epoch-fencing consistency. On a
-//! violation it records an [`AuditFinding`] and (when composed with a
-//! flight recorder) triggers a dump of the event window around it.
+//! violation it records an [`AuditFinding`]. [`SharedAuditor`], the one
+//! flight handle every host uses, owns it together with each node's
+//! flight recorder and dumps the event window around the first finding.
 
 use crate::ids::{LockId, NodeId};
 use crate::message::MessageKind;
 use crate::mode::{owned_strength, Mode};
 use crate::node::LockNode;
-use crate::observe::{ClusterRecorder, Observer, ProtocolEvent, SharedRecorder, SpanId};
+use crate::observe::{
+    FlightRecorder, Hlc, Observer, ProtocolEvent, SpanId, DEFAULT_FLIGHT_CAPACITY,
+};
 use crate::protocol::Inspect;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::ops::Range;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::{fs, io};
 
 /// One violated invariant, found by the oracle or by the online
 /// [`InvariantAuditor`].
@@ -669,119 +674,204 @@ impl Observer for InvariantAuditor {
     }
 }
 
-/// Composition observer for single-threaded hosts (simulator, model
-/// checker): feeds every event to a [`ClusterRecorder`] *and* an
-/// [`InvariantAuditor`], and dumps the flight windows of every node the
-/// first time the auditor flags a violation.
-#[derive(Debug)]
-pub struct RecordingAuditor {
-    /// The per-node flight recorders.
-    pub recorder: ClusterRecorder,
-    /// The streaming auditor.
-    pub auditor: InvariantAuditor,
-    dump_dir: Option<PathBuf>,
-    dumped: bool,
-}
-
-impl RecordingAuditor {
-    /// Recorders for `n` nodes with the given ring capacity; violations
-    /// dump to `dump_dir` (pass `None` to only collect findings).
-    pub fn new(n: usize, capacity: usize, dump_dir: Option<PathBuf>) -> Self {
-        RecordingAuditor {
-            recorder: ClusterRecorder::new(n, capacity),
-            auditor: InvariantAuditor::new(),
-            dump_dir,
-            dumped: false,
-        }
-    }
-
-    /// Whether a violation has triggered a dump.
-    pub fn dumped(&self) -> bool {
-        self.dumped
-    }
-}
-
-impl Observer for RecordingAuditor {
-    fn on_event(&mut self, at: u64, event: &ProtocolEvent) {
-        self.recorder.on_event(at, event);
-        let before = self.auditor.findings().len();
-        self.auditor.on_event(at, event);
-        if self.auditor.findings().len() > before && !self.dumped {
-            if let Some(dir) = &self.dump_dir {
-                let _ = self.recorder.dump_all(dir);
-                self.dumped = true;
-            }
-        }
-    }
-}
-
-/// A cloneable, thread-safe auditor handle for multi-threaded hosts
-/// (the mux TCP transport): every node's worker feeds its events into
-/// one shared [`InvariantAuditor`], and the first violation dumps every
-/// attached node's [`SharedRecorder`] window to the dump directory.
+/// The flight handle every host shares: one cloneable, thread-safe owner
+/// of each node's [`FlightRecorder`], the [`InvariantAuditor`] and the
+/// optional dump directory. It audits every event it is fed, records it
+/// in its node's ring, and writes the rings out as
+/// `flight-node-<i>.jsonl`: on demand ([`SharedAuditor::dump`]), when a
+/// mux node is killed ([`SharedAuditor::dump_node`]), and on the
+/// auditor's first finding.
+///
+/// Each host has one source of cross-node causality. Single-threaded
+/// hosts (simulator, model checker) feed the handle as an [`Observer`]:
+/// each `message_sent` pushes its stamp onto the link's in-flight queue
+/// and the matching `delivered` / `dropped` pops it, merging it into the
+/// receiver's clock. (Under reordering fault injection the FIFO pop
+/// pairs a delivery with the *oldest* in-flight send on its link — a
+/// conservative, still-causal bound.) The mux carries stamps on its wire
+/// frames instead ([`SharedAuditor::stamp_send`],
+/// [`SharedAuditor::observe_remote`]) and feeds events through
+/// [`SharedAuditor::on_wire_event`], which pairs nothing.
 #[derive(Debug, Clone)]
-pub struct SharedAuditor(Arc<Mutex<SharedAuditorInner>>);
+pub struct SharedAuditor(Arc<Flight>);
 
 #[derive(Debug)]
-struct SharedAuditorInner {
-    auditor: InvariantAuditor,
-    recorders: Vec<SharedRecorder>,
+struct Flight {
+    /// One ring per node, indexed by node id; none on an audit-only handle.
+    rings: Vec<Mutex<FlightRecorder>>,
     dump_dir: Option<PathBuf>,
+    state: Mutex<FlightState>,
+}
+
+#[derive(Debug, Default)]
+struct FlightState {
+    auditor: InvariantAuditor,
+    /// Send stamps in flight per `(from, to)` link, oldest first.
+    in_flight: HashMap<(NodeId, NodeId), VecDeque<Hlc>>,
     dumped: bool,
+    dump_error: Option<String>,
+}
+
+fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 impl SharedAuditor {
-    /// A fresh shared auditor; violations dump attached recorders to
-    /// `dump_dir` (pass `None` to only collect findings).
+    /// An audit-only handle: it records nothing, so it has no window to
+    /// dump (pass `None` to only collect findings).
     pub fn new(dump_dir: Option<PathBuf>) -> Self {
-        SharedAuditor(Arc::new(Mutex::new(SharedAuditorInner {
-            auditor: InvariantAuditor::new(),
-            recorders: Vec::new(),
-            dump_dir,
-            dumped: false,
-        })))
+        SharedAuditor::recording(0, dump_dir)
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, SharedAuditorInner> {
-        self.0.lock().unwrap_or_else(|e| e.into_inner())
+    /// A handle that also keeps the last [`DEFAULT_FLIGHT_CAPACITY`]
+    /// events of each of nodes `0..nodes`.
+    pub fn recording(nodes: usize, dump_dir: Option<PathBuf>) -> Self {
+        let rings =
+            (0..nodes).map(|_| Mutex::new(FlightRecorder::new(DEFAULT_FLIGHT_CAPACITY))).collect();
+        SharedAuditor(Arc::new(Flight { rings, dump_dir, state: Mutex::default() }))
     }
 
-    /// Registers a node's flight recorder for dump-on-violation.
-    pub fn attach_recorder(&self, recorder: SharedRecorder) {
-        self.lock().recorders.push(recorder);
+    fn state(&self) -> MutexGuard<'_, FlightState> {
+        locked(&self.0.state)
+    }
+
+    fn ring(&self, node: NodeId) -> Option<MutexGuard<'_, FlightRecorder>> {
+        self.0.rings.get(node.index()).map(locked)
+    }
+
+    /// Records and audits one event of a host that stamps its wire
+    /// frames: message events are recorded as they are, since the
+    /// frames carry the causality.
+    pub fn on_wire_event(&self, at: u64, event: &ProtocolEvent) {
+        if let Some(mut ring) = self.ring(event.node()) {
+            ring.record(at, event);
+        }
+        self.audit(self.state(), |a| a.on_event(at, event));
+    }
+
+    /// Ticks `node`'s clock for an outgoing wire frame; returns the raw
+    /// stamp the frame carries (0 when `node` has no ring).
+    pub fn stamp_send(&self, node: NodeId, at: u64) -> u64 {
+        self.ring(node).map_or(0, |mut ring| ring.stamp_send(at).0)
+    }
+
+    /// Folds a received frame's raw stamp into `node`'s clock (a zero
+    /// stamp, from an unrecorded sender, is ignored).
+    pub fn observe_remote(&self, node: NodeId, raw: u64, at: u64) {
+        if raw != 0 {
+            if let Some(mut ring) = self.ring(node) {
+                ring.observe_remote(Hlc(raw), at);
+            }
+        }
+    }
+
+    /// The auditor's end-of-stream check ([`InvariantAuditor::finish`]).
+    pub fn finish(&self, at: u64) {
+        self.audit(self.state(), |a| a.finish(at));
+    }
+
+    /// Feeds the auditor; its first finding dumps every ring.
+    fn audit(&self, mut st: MutexGuard<'_, FlightState>, feed: impl FnOnce(&mut InvariantAuditor)) {
+        let clean = st.auditor.is_clean();
+        feed(&mut st.auditor);
+        if clean && !st.auditor.is_clean() {
+            st.dumped =
+                self.0.dump_dir.is_some() && self.write(&mut st, 0..self.0.rings.len()).is_ok();
+        }
     }
 
     /// All findings so far.
     pub fn findings(&self) -> Vec<AuditFinding> {
-        self.lock().auditor.findings().to_vec()
+        self.state().auditor.findings().to_vec()
     }
 
     /// Whether no invariant has been violated.
     pub fn is_clean(&self) -> bool {
-        self.lock().auditor.is_clean()
+        self.state().auditor.is_clean()
     }
 
-    /// Whether a violation has triggered a dump.
+    /// Whether the first finding's dump wrote every window.
     pub fn dumped(&self) -> bool {
-        self.lock().dumped
+        self.state().dumped
+    }
+
+    /// The first error any dump hit, if any.
+    pub fn dump_error(&self) -> Option<String> {
+        self.state().dump_error.clone()
+    }
+
+    /// Events evicted from full rings, summed over every node.
+    pub fn dropped(&self) -> u64 {
+        self.0.rings.iter().map(|ring| locked(ring).dropped()).sum()
+    }
+
+    /// Dump on demand: writes every node's window to the dump directory
+    /// and returns the paths written (none without a directory).
+    ///
+    /// # Errors
+    ///
+    /// The first filesystem error, which [`SharedAuditor::dump_error`]
+    /// also keeps.
+    pub fn dump(&self) -> io::Result<Vec<PathBuf>> {
+        let mut st = self.state();
+        self.write(&mut st, 0..self.0.rings.len())
+    }
+
+    /// The crash dump of a killed node: writes its window alone. A
+    /// failure is kept for [`SharedAuditor::dump_error`], since a killed
+    /// node has no caller to return it to.
+    pub fn dump_node(&self, node: NodeId) {
+        let i = node.index();
+        if i < self.0.rings.len() {
+            self.write(&mut self.state(), i..i + 1).ok();
+        }
+    }
+
+    /// The one routine that writes flight windows: node `i`'s ring to
+    /// `flight-node-<i>.jsonl` for each `i` in `nodes`. The first error
+    /// ends the dump and is kept.
+    fn write(&self, st: &mut FlightState, nodes: Range<usize>) -> io::Result<Vec<PathBuf>> {
+        let Some(dir) = &self.0.dump_dir else { return Ok(Vec::new()) };
+        let written = fs::create_dir_all(dir).and_then(|()| {
+            nodes
+                .map(|i| {
+                    let path = dir.join(format!("flight-node-{i}.jsonl"));
+                    fs::write(&path, locked(&self.0.rings[i]).dump_jsonl()).map(|()| path)
+                })
+                .collect()
+        });
+        if let Err(e) = &written {
+            st.dump_error.get_or_insert_with(|| format!("flight dump to {}: {e}", dir.display()));
+        }
+        written
     }
 }
 
 impl Observer for SharedAuditor {
     fn on_event(&mut self, at: u64, event: &ProtocolEvent) {
-        let mut inner = self.lock();
-        let before = inner.auditor.findings().len();
-        inner.auditor.on_event(at, event);
-        if inner.auditor.findings().len() > before && !inner.dumped {
-            if let Some(dir) = inner.dump_dir.clone() {
-                let _ = std::fs::create_dir_all(&dir);
-                for rec in &inner.recorders {
-                    let node = rec.with(|r| r.node());
-                    let _ = rec.dump_to(&dir.join(format!("flight-node-{}.jsonl", node.0)));
+        let mut st = self.state();
+        if let Some(mut ring) = self.ring(event.node()) {
+            match *event {
+                ProtocolEvent::MessageSent { node, to, .. } => {
+                    let h = ring.record(at, event);
+                    st.in_flight.entry((node, to)).or_default().push_back(h);
                 }
-                inner.dumped = true;
+                ProtocolEvent::Delivered { node, from, .. }
+                | ProtocolEvent::Dropped { node, from, .. } => {
+                    // A dropped message's stamp never arrives; popping it
+                    // keeps later deliveries paired with their own sends.
+                    let sent = st.in_flight.get_mut(&(from, node)).and_then(VecDeque::pop_front);
+                    if let (Some(h), ProtocolEvent::Delivered { .. }) = (sent, event) {
+                        ring.observe_remote(h, at);
+                    }
+                    ring.record(at, event);
+                }
+                _ => {
+                    ring.record(at, event);
+                }
             }
         }
+        self.audit(st, |a| a.on_event(at, event));
     }
 }
 
@@ -1240,18 +1330,59 @@ mod tests {
     }
 
     #[test]
-    fn recording_auditor_dumps_on_violation() {
+    fn shared_auditor_dumps_on_first_finding() {
         let dir = std::env::temp_dir().join(format!("hlock-audit-dump-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut ra = RecordingAuditor::new(3, 64, Some(dir.clone()));
-        ra.on_event(0, &token_recv(1));
-        assert!(!ra.dumped());
-        ra.on_event(1, &token_recv(2));
-        assert!(ra.dumped());
-        let dump = std::fs::read_to_string(dir.join("flight-node-2.jsonl")).unwrap();
+        let mut flight = SharedAuditor::recording(3, Some(dir.clone()));
+        flight.on_event(0, &token_recv(1));
+        assert!(!flight.dumped());
+        flight.on_event(1, &token_recv(2));
+        assert!(flight.dumped(), "{:?}", flight.dump_error());
+        let mut dumps: Vec<_> =
+            std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path()).collect();
+        dumps.sort();
+        assert_eq!(dumps.len(), 3, "one window per node");
+        let dump = std::fs::read_to_string(&dumps[2]).unwrap();
         assert!(dump.contains("\"event\":\"token_received\""));
         assert!(dump.starts_with("{\"hlc\":"));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_dump_is_reported_not_counted() {
+        let file = std::env::temp_dir().join(format!("hlock-audit-file-{}", std::process::id()));
+        std::fs::write(&file, "not a directory").unwrap();
+        let mut flight = SharedAuditor::recording(3, Some(file.join("flight")));
+        flight.on_event(0, &token_recv(1));
+        flight.on_event(1, &token_recv(2));
+        assert_eq!(flight.findings().len(), 1, "the finding is recorded all the same");
+        assert!(!flight.dumped(), "nothing was written");
+        let error = flight.dump_error().expect("the dump error is kept");
+        assert!(error.contains("hlock-audit-file"), "{error}");
+        assert!(flight.dump().is_err());
+        let _ = std::fs::remove_file(&file);
+    }
+
+    #[test]
+    fn shared_auditor_carries_causality_across_nodes() {
+        let mut flight = SharedAuditor::recording(2, None);
+        let (n0, n1) = (NodeId(0), NodeId(1));
+        // Node 0's clock runs hot (large at); node 1 receives later by
+        // wall-clock but must still be stamped after the send.
+        flight.on_event(5_000, &issued(0, 1));
+        let kind = MessageKind::Request;
+        flight.on_event(5_001, &ProtocolEvent::MessageSent { node: n0, to: n1, kind });
+        flight.on_event(3, &ProtocolEvent::Delivered { node: n1, from: n0, kind });
+        let sent = flight.ring(n0).unwrap().now();
+        let delivered = flight.ring(n1).unwrap().now();
+        assert!(delivered > sent, "delivered {delivered} !> sent {sent}");
+        // A wire host's events pair nothing: its frames carry the stamps.
+        let wire = SharedAuditor::recording(2, None);
+        wire.on_wire_event(5_001, &ProtocolEvent::MessageSent { node: n0, to: n1, kind });
+        wire.on_wire_event(3, &ProtocolEvent::Delivered { node: n1, from: n0, kind });
+        assert!(wire.ring(n1).unwrap().now() < wire.ring(n0).unwrap().now());
+        wire.observe_remote(n1, wire.stamp_send(n0, 5_002), 4);
+        assert!(wire.ring(n1).unwrap().now() > wire.ring(n0).unwrap().now());
     }
 
     #[test]

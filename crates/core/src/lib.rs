@@ -77,7 +77,7 @@ mod space;
 
 pub use audit::{
     audit_at_rest, audit_live, audit_lock, mean_tree_depth, tree_depths, AuditFinding, EpochScope,
-    InvariantAuditor, RecordingAuditor, SharedAuditor,
+    InvariantAuditor, SharedAuditor,
 };
 pub use config::ProtocolConfig;
 pub use effect::{Effect, EffectSink, StepEffect};
@@ -94,9 +94,9 @@ pub use mode::{
 };
 pub use node::LockNode;
 pub use observe::{
-    ChromeTraceObserver, ClusterRecorder, FlightRecorder, Hlc, HlcClock, JsonlObserver,
-    LinkDownReason, MetricsRegistry, NullObserver, Observer, ProtocolEvent, Reservoir, ShardGauges,
-    SharedRecorder, SpanId, VecObserver, DEFAULT_FLIGHT_CAPACITY, DEFAULT_RESERVOIR_CAPACITY,
+    FlightRecorder, Hlc, HlcClock, LinkDownReason, MetricsRegistry, NullObserver, Observer,
+    ProtocolEvent, Reservoir, ShardGauges, SpanId, VecObserver, DEFAULT_FLIGHT_CAPACITY,
+    DEFAULT_RESERVOIR_CAPACITY,
 };
 pub use protocol::{CancelOutcome, ConcurrencyProtocol, Inspect};
 pub use queue::{QueueEntry, RequestQueue, Waiter};

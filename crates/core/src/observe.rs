@@ -16,12 +16,12 @@
 //! through the same runtime, so all three hosts produce the same event
 //! vocabulary with zero per-host code.
 //!
-//! Three sinks ship with the crate:
+//! Two sinks ship with the crate:
 //!
-//! * [`JsonlObserver`] — one JSON object per line, for ad-hoc grepping
-//!   and the CI smoke validator;
-//! * [`ChromeTraceObserver`] — a Chrome-trace (`chrome://tracing` /
-//!   Perfetto) file with per-node tracks and async request spans;
+//! * [`FlightRecorder`] — a node's ring of its last events, stamped
+//!   with a hybrid logical clock. [`crate::SharedAuditor`] owns one per
+//!   node and writes them out as `flight-node-<i>.jsonl`: a run's JSONL
+//!   log, which the `timeline` binary renders as a Chrome trace;
 //! * [`MetricsRegistry`] — Prometheus-text counters, gauges and
 //!   reservoir-sampled histograms, served by the TCP runtime's
 //!   `/metrics` listener and dumped at exit by the bench binaries.
@@ -33,7 +33,6 @@ use crate::rng::Rng;
 use crate::runtime::RuntimeCounters;
 use core::fmt;
 use std::collections::HashMap;
-use std::io::{self, Write};
 
 /// Causal identifier of one request span: the ticket as assigned at the
 /// node that issued the request. Globally unique among *outstanding*
@@ -712,146 +711,6 @@ impl Observer for VecObserver {
     }
 }
 
-/// Writes one JSON object per event, newline-delimited.
-///
-/// I/O errors are latched (the observer goes quiet) and reported by
-/// [`JsonlObserver::take_error`]; an observer callback has no way to
-/// fail.
-#[derive(Debug)]
-pub struct JsonlObserver<W: Write> {
-    out: W,
-    line: String,
-    lines: u64,
-    error: Option<io::Error>,
-}
-
-impl<W: Write> JsonlObserver<W> {
-    /// Wraps a writer.
-    pub fn new(out: W) -> Self {
-        JsonlObserver { out, line: String::new(), lines: 0, error: None }
-    }
-
-    /// Lines successfully written so far.
-    pub fn lines(&self) -> u64 {
-        self.lines
-    }
-
-    /// The first I/O error hit, if any (clears it).
-    pub fn take_error(&mut self) -> Option<io::Error> {
-        self.error.take()
-    }
-
-    /// Flushes and returns the inner writer.
-    pub fn into_inner(mut self) -> W {
-        let _ = self.out.flush();
-        self.out
-    }
-}
-
-impl<W: Write> Observer for JsonlObserver<W> {
-    fn on_event(&mut self, at_micros: u64, event: &ProtocolEvent) {
-        if self.error.is_some() {
-            return;
-        }
-        self.line.clear();
-        event.write_json(at_micros, &mut self.line);
-        self.line.push('\n');
-        match self.out.write_all(self.line.as_bytes()) {
-            Ok(()) => self.lines += 1,
-            Err(e) => self.error = Some(e),
-        }
-    }
-}
-
-/// Buffers a run as a Chrome-trace (Trace Event Format) JSON document,
-/// loadable in `chrome://tracing` or <https://ui.perfetto.dev>.
-///
-/// Every node gets one track (`pid` 1, `tid` = node id). Each event
-/// appears as an instant (`ph:"i"`) on its node's track; request spans
-/// additionally appear as async begin/end pairs (`ph:"b"`/`"e"`) keyed
-/// by the span id, so a request's whole journey — across nodes — renders
-/// as one horizontal span.
-#[derive(Debug, Clone, Default)]
-pub struct ChromeTraceObserver {
-    entries: Vec<String>,
-}
-
-impl ChromeTraceObserver {
-    /// An empty trace.
-    pub fn new() -> Self {
-        ChromeTraceObserver::default()
-    }
-
-    /// Number of trace entries buffered.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Appends one pre-rendered Trace Event Format object. Used by
-    /// offline mergers (the `timeline` tool) that re-emit
-    /// flight-recorder lines through the same document sink instead of
-    /// reconstructing [`ProtocolEvent`]s from JSON.
-    pub fn push_entry(&mut self, entry: String) {
-        self.entries.push(entry);
-    }
-
-    /// Renders the complete trace document.
-    pub fn finish(&self) -> String {
-        let mut out = String::from("{\"traceEvents\":[\n");
-        for (i, e) in self.entries.iter().enumerate() {
-            if i > 0 {
-                out.push_str(",\n");
-            }
-            out.push_str(e);
-        }
-        out.push_str("\n]}\n");
-        out
-    }
-}
-
-impl Observer for ChromeTraceObserver {
-    fn on_event(&mut self, at_micros: u64, event: &ProtocolEvent) {
-        use fmt::Write as _;
-        let tid = event.node().0;
-        if let Some(span) = event.span() {
-            let ph = if event.opens_span() {
-                Some("b")
-            } else if event.closes_span() {
-                Some("e")
-            } else {
-                None
-            };
-            if let Some(ph) = ph {
-                let mut e = String::new();
-                let _ = write!(
-                    e,
-                    "{{\"ph\":\"{ph}\",\"cat\":\"request\",\"name\":\"request\",\
-                     \"id\":\"0x{:x}\",\"pid\":1,\"tid\":{tid},\"ts\":{at_micros}}}",
-                    span.as_u64()
-                );
-                self.entries.push(e);
-            }
-        }
-        let mut e = String::new();
-        let _ = write!(
-            e,
-            "{{\"ph\":\"i\",\"s\":\"t\",\"name\":\"{}\",\"pid\":1,\"tid\":{tid},\
-             \"ts\":{at_micros},\"args\":{{\"json\":",
-            event.name()
-        );
-        let mut payload = String::new();
-        event.write_json(at_micros, &mut payload);
-        push_json_str(&mut e, &payload);
-        e.push_str("}}");
-        self.entries.push(e);
-    }
-}
-
 /// A hybrid-logical-clock stamp, packed into one `u64`: the upper 48
 /// bits are physical microseconds (host time), the lower 16 bits a
 /// logical counter that breaks ties and carries causality when physical
@@ -959,15 +818,15 @@ pub const DEFAULT_FLIGHT_CAPACITY: usize = 4096;
 /// A fixed-capacity per-node ring buffer of the most recent protocol
 /// events, each stamped with a hybrid logical clock. Recording is a
 /// clock tick plus a ring push — cheap enough to leave on in production
-/// — and the buffer only materialises as JSONL when a dump trigger
-/// fires (on demand, on crash, or on an audit violation).
+/// — and the buffer only materialises as JSONL when its owner,
+/// [`crate::SharedAuditor`], dumps it (on demand, on crash, or on an
+/// audit finding).
 ///
-/// Dump lines are ordinary observability JSONL with one extra leading
-/// `"hlc"` field, so every existing tool keeps working and the
-/// `timeline` merger can causally order lines across nodes.
+/// Dump lines are the events' flat JSON with one extra leading `"hlc"`
+/// field, so the `timeline` merger can causally order lines across
+/// nodes.
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
-    node: NodeId,
     cap: usize,
     ring: std::collections::VecDeque<(Hlc, u64, ProtocolEvent)>,
     clock: HlcClock,
@@ -975,25 +834,19 @@ pub struct FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// A recorder for `node` keeping at most `capacity` events.
+    /// A recorder keeping at most `capacity` events.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn new(node: NodeId, capacity: usize) -> Self {
+    pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "capacity must be positive");
         FlightRecorder {
-            node,
             cap: capacity,
             ring: std::collections::VecDeque::with_capacity(capacity.min(1024)),
             clock: HlcClock::new(),
             dropped: 0,
         }
-    }
-
-    /// The node this recorder belongs to.
-    pub fn node(&self) -> NodeId {
-        self.node
     }
 
     /// Events currently retained.
@@ -1051,163 +904,6 @@ impl FlightRecorder {
             out.push('\n');
         }
         out
-    }
-
-    /// Writes the retained window to `path` (parent directories are
-    /// created as needed).
-    pub fn dump_to(&self, path: &std::path::Path) -> io::Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(path, self.dump_jsonl())
-    }
-}
-
-impl Observer for FlightRecorder {
-    fn on_event(&mut self, at_micros: u64, event: &ProtocolEvent) {
-        self.record(at_micros, event);
-    }
-}
-
-/// A cloneable, thread-safe handle to one node's [`FlightRecorder`],
-/// shared between the node's event-loop worker (which records events
-/// and stamps/merges wire HLCs) and whoever holds the dump trigger.
-#[derive(Debug, Clone)]
-pub struct SharedRecorder(std::sync::Arc<std::sync::Mutex<FlightRecorder>>);
-
-impl SharedRecorder {
-    /// A shared recorder for `node` with the given ring capacity.
-    pub fn new(node: NodeId, capacity: usize) -> Self {
-        SharedRecorder(std::sync::Arc::new(std::sync::Mutex::new(FlightRecorder::new(
-            node, capacity,
-        ))))
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, FlightRecorder> {
-        self.0.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Ticks the clock for an outgoing wire frame; returns the raw
-    /// stamp to carry in the batch header.
-    pub fn stamp_send(&self, at_micros: u64) -> u64 {
-        self.lock().stamp_send(at_micros).0
-    }
-
-    /// Folds a received frame's raw stamp into the clock (zero stamps —
-    /// unobserved senders — are ignored).
-    pub fn observe_remote(&self, raw: u64, at_micros: u64) {
-        if raw != 0 {
-            self.lock().observe_remote(Hlc(raw), at_micros);
-        }
-    }
-
-    /// Events currently retained.
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
-    }
-
-    /// Renders the retained window as JSONL (see
-    /// [`FlightRecorder::dump_jsonl`]).
-    pub fn dump_jsonl(&self) -> String {
-        self.lock().dump_jsonl()
-    }
-
-    /// Writes the retained window to `path`.
-    pub fn dump_to(&self, path: &std::path::Path) -> io::Result<()> {
-        self.lock().dump_to(path)
-    }
-
-    /// Runs `f` with the recorder locked (tests, custom triggers).
-    pub fn with<R>(&self, f: impl FnOnce(&mut FlightRecorder) -> R) -> R {
-        f(&mut self.lock())
-    }
-}
-
-impl Observer for SharedRecorder {
-    fn on_event(&mut self, at_micros: u64, event: &ProtocolEvent) {
-        self.lock().record(at_micros, event);
-    }
-}
-
-/// Per-node flight recorders for single-threaded hosts (simulator,
-/// model checker) driven by one merged event stream. Message causality
-/// is reconstructed from the stream itself: each `message_sent` pushes
-/// its stamp onto the link's in-flight queue and the matching
-/// `delivered` / `dropped` pops it, merging into the receiver's clock —
-/// so cross-node stamps order sends before deliveries exactly as the
-/// wire-carried HLC does on the TCP transport. (Under reordering fault
-/// injection the FIFO pop pairs a delivery with the *oldest* in-flight
-/// send on its link — a conservative, still-causal bound.)
-#[derive(Debug, Clone)]
-pub struct ClusterRecorder {
-    nodes: Vec<FlightRecorder>,
-    in_flight: HashMap<(u32, u32), std::collections::VecDeque<Hlc>>,
-}
-
-impl ClusterRecorder {
-    /// Recorders for nodes `0..n`, each with ring capacity `capacity`.
-    pub fn new(n: usize, capacity: usize) -> Self {
-        ClusterRecorder {
-            nodes: (0..n).map(|i| FlightRecorder::new(NodeId(i as u32), capacity)).collect(),
-            in_flight: HashMap::new(),
-        }
-    }
-
-    /// The per-node recorders.
-    pub fn nodes(&self) -> &[FlightRecorder] {
-        &self.nodes
-    }
-
-    /// Writes every node's window to `dir/flight-node-<i>.jsonl` and
-    /// returns the paths written.
-    pub fn dump_all(&self, dir: &std::path::Path) -> io::Result<Vec<std::path::PathBuf>> {
-        std::fs::create_dir_all(dir)?;
-        let mut paths = Vec::with_capacity(self.nodes.len());
-        for (i, rec) in self.nodes.iter().enumerate() {
-            let path = dir.join(format!("flight-node-{i}.jsonl"));
-            rec.dump_to(&path)?;
-            paths.push(path);
-        }
-        Ok(paths)
-    }
-}
-
-impl Observer for ClusterRecorder {
-    fn on_event(&mut self, at_micros: u64, event: &ProtocolEvent) {
-        let n = event.node().0 as usize;
-        if n >= self.nodes.len() {
-            return;
-        }
-        match event {
-            ProtocolEvent::MessageSent { node, to, .. } => {
-                let h = self.nodes[n].record(at_micros, event);
-                self.in_flight.entry((node.0, to.0)).or_default().push_back(h);
-            }
-            ProtocolEvent::Delivered { node, from, .. } => {
-                if let Some(h) =
-                    self.in_flight.get_mut(&(from.0, node.0)).and_then(|q| q.pop_front())
-                {
-                    self.nodes[n].observe_remote(h, at_micros);
-                }
-                self.nodes[n].record(at_micros, event);
-            }
-            ProtocolEvent::Dropped { node, from, .. } => {
-                // The stamp never arrives; discard it so later
-                // deliveries pair with their own sends.
-                if let Some(q) = self.in_flight.get_mut(&(from.0, node.0)) {
-                    q.pop_front();
-                }
-                self.nodes[n].record(at_micros, event);
-            }
-            _ => {
-                self.nodes[n].record(at_micros, event);
-            }
-        }
     }
 }
 
@@ -1943,31 +1639,6 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_observer_writes_lines() {
-        let mut obs = JsonlObserver::new(Vec::new());
-        obs.on_event(1, &issued(0, 1));
-        obs.on_event(2, &granted(0, 1));
-        assert_eq!(obs.lines(), 2);
-        let bytes = obs.into_inner();
-        let text = String::from_utf8(bytes).unwrap();
-        assert_eq!(text.lines().count(), 2);
-        assert!(text.lines().all(|l| l.starts_with('{') && l.ends_with('}')));
-    }
-
-    #[test]
-    fn chrome_trace_pairs_spans() {
-        let mut obs = ChromeTraceObserver::new();
-        obs.on_event(1, &issued(0, 1));
-        obs.on_event(9, &granted(0, 1));
-        let doc = obs.finish();
-        assert!(doc.starts_with("{\"traceEvents\":["));
-        assert!(doc.contains("\"ph\":\"b\""));
-        assert!(doc.contains("\"ph\":\"e\""));
-        assert!(doc.contains("\"ph\":\"i\""));
-        assert!(doc.contains("\"id\":\"0x1\""));
-    }
-
-    #[test]
     fn reservoir_is_exact_below_capacity() {
         let mut r = Reservoir::with_capacity(128);
         for v in 1..=100u64 {
@@ -2208,7 +1879,7 @@ mod tests {
 
     #[test]
     fn flight_recorder_keeps_a_bounded_stamped_tail() {
-        let mut rec = FlightRecorder::new(NodeId(0), 4);
+        let mut rec = FlightRecorder::new(4);
         for t in 0..10u64 {
             rec.record(t, &issued(0, t));
         }
@@ -2229,33 +1900,6 @@ mod tests {
             })
             .collect();
         assert!(stamps.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn cluster_recorder_carries_causality_across_nodes() {
-        let mut rec = ClusterRecorder::new(2, 64);
-        // Node 0's clock runs hot (large at); node 1 receives later by
-        // wall-clock but must still be stamped after the send.
-        rec.on_event(5_000, &issued(0, 1));
-        rec.on_event(
-            5_001,
-            &ProtocolEvent::MessageSent {
-                node: NodeId(0),
-                to: NodeId(1),
-                kind: MessageKind::Request,
-            },
-        );
-        rec.on_event(
-            3,
-            &ProtocolEvent::Delivered {
-                node: NodeId(1),
-                from: NodeId(0),
-                kind: MessageKind::Request,
-            },
-        );
-        let sent = rec.nodes()[0].now();
-        let delivered = rec.nodes()[1].now();
-        assert!(delivered > sent, "delivered {delivered} !> sent {sent}");
     }
 
     #[test]

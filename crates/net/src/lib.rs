@@ -51,7 +51,7 @@ pub use sharded::{ShardedCluster, ShardedNodeHandle};
 use hlock_core::{
     ConcurrencyProtocol, Inspect, LockId, LockSpace, MessageKind, MetricsRegistry, Mode, NodeId,
     Observer, Priority, ProtocolConfig, ProtocolEvent, RecoverySpace, RuntimeCounters,
-    SharedAuditor, SharedRecorder, Ticket, DEFAULT_FLIGHT_CAPACITY,
+    SharedAuditor, Ticket,
 };
 use hlock_wire::WireCodec;
 use std::collections::HashMap;
@@ -411,63 +411,6 @@ pub struct Cluster<P: ConcurrencyProtocol> {
     mux: mux::MuxHandle,
 }
 
-/// The diagnosis bundle returned by [`Cluster::spawn_recorded`]: one
-/// flight recorder per node (HLC-stamped ring buffers fed by the event
-/// loops and by the wire) plus the cluster-wide online invariant
-/// auditor. Dumps can be triggered on demand here; crashes
-/// ([`NodeHandle::kill`]) and auditor violations dump automatically
-/// when a dump directory was configured.
-#[derive(Clone)]
-pub struct ClusterFlight {
-    recorders: Vec<SharedRecorder>,
-    auditor: SharedAuditor,
-}
-
-impl ClusterFlight {
-    /// The online invariant auditor every node feeds.
-    pub fn auditor(&self) -> &SharedAuditor {
-        &self.auditor
-    }
-
-    /// Node `i`'s flight recorder.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn recorder(&self, i: usize) -> &SharedRecorder {
-        &self.recorders[i]
-    }
-
-    /// All per-node recorders, indexed by node id.
-    pub fn recorders(&self) -> &[SharedRecorder] {
-        &self.recorders
-    }
-
-    /// Dump-on-demand: writes every node's retained window to
-    /// `dir/flight-node-<i>.jsonl` and returns the paths written.
-    ///
-    /// # Errors
-    ///
-    /// Any filesystem error creating the directory or writing a dump.
-    pub fn dump_all(&self, dir: &std::path::Path) -> std::io::Result<Vec<std::path::PathBuf>> {
-        std::fs::create_dir_all(dir)?;
-        let mut paths = Vec::with_capacity(self.recorders.len());
-        for rec in &self.recorders {
-            let node = rec.with(|r| r.node());
-            let path = dir.join(format!("flight-node-{}.jsonl", node.0));
-            rec.dump_to(&path)?;
-            paths.push(path);
-        }
-        Ok(paths)
-    }
-}
-
-impl fmt::Debug for ClusterFlight {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ClusterFlight").field("nodes", &self.recorders.len()).finish()
-    }
-}
-
 impl Cluster<LockSpace> {
     /// Spawns `n` nodes running the paper's hierarchical protocol with
     /// `locks` locks (token home: node 0), fully meshed over localhost.
@@ -558,24 +501,23 @@ where
         make: impl Fn(usize) -> P,
         observe: impl Fn(NodeId) -> Option<Box<dyn Observer + Send>>,
     ) -> Result<Cluster<P>, NetError> {
-        let (nodes, handle) = mux::spawn_cluster(n, make, observe, |_| None)?;
+        let (nodes, handle) = mux::spawn_cluster(n, make, observe, None)?;
         Ok(Cluster { nodes, metrics_server: None, mux: handle })
     }
 
     /// Spawns `n` nodes on the mux transport with the full runtime
-    /// diagnosis layer armed: every node gets a [`SharedRecorder`]
-    /// flight recorder (ring capacity
-    /// [`DEFAULT_FLIGHT_CAPACITY`]) whose hybrid logical clock rides
-    /// the wire format, and every node's event stream feeds the
-    /// cluster-wide [`SharedAuditor`] checking live invariants
-    /// (token uniqueness, grant legitimacy, span balance, link FIFO,
-    /// epoch fencing).
+    /// diagnosis layer armed, and returns the cluster's flight handle:
+    /// every node's last [`hlock_core::DEFAULT_FLIGHT_CAPACITY`] events in an
+    /// HLC-stamped ring whose clock rides the wire format, and every
+    /// node's event stream fed to the cluster-wide auditor (token
+    /// uniqueness, grant legitimacy, span balance, link FIFO, epoch
+    /// fencing).
     ///
-    /// With `dump_dir` set, the first auditor violation and every
-    /// [`NodeHandle::kill`] dump flight windows to
-    /// `dump_dir/flight-node-<i>.jsonl`; [`ClusterFlight::dump_all`]
-    /// dumps on demand. `observe` may add a per-node sink downstream of
-    /// the recorder and auditor (e.g. a [`ClusterMetrics`]).
+    /// With `dump_dir` set, the first auditor finding dumps every
+    /// node's window and [`NodeHandle::kill`] dumps the killed node's;
+    /// [`SharedAuditor::dump`] dumps on demand. `observe` may add a
+    /// per-node sink downstream of the handle (e.g. a
+    /// [`ClusterMetrics`]).
     ///
     /// # Errors
     ///
@@ -590,41 +532,25 @@ where
         make: impl Fn(usize) -> P,
         dump_dir: Option<std::path::PathBuf>,
         observe: impl Fn(NodeId) -> Option<Box<dyn Observer + Send>>,
-    ) -> Result<(Cluster<P>, ClusterFlight), NetError> {
-        let auditor = SharedAuditor::new(dump_dir.clone());
-        let recorders: Vec<SharedRecorder> = (0..n)
-            .map(|i| SharedRecorder::new(NodeId(i as u32), DEFAULT_FLIGHT_CAPACITY))
-            .collect();
-        for rec in &recorders {
-            auditor.attach_recorder(rec.clone());
-        }
-        let obs_recorders = recorders.clone();
-        let obs_auditor = auditor.clone();
-        let rec_recorders = recorders.clone();
+    ) -> Result<(Cluster<P>, SharedAuditor), NetError> {
+        let flight = SharedAuditor::recording(n, dump_dir);
+        let node_flight = flight.clone();
         let (nodes, handle) = mux::spawn_cluster(
             n,
             make,
             move |id| {
-                let mut rec = obs_recorders[id.index()].clone();
-                let mut aud = obs_auditor.clone();
+                let flight = node_flight.clone();
                 let mut user = observe(id);
                 Some(Box::new(move |at: u64, ev: &ProtocolEvent| {
-                    rec.on_event(at, ev);
-                    aud.on_event(at, ev);
+                    flight.on_wire_event(at, ev);
                     if let Some(u) = user.as_deref_mut() {
                         u.on_event(at, ev);
                     }
                 }) as Box<dyn Observer + Send>)
             },
-            move |id| {
-                Some(mux::FlightConfig {
-                    recorder: rec_recorders[id.index()].clone(),
-                    dump_on_crash: dump_dir.clone(),
-                })
-            },
+            Some(flight.clone()),
         )?;
-        let cluster = Cluster { nodes, metrics_server: None, mux: handle };
-        Ok((cluster, ClusterFlight { recorders, auditor }))
+        Ok((Cluster { nodes, metrics_server: None, mux: handle }, flight))
     }
 
     /// Handle of node `i`.
@@ -863,6 +789,80 @@ mod tests {
     }
 
     #[test]
+    fn a_recorded_cluster_dumps_on_kill_and_its_wire_stamps_order_deliveries() {
+        let dir = std::env::temp_dir().join(format!("hlock-net-flight-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (cluster, flight) = Cluster::spawn_recorded(
+            3,
+            |i| LockSpace::new(NodeId(i as u32), 2, NodeId(0), ProtocolConfig::default()),
+            Some(dir.clone()),
+            |_| None,
+        )
+        .unwrap();
+        // Node 0's clock runs an hour fast: only the stamps its frames
+        // carry can order its peers' deliveries after its sends.
+        flight.observe_remote(NodeId(0), hlock_core::Hlc::pack(3_600_000_000, 0).0, 0);
+        let timeout = Duration::from_secs(10);
+        for round in 0..20 {
+            for i in [1, 2] {
+                let lock = LockId(round % 2);
+                let t = cluster.node(i).acquire(lock, Mode::Write, timeout).unwrap();
+                cluster.node(i).release(lock, t).unwrap();
+            }
+        }
+        settle(&cluster);
+        cluster.kill(2);
+        let listed = || {
+            let mut paths: Vec<_> =
+                std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path()).collect();
+            paths.sort();
+            paths
+        };
+        let crashed = listed();
+        let paths = flight.dump().unwrap();
+        assert_eq!(paths, listed());
+        assert_eq!(crashed, [paths[2].clone()], "a kill dumps the killed node's window");
+        assert_eq!((flight.dropped(), flight.dump_error()), (0, None));
+        assert!(flight.is_clean(), "{:?}", flight.findings());
+
+        // Merged by hlc, the k-th delivery on a link sorts after the k-th
+        // send on it: the wire stamps carry causality across nodes.
+        fn field<'a>(line: &'a str, key: &str) -> &'a str {
+            let start = line.find(&format!("\"{key}\":")).unwrap() + key.len() + 3;
+            let rest = &line[start..];
+            rest[..rest.find([',', '}']).unwrap()].trim_matches('"')
+        }
+        let text: Vec<String> = paths.iter().map(|p| std::fs::read_to_string(p).unwrap()).collect();
+        let mut lines: Vec<(u64, &str)> = text
+            .iter()
+            .flat_map(|t| t.lines())
+            .map(|l| (field(l, "hlc").parse().unwrap(), l))
+            .collect();
+        lines.sort();
+        let (mut sent, mut delivered) = (HashMap::new(), HashMap::new());
+        for (_, line) in &lines {
+            match field(line, "event") {
+                "message_sent" => {
+                    *sent.entry((field(line, "node"), field(line, "to"))).or_insert(0) += 1
+                }
+                "delivered" => {
+                    let link = (field(line, "from"), field(line, "node"));
+                    let k = delivered.entry(link).or_insert(0);
+                    *k += 1;
+                    assert!(
+                        *k <= sent.get(&link).copied().unwrap_or(0),
+                        "sorts before its send: {line}"
+                    );
+                }
+                _ => {}
+            }
+        }
+        assert!(delivered.values().sum::<u32>() > 40, "cross-node traffic: {delivered:?}");
+        cluster.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn a_local_grant_never_leaves_the_calling_thread() {
         let cluster = Cluster::spawn_hierarchical(2, 1, ProtocolConfig::default()).unwrap();
         let timeout = Duration::from_secs(10);
@@ -931,7 +931,7 @@ mod tests {
         assert_eq!(sent(MessageKind::Release), before.0 + 1);
         assert_eq!(sent(MessageKind::Request), before.1 + 1);
         assert_eq!(node.runtime_counters().frames, frames + 1);
-        let findings = flight.auditor().findings();
+        let findings = flight.findings();
         assert!(findings.is_empty(), "{findings:?}");
         assert_eq!(node.grants.len(), 0);
         cluster.shutdown();

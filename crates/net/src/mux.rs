@@ -65,13 +65,12 @@ use crate::transport::{
 use crate::{NetError, NodeHandle};
 use hlock_core::{
     BatchHost, Classify, ConcurrencyProtocol, EffectSink, HostRuntime, Inspect, LinkDownReason,
-    LockId, Mode, NodeId, Observer, ProtocolEvent, RuntimeCounters, SharedRecorder, SpanId, Ticket,
+    LockId, Mode, NodeId, Observer, ProtocolEvent, RuntimeCounters, SharedAuditor, SpanId, Ticket,
 };
 use hlock_wire::{frame, WireCodec};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -568,13 +567,11 @@ struct NodeIo<M> {
     out: Vec<u8>,
     /// Backpressure drops recorded during a dispatch: `(peer, bytes)`.
     backpressured: Vec<(NodeId, u64)>,
-    /// Flight recorder: HLC source for wire stamps (sends tick it,
-    /// received stamps merge into it). Event capture itself rides the
-    /// observer chain; this handle only drives the clock.
-    recorder: Option<SharedRecorder>,
-    /// Where to dump the flight recorder when this node is killed
-    /// (`None` disables the crash dump).
-    dump_on_crash: Option<PathBuf>,
+    /// The cluster's flight handle: this node's HLC is the source of
+    /// wire stamps (sends tick it, received stamps merge into it), and
+    /// a kill dumps this node's window. Event capture itself rides the
+    /// observer chain.
+    flight: Option<SharedAuditor>,
     /// Mirror of `NodeCore::epoch` so the send path (which runs outside
     /// the core lock) can stamp with the same timeline.
     epoch: Instant,
@@ -722,8 +719,10 @@ where
             self.io.counters.bump(message.kind());
         }
         self.io.out.clear();
-        let stamp = match self.io.recorder.as_ref() {
-            Some(rec) => rec.stamp_send(self.io.epoch.elapsed().as_micros() as u64),
+        let stamp = match self.io.flight.as_ref() {
+            Some(flight) => {
+                flight.stamp_send(self.io.me, self.io.epoch.elapsed().as_micros() as u64)
+            }
             None => 0,
         };
         frame::write_batch_stamped(&mut self.io.out, self.io.me, stamp, &messages);
@@ -1002,11 +1001,11 @@ where
             match conn.dec.next::<P::Message>() {
                 Ok(Some((from, messages))) => {
                     debug_assert_eq!(Some(from), conn.peer);
-                    if let Some(rec) = io.recorder.as_ref() {
+                    if let Some(flight) = io.flight.as_ref() {
                         // Merge the sender's wire stamp so this node's
                         // flight-recorder clock orders after the send.
                         let now = io.epoch.elapsed().as_micros() as u64;
-                        rec.observe_remote(conn.dec.last_hlc(), now);
+                        flight.observe_remote(io.me, conn.dec.last_hlc(), now);
                     }
                     let mut core = locked(core);
                     let core = &mut *core;
@@ -1294,10 +1293,8 @@ where
                     }
                 }
                 drop(guard);
-                if let (Some(rec), Some(dir)) = (io.recorder.as_ref(), io.dump_on_crash.as_ref()) {
-                    let _ = std::fs::create_dir_all(dir);
-                    let path = dir.join(format!("flight-node-{}.jsonl", io.me.0));
-                    let _ = rec.with(|r| r.dump_to(&path));
+                if let Some(flight) = io.flight.as_ref() {
+                    flight.dump_node(io.me);
                 }
                 for link in io.links.values() {
                     if let LinkState::Established { stream, .. }
@@ -1552,14 +1549,6 @@ fn pool_width(n: usize) -> usize {
     n.min(cores.saturating_sub(1).max(1)).min(8)
 }
 
-/// Per-node flight-recorder wiring handed to [`spawn_cluster`]: the
-/// shared ring that stamps this node's wire traffic, plus where to dump
-/// it when the node is killed.
-pub(crate) struct FlightConfig {
-    pub(crate) recorder: SharedRecorder,
-    pub(crate) dump_on_crash: Option<PathBuf>,
-}
-
 /// Spawns `n` nodes on the readiness mux: node `i` lives in slot
 /// `i / width` of worker `i % width`.
 #[allow(clippy::type_complexity)]
@@ -1567,7 +1556,7 @@ pub(crate) fn spawn_cluster<P>(
     n: usize,
     make: impl Fn(usize) -> P,
     observe: impl Fn(NodeId) -> Option<Box<dyn Observer + Send>>,
-    record: impl Fn(NodeId) -> Option<FlightConfig>,
+    flight: Option<SharedAuditor>,
 ) -> Result<(Vec<Arc<NodeHandle<P>>>, MuxHandle), NetError>
 where
     P: ConcurrencyProtocol + Inspect + Send + 'static,
@@ -1626,7 +1615,6 @@ where
         let protocol = make(i);
         assert_eq!(protocol.node_id(), id, "factory must honour node ids");
         let observer = observe(id);
-        let flight = record(id);
 
         let w = i % width;
         let worker = &mut workers[w];
@@ -1643,10 +1631,6 @@ where
         let mut fx = EffectSink::new();
         fx.set_observing(observer.is_some());
         let epoch = Instant::now();
-        let (recorder, dump_on_crash) = match flight {
-            Some(f) => (Some(f.recorder), f.dump_on_crash),
-            None => (None, None),
-        };
 
         let core = Arc::new(Mutex::new(NodeCore {
             protocol,
@@ -1672,8 +1656,7 @@ where
                 links: HashMap::new(),
                 out: Vec::new(),
                 backpressured: Vec::new(),
-                recorder,
-                dump_on_crash,
+                flight: flight.clone(),
                 epoch,
                 link_events: Vec::new(),
             },

@@ -431,9 +431,10 @@ where
     /// Attaches an [`Observer`] receiving every [`ProtocolEvent`] of the
     /// run — protocol lifecycle transitions from the nodes, transport
     /// events from the engine — stamped with virtual time in
-    /// microseconds. Attach a `hlock_core::JsonlObserver`,
-    /// `ChromeTraceObserver` or `MetricsRegistry` (or a plain closure)
-    /// to export the run.
+    /// microseconds. Attach a `hlock_core::SharedAuditor` to audit and
+    /// flight-record the run (its dump is the run's JSONL log, which the
+    /// `timeline` binary renders as a Chrome trace), a `MetricsRegistry`
+    /// to meter it, or a plain closure.
     #[must_use]
     pub fn with_observer(mut self, observer: impl Observer + 'static) -> Self {
         self.observer = Box::new(observer);

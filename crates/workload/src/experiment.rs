@@ -109,8 +109,8 @@ where
 /// messages (0 = off; turn it on in tests, off in large sweeps). With an
 /// `observer`, every [`ProtocolEvent`] of the run is streamed into it
 /// (stamped with virtual time in microseconds): attach a
-/// `hlock_core::JsonlObserver`, `ChromeTraceObserver` or
-/// `MetricsRegistry` to export the run.
+/// `hlock_core::SharedAuditor` to audit the run and dump its JSONL log,
+/// or a `MetricsRegistry` to meter it.
 ///
 /// # Errors
 ///
@@ -252,8 +252,8 @@ pub struct RecoveryExperimentReport<P: Recoverable = LockSpace> {
 /// audit enforce exactly that. With an `observer`, every
 /// [`ProtocolEvent`] of the run — including the crash-time
 /// `request_aborted` span closers and the recovery/fencing events — is
-/// streamed into it: attach a `hlock_core::ClusterRecorder` or
-/// `RecordingAuditor` to flight-record and live-audit a faulty run.
+/// streamed into it: attach a `hlock_core::SharedAuditor` to
+/// flight-record and live-audit a faulty run.
 ///
 /// # Errors
 ///

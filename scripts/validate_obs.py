@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Validate an observability JSONL export: every line parses, every
-request span opens exactly once and closes at most once.
+"""Validate a run's flight dump: every ``flight-node-*.jsonl`` line in the
+directory parses and carries an ``hlc`` stamp, and, merged by ``hlc``,
+every request span opens exactly once and closes at most once.
 
 A span closes on ``granted``, ``request_cancelled`` or
 ``request_aborted`` (crash/fence). Re-opening a still-open span is
@@ -8,30 +9,36 @@ tolerated once a ``recovery_started`` has been seen since the open:
 token regeneration wipes the wait queues, so survivors legitimately
 re-issue a wiped request under the same span id.
 
-Usage: validate_obs.py [path/to/events.jsonl]
+Usage: validate_obs.py [dump-dir]
 
-Used by the obs-smoke CI job against the stream `obs_smoke` writes; run
-it locally the same way after `cargo run --release -p hlock-bench --bin
+The obs-smoke CI job runs it on both dumps `obs_smoke` writes
+(`target/experiments/obs_smoke`, `target/experiments/flight`); run it
+locally the same way after `cargo run --release -p hlock-bench --bin
 obs_smoke`.
 """
 
+import glob
 import json
+import os
 import sys
 
 CLOSERS = ("granted", "request_cancelled", "request_aborted")
 
 
 def main() -> int:
-    path = sys.argv[1] if len(sys.argv) > 1 else "target/experiments/obs_smoke.jsonl"
+    root = sys.argv[1] if len(sys.argv) > 1 else "target/experiments/obs_smoke"
+    paths = sorted(glob.glob(os.path.join(root, "flight-node-*.jsonl")))
+    assert paths, f"no flight-node-*.jsonl under {root}"
+    events = [json.loads(line) for path in paths for line in open(path)]
+    assert events, "empty event stream"
+    for e in events:
+        assert {"hlc", "at", "event", "node"} <= e.keys(), e
+    events.sort(key=lambda e: (e["hlc"], e["node"]))
     # span -> [net open count, recovery generation at last open]
     state: dict = {}
     closes = 0
     gen = 0
-    with open(path) as f:
-        events = [json.loads(line) for line in f]
-    assert events, "empty event stream"
     for e in events:
-        assert {"at", "event", "node"} <= e.keys(), e
         if e["event"] == "recovery_started":
             gen += 1
         if "span_origin" not in e:
@@ -48,7 +55,7 @@ def main() -> int:
             closes += 1
     dangling = [s for s, (c, _) in state.items() if c != 0]
     assert not dangling, f"spans left open: {sorted(dangling)}"
-    print(f"{len(events)} events, {len(state)} spans, {closes} closes, balanced")
+    print(f"{len(paths)} dumps, {len(events)} events, {len(state)} spans, {closes} closes, balanced")
     return 0
 
 

@@ -169,8 +169,8 @@ fn clean_tcp_run_produces_zero_findings() {
         }
     }
     cluster.shutdown();
-    assert!(flight.auditor().is_clean(), "TCP run flagged: {:?}", flight.auditor().findings());
-    assert!(!flight.auditor().dumped(), "no violation, no dump");
+    assert!(flight.is_clean(), "TCP run flagged: {:?}", flight.findings());
+    assert!(!flight.dumped(), "no violation, no dump");
 }
 
 #[test]

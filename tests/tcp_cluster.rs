@@ -304,7 +304,7 @@ fn a_callers_back_to_back_calls_share_one_dispatch_step_and_one_frame() {
     }
     assert!(coalesced, "5000 release+release+request bursts and not one shared a frame");
     // Frames spanning a burst still deliver in per-link order.
-    let findings = flight.auditor().findings();
+    let findings = flight.findings();
     assert!(findings.is_empty(), "auditor (link_fifo among its checks): {findings:?}");
     cluster.shutdown();
 }
@@ -395,7 +395,7 @@ fn caller_runs_stress_keeps_every_invariant() {
         cluster.node(i).is_quiescent().unwrap();
     }
     cluster.shutdown();
-    let findings = flight.auditor().findings();
+    let findings = flight.findings();
     assert!(findings.is_empty(), "auditor: {findings:?}");
     let holders = holders.lock().unwrap();
     assert_eq!(holders.granted.len(), acquired, "a ticket was never granted");
