@@ -8,8 +8,8 @@
 //! * `obs_smoke/flight-node-<i>.jsonl` — the healthy run's JSONL log:
 //!   its flight dump, one HLC-stamped JSON object per protocol event
 //! * `flight/flight-node-<i>.jsonl` — the crash run's flight dump
-//! * `obs_smoke_metrics.prom` — Prometheus text exposition dump with
-//!   request-to-grant latency quantiles per mode
+//! * `obs_smoke_metrics.prom` — the event-fed meter rendered as
+//!   Prometheus text, with request-to-grant latency quantiles per mode
 //!
 //! `timeline <dump-dir> <out.json>` renders either dump as a Chrome
 //! trace and `scripts/validate_obs.py <dump-dir>` parses it line by line;
@@ -19,8 +19,8 @@
 //! opened is closed exactly once, end of stream included), no dump fires
 //! without a violation, and every node's window is dumped. The healthy
 //! run's rings drop nothing and its dumps hold one line per observed
-//! event, with as many `request_issued` lines as the simulator's own
-//! metrics count requests; the crash closes the dead node's spans with
+//! event, and a meter fed from its events agrees with the simulator's
+//! own on every figure; the crash closes the dead node's spans with
 //! `request_aborted`; the metrics dump contains what dashboards expect.
 //!
 //! ```text
@@ -28,7 +28,7 @@
 //! ```
 
 use hlock_core::{
-    LockSpace, MetricsRegistry, NodeId, Observer, ProtocolConfig, ProtocolEvent, SharedAuditor,
+    LockSpace, Meter, NodeId, Observer, ProtocolConfig, ProtocolEvent, SharedAuditor,
 };
 use hlock_sim::{Duration as SimDuration, LatencyModel, NodeCrash, SimConfig, SimTime};
 use hlock_workload::{run_experiment, run_recovery_experiment, ProtocolKind, WorkloadConfig};
@@ -89,9 +89,9 @@ fn main() {
 
     // 1. One short mixed-mode run, flight-recorded and metered.
     let healthy = flight(&healthy_dir);
-    let registry = Rc::new(RefCell::new(MetricsRegistry::new()));
+    let meter = Rc::new(RefCell::new(Meter::new()));
     let observed = Rc::new(Cell::new(0u64));
-    let (mut f, r, n) = (healthy.clone(), Rc::clone(&registry), Rc::clone(&observed));
+    let (mut f, r, n) = (healthy.clone(), Rc::clone(&meter), Rc::clone(&observed));
     let observer = move |at: u64, e: &ProtocolEvent| {
         f.on_event(at, e);
         r.borrow_mut().on_event(at, e);
@@ -119,16 +119,14 @@ fn main() {
     if lines.is_empty() || lines.len() as u64 != observed.get() {
         fail(&format!("dumps hold {} lines for {} observed events", lines.len(), observed.get()));
     }
-    let requests = count(&lines, "request_issued") as u64;
-    if requests != report.metrics.total_requests() {
-        fail(&format!(
-            "request_issued events ({requests}) disagree with metrics ({})",
-            report.metrics.total_requests()
-        ));
+    let disagreements = meter.borrow().disagreements(&report.metrics);
+    if !disagreements.is_empty() {
+        fail(&format!("the event-fed meter disagrees with the simulator's: {disagreements:?}"));
     }
+    let requests = report.metrics.total_requests();
 
     // 2. The Prometheus dump has the request-to-grant histogram per mode.
-    let prom = registry.borrow().render();
+    let prom = meter.borrow().render();
     for needle in ["hlock_request_to_grant_micros", "mode=", "quantile=", "hlock_grants_total"] {
         if !prom.contains(needle) {
             fail(&format!("metrics dump missing {needle}"));

@@ -15,9 +15,9 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use hlock_core::{MessageKind, ProtocolConfig};
+use hlock_core::{MessageKind, Meter, ProtocolConfig};
 use hlock_session::SessionConfig;
-use hlock_sim::{Duration, LatencyModel, Metrics, SimConfig};
+use hlock_sim::{Duration, LatencyModel, SimConfig};
 use hlock_workload::{
     run_experiment, run_scenario, run_session_experiment, scenario_presets, ModeMix, ProtocolKind,
     ScenarioReport, WorkloadConfig,
@@ -53,7 +53,7 @@ impl Default for Harness {
 #[derive(Debug, Clone)]
 pub struct Cell {
     /// Metrics merged over the seeds whose run quiesced.
-    pub metrics: Metrics,
+    pub metrics: Meter,
     /// Workload seeds whose run ended with requests still outstanding.
     /// They are left out of `metrics`; figures name them in a footnote.
     pub stuck: Vec<u64>,
@@ -66,7 +66,7 @@ impl Harness {
     ///
     /// Panics on an invariant violation (protocol bug).
     pub fn measure(&self, workload: &WorkloadConfig, kind: ProtocolKind, nodes: usize) -> Cell {
-        let mut cell = Cell { metrics: Metrics::new(), stuck: Vec::new() };
+        let mut cell = Cell { metrics: Meter::new(), stuck: Vec::new() };
         for s in 0..self.seeds {
             let wl = WorkloadConfig { seed: workload.seed + s, ..*workload };
             let report = run_experiment(kind, nodes, &wl, self.latency, 0, None)
@@ -249,7 +249,7 @@ fn fig7(sweep: &mut Sweep) -> String {
     for nodes in sweep.harness.sweep.clone() {
         rows.push((nodes, sweep.cell(ours(), nodes).metrics.clone()));
     }
-    let of = |r: &(usize, Metrics), kinds: &[MessageKind]| {
+    let of = |r: &(usize, Meter), kinds: &[MessageKind]| {
         num(kinds.iter().map(|&k| r.1.messages_per_request_of_kind(k)).sum(), 3)
     };
     table(
@@ -613,7 +613,7 @@ mod tests {
     #[test]
     fn a_stuck_seed_is_a_footnote_not_a_sample() {
         let mut sweep = Sweep::new(small());
-        let stuck = Cell { metrics: Metrics::new(), stuck: vec![2] };
+        let stuck = Cell { metrics: Meter::new(), stuck: vec![2] };
         let key = (sweep.harness.workload, ProtocolKind::NaimiPure, 3);
         sweep.cells.insert(key, stuck);
         let block = render("fig6", &mut sweep).expect("known figure");

@@ -64,6 +64,7 @@ mod error;
 mod hierarchy;
 mod ids;
 mod message;
+mod metrics;
 mod mode;
 mod node;
 mod observe;
@@ -87,6 +88,7 @@ pub use ids::{LockId, NodeId, Priority, Stamp, Ticket};
 pub use message::{
     Classify, Envelope, LockReport, MessageKind, Payload, RecoveryBody, RecoveryEnvelope,
 };
+pub use metrics::{Duration, Meter};
 pub use mode::{
     can_downgrade, child_grant_table, compatibility_table, compatible_owned, freeze_table,
     frozen_modes, grantable, grantable_set, owned_strength, queue_forward_table, queue_or_forward,
@@ -94,8 +96,8 @@ pub use mode::{
 };
 pub use node::LockNode;
 pub use observe::{
-    FlightRecorder, Hlc, HlcClock, LinkDownReason, MetricsRegistry, NullObserver, Observer,
-    ProtocolEvent, Reservoir, ShardGauges, SpanId, VecObserver, DEFAULT_FLIGHT_CAPACITY,
+    FlightRecorder, Hlc, HlcClock, LinkDownReason, NullObserver, Observer, ProtocolEvent,
+    Reservoir, ShardGauges, SpanId, VecObserver, DEFAULT_FLIGHT_CAPACITY,
     DEFAULT_RESERVOIR_CAPACITY,
 };
 pub use protocol::{CancelOutcome, ConcurrencyProtocol, Inspect};

@@ -22,17 +22,15 @@
 //!   with a hybrid logical clock. [`crate::SharedAuditor`] owns one per
 //!   node and writes them out as `flight-node-<i>.jsonl`: a run's JSONL
 //!   log, which the `timeline` binary renders as a Chrome trace;
-//! * [`MetricsRegistry`] — Prometheus-text counters, gauges and
-//!   reservoir-sampled histograms, served by the TCP runtime's
-//!   `/metrics` listener and dumped at exit by the bench binaries.
+//! * [`crate::Meter`] — the figures' counters (messages by kind and
+//!   sender, requests, request-to-grant latency by mode), rendered as
+//!   Prometheus text by `obs_smoke`.
 
 use crate::ids::{LockId, NodeId, Priority, Ticket};
 use crate::message::MessageKind;
-use crate::mode::{Mode, ModeSet, ALL_MODES};
+use crate::mode::{Mode, ModeSet};
 use crate::rng::Rng;
-use crate::runtime::RuntimeCounters;
 use core::fmt;
-use std::collections::HashMap;
 
 /// Causal identifier of one request span: the ticket as assigned at the
 /// node that issued the request. Globally unique among *outstanding*
@@ -382,17 +380,7 @@ pub enum LinkDownReason {
 }
 
 impl LinkDownReason {
-    /// All reasons, in label order — sizes metrics arrays.
-    pub const ALL: [LinkDownReason; 6] = [
-        LinkDownReason::WriteFailed,
-        LinkDownReason::ReadFailed,
-        LinkDownReason::Eof,
-        LinkDownReason::DecodeFailed,
-        LinkDownReason::DialFailed,
-        LinkDownReason::Hangup,
-    ];
-
-    /// Stable snake_case label (JSONL `reason` field, metrics label).
+    /// Stable snake_case label (the JSONL `reason` field).
     pub fn label(self) -> &'static str {
         match self {
             LinkDownReason::WriteFailed => "write_failed",
@@ -1036,26 +1024,8 @@ impl Reservoir {
     }
 }
 
-/// Number of message kinds — sizes the per-kind counter arrays.
-const KIND_COUNT: usize = MessageKind::ALL.len();
-
-fn kind_index(kind: MessageKind) -> usize {
-    MessageKind::ALL.iter().position(|k| *k == kind).unwrap_or(0)
-}
-
-fn mode_index(mode: Mode) -> usize {
-    mode.wire_tag() as usize
-}
-
-#[derive(Debug, Clone, Copy)]
-struct OpenSpan {
-    start: u64,
-    mode: Mode,
-    hops: u64,
-}
-
-/// Per-shard runtime gauges snapshotted by sharded hosts via
-/// [`MetricsRegistry::record_shard`].
+/// Per-shard runtime gauges, read from a sharded host's
+/// `ShardedNodeHandle::shard_gauges`.
 ///
 /// `queue_depth` is a last-observed gauge; `routed` and `parks` are
 /// cumulative counters maintained by the host (the deterministic
@@ -1068,517 +1038,6 @@ pub struct ShardGauges {
     pub routed: u64,
     /// Times the shard's worker parked on an empty queue.
     pub parks: u64,
-}
-
-/// An [`Observer`] that aggregates the event stream into Prometheus-text
-/// metrics: counters (messages by kind, releases suppressed vs. sent,
-/// grants by mode), last-observed gauges (local queue depth and copyset
-/// size per node), and reservoir-sampled histograms (request-to-grant
-/// latency by mode, freeze duration, token hops per grant).
-///
-/// Gauges hold the *last observed* value per node — they update when the
-/// corresponding event fires, not continuously. Host runtimes fold their
-/// [`RuntimeCounters`] in via [`MetricsRegistry::record_runtime`], so
-/// frame/coalesce accounting lands in `/metrics` too. Per-node registries
-/// combine with [`MetricsRegistry::merge`].
-#[derive(Debug, Clone, Default)]
-pub struct MetricsRegistry {
-    messages_by_kind: [u64; KIND_COUNT],
-    delivered_by_kind: [u64; KIND_COUNT],
-    dropped_by_kind: [u64; KIND_COUNT],
-    releases_sent: u64,
-    releases_suppressed: u64,
-    grants_by_mode: [u64; 5],
-    cancellations: u64,
-    path_reversals: u64,
-    timers_fired: u64,
-    audit_violations: u64,
-    recoveries_started: u64,
-    recoveries_completed: u64,
-    recovery_epoch: u64,
-    token_regenerations: u64,
-    fenced: u64,
-    backpressure_drops: u64,
-    backpressure_bytes: u64,
-    aborts: u64,
-    link_down: [u64; LinkDownReason::ALL.len()],
-    queue_depth: HashMap<u32, u64>,
-    copyset_size: HashMap<u32, u64>,
-    latency_by_mode: [Option<Reservoir>; 5],
-    freeze_duration: Option<Reservoir>,
-    token_hops: Option<Reservoir>,
-    recovery_latency: Option<Reservoir>,
-    open_spans: HashMap<SpanId, OpenSpan>,
-    freeze_since: HashMap<u32, u64>,
-    recovery_since: HashMap<u32, u64>,
-    runtime: RuntimeCounters,
-    shard_gauges: Vec<ShardGauges>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        MetricsRegistry::default()
-    }
-
-    /// Snapshots a host runtime's counters into the registry (replaces
-    /// the previous snapshot — [`RuntimeCounters`] are cumulative).
-    pub fn record_runtime(&mut self, counters: &RuntimeCounters) {
-        self.runtime = *counters;
-    }
-
-    /// Snapshots one shard's gauges (replaces the previous snapshot for
-    /// that shard index — the values are cumulative on the host side).
-    pub fn record_shard(&mut self, shard: usize, gauges: ShardGauges) {
-        if self.shard_gauges.len() <= shard {
-            self.shard_gauges.resize(shard + 1, ShardGauges::default());
-        }
-        self.shard_gauges[shard] = gauges;
-    }
-
-    /// The recorded per-shard gauges, indexed by shard (empty when the
-    /// host is unsharded).
-    pub fn shard_gauges(&self) -> &[ShardGauges] {
-        &self.shard_gauges
-    }
-
-    /// Messages sent, by kind (indexed per [`MessageKind::ALL`]).
-    pub fn messages_by_kind(&self) -> &[u64; KIND_COUNT] {
-        &self.messages_by_kind
-    }
-
-    /// Recovery rounds started / completed, as observed across nodes.
-    pub fn recoveries(&self) -> (u64, u64) {
-        (self.recoveries_started, self.recoveries_completed)
-    }
-
-    /// The highest installed recovery epoch observed.
-    pub fn recovery_epoch(&self) -> u64 {
-        self.recovery_epoch
-    }
-
-    /// Messages fenced for carrying a stale epoch.
-    pub fn fenced_total(&self) -> u64 {
-        self.fenced
-    }
-
-    /// Frames dropped (and their total bytes) because a transport
-    /// outbox hit its bound.
-    pub fn backpressure(&self) -> (u64, u64) {
-        (self.backpressure_drops, self.backpressure_bytes)
-    }
-
-    /// Requests aborted by node death or epoch fencing.
-    pub fn aborts_total(&self) -> u64 {
-        self.aborts
-    }
-
-    /// Transport link teardowns, summed over reasons.
-    pub fn link_down_total(&self) -> u64 {
-        self.link_down.iter().sum()
-    }
-
-    /// Releases suppressed by Rule 5.2.
-    pub fn releases_suppressed(&self) -> u64 {
-        self.releases_suppressed
-    }
-
-    /// Grants observed, summed over modes.
-    pub fn grants_total(&self) -> u64 {
-        self.grants_by_mode.iter().sum()
-    }
-
-    /// Audit findings routed through the event stream.
-    pub fn audit_violations(&self) -> u64 {
-        self.audit_violations
-    }
-
-    /// The request-to-grant latency reservoir for `mode`, if any grant
-    /// of that mode was observed.
-    pub fn latency(&self, mode: Mode) -> Option<&Reservoir> {
-        self.latency_by_mode[mode_index(mode)].as_ref()
-    }
-
-    /// Token hops (forward + transfer messages) per granted request.
-    pub fn token_hops(&self) -> Option<&Reservoir> {
-        self.token_hops.as_ref()
-    }
-
-    /// Folds another registry in (counters add, gauges union by node,
-    /// reservoirs merge, runtime counters add field-wise).
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for i in 0..KIND_COUNT {
-            self.messages_by_kind[i] += other.messages_by_kind[i];
-            self.delivered_by_kind[i] += other.delivered_by_kind[i];
-            self.dropped_by_kind[i] += other.dropped_by_kind[i];
-        }
-        self.releases_sent += other.releases_sent;
-        self.releases_suppressed += other.releases_suppressed;
-        for i in 0..5 {
-            self.grants_by_mode[i] += other.grants_by_mode[i];
-        }
-        self.cancellations += other.cancellations;
-        self.path_reversals += other.path_reversals;
-        self.timers_fired += other.timers_fired;
-        self.audit_violations += other.audit_violations;
-        self.recoveries_started += other.recoveries_started;
-        self.recoveries_completed += other.recoveries_completed;
-        self.recovery_epoch = self.recovery_epoch.max(other.recovery_epoch);
-        self.token_regenerations += other.token_regenerations;
-        self.fenced += other.fenced;
-        self.backpressure_drops += other.backpressure_drops;
-        self.backpressure_bytes += other.backpressure_bytes;
-        self.aborts += other.aborts;
-        for i in 0..self.link_down.len() {
-            self.link_down[i] += other.link_down[i];
-        }
-        if let Some(theirs) = &other.recovery_latency {
-            self.recovery_latency.get_or_insert_with(Reservoir::default).merge(theirs);
-        }
-        for (&n, &v) in &other.queue_depth {
-            self.queue_depth.insert(n, v);
-        }
-        for (&n, &v) in &other.copyset_size {
-            self.copyset_size.insert(n, v);
-        }
-        for i in 0..5 {
-            if let Some(theirs) = &other.latency_by_mode[i] {
-                self.latency_by_mode[i].get_or_insert_with(Reservoir::default).merge(theirs);
-            }
-        }
-        if let Some(theirs) = &other.freeze_duration {
-            self.freeze_duration.get_or_insert_with(Reservoir::default).merge(theirs);
-        }
-        if let Some(theirs) = &other.token_hops {
-            self.token_hops.get_or_insert_with(Reservoir::default).merge(theirs);
-        }
-        self.runtime.absorb(&other.runtime);
-        if self.shard_gauges.len() < other.shard_gauges.len() {
-            self.shard_gauges.resize(other.shard_gauges.len(), ShardGauges::default());
-        }
-        for (mine, theirs) in self.shard_gauges.iter_mut().zip(&other.shard_gauges) {
-            mine.queue_depth = mine.queue_depth.max(theirs.queue_depth);
-            mine.routed += theirs.routed;
-            mine.parks += theirs.parks;
-        }
-    }
-
-    /// Renders the registry in the Prometheus text exposition format.
-    /// Histograms render as summaries (quantiles 0.5 / 0.9 / 0.99 /
-    /// 0.999 plus `_sum` and `_count`).
-    pub fn render(&self) -> String {
-        use fmt::Write as _;
-        let mut out = String::new();
-        let counter = |out: &mut String, name: &str, help: &str| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} counter");
-        };
-
-        counter(&mut out, "hlock_messages_total", "Protocol messages sent, by kind.");
-        for (i, k) in MessageKind::ALL.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "hlock_messages_total{{kind=\"{}\"}} {}",
-                k.label(),
-                self.messages_by_kind[i]
-            );
-        }
-        counter(&mut out, "hlock_delivered_total", "Messages delivered, by kind.");
-        for (i, k) in MessageKind::ALL.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "hlock_delivered_total{{kind=\"{}\"}} {}",
-                k.label(),
-                self.delivered_by_kind[i]
-            );
-        }
-        counter(&mut out, "hlock_dropped_total", "Messages dropped by fault injection, by kind.");
-        for (i, k) in MessageKind::ALL.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "hlock_dropped_total{{kind=\"{}\"}} {}",
-                k.label(),
-                self.dropped_by_kind[i]
-            );
-        }
-        counter(&mut out, "hlock_releases_sent_total", "Release notifications sent to parents.");
-        let _ = writeln!(out, "hlock_releases_sent_total {}", self.releases_sent);
-        counter(
-            &mut out,
-            "hlock_releases_suppressed_total",
-            "Releases suppressed because the owned mode was unchanged (Rule 5.2).",
-        );
-        let _ = writeln!(out, "hlock_releases_suppressed_total {}", self.releases_suppressed);
-        counter(&mut out, "hlock_grants_total", "Local grants, by granted mode.");
-        for m in ALL_MODES {
-            let _ = writeln!(
-                out,
-                "hlock_grants_total{{mode=\"{}\"}} {}",
-                m.symbol(),
-                self.grants_by_mode[mode_index(m)]
-            );
-        }
-        counter(&mut out, "hlock_cancellations_total", "Requests cancelled before grant.");
-        let _ = writeln!(out, "hlock_cancellations_total {}", self.cancellations);
-        counter(&mut out, "hlock_path_reversals_total", "Parent-pointer reversals observed.");
-        let _ = writeln!(out, "hlock_path_reversals_total {}", self.path_reversals);
-        counter(&mut out, "hlock_timers_fired_total", "Protocol timers fired.");
-        let _ = writeln!(out, "hlock_timers_fired_total {}", self.timers_fired);
-        counter(&mut out, "hlock_audit_violations_total", "Quiescence audit findings.");
-        let _ = writeln!(out, "hlock_audit_violations_total {}", self.audit_violations);
-        counter(&mut out, "hlock_recoveries_started_total", "Recovery rounds started.");
-        let _ = writeln!(out, "hlock_recoveries_started_total {}", self.recoveries_started);
-        counter(
-            &mut out,
-            "hlock_recoveries_completed_total",
-            "Recovery installs applied (epoch rebuilds completed).",
-        );
-        let _ = writeln!(out, "hlock_recoveries_completed_total {}", self.recoveries_completed);
-        counter(
-            &mut out,
-            "hlock_token_regenerations_total",
-            "Tokens regenerated because their holder died.",
-        );
-        let _ = writeln!(out, "hlock_token_regenerations_total {}", self.token_regenerations);
-        counter(&mut out, "hlock_fenced_total", "Incoming messages fenced for a stale epoch.");
-        let _ = writeln!(out, "hlock_fenced_total {}", self.fenced);
-        counter(
-            &mut out,
-            "hlock_backpressure_drops_total",
-            "Frames dropped because a transport outbox hit its bound.",
-        );
-        let _ = writeln!(out, "hlock_backpressure_drops_total {}", self.backpressure_drops);
-        counter(
-            &mut out,
-            "hlock_backpressure_bytes_total",
-            "Bytes of frames dropped to outbox backpressure.",
-        );
-        let _ = writeln!(out, "hlock_backpressure_bytes_total {}", self.backpressure_bytes);
-        counter(&mut out, "hlock_aborts_total", "Requests aborted by node death or epoch fencing.");
-        let _ = writeln!(out, "hlock_aborts_total {}", self.aborts);
-        counter(&mut out, "hlock_link_down_total", "Transport link teardowns, by reason.");
-        for (i, r) in LinkDownReason::ALL.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "hlock_link_down_total{{reason=\"{}\"}} {}",
-                r.label(),
-                self.link_down[i]
-            );
-        }
-        let _ = writeln!(out, "# HELP hlock_recovery_epoch Highest installed recovery epoch.");
-        let _ = writeln!(out, "# TYPE hlock_recovery_epoch gauge");
-        let _ = writeln!(out, "hlock_recovery_epoch {}", self.recovery_epoch);
-
-        let _ =
-            writeln!(out, "# HELP hlock_queue_depth Local request queue depth (last observed).");
-        let _ = writeln!(out, "# TYPE hlock_queue_depth gauge");
-        let mut nodes: Vec<&u32> = self.queue_depth.keys().collect();
-        nodes.sort_unstable();
-        for n in nodes {
-            let _ = writeln!(out, "hlock_queue_depth{{node=\"{n}\"}} {}", self.queue_depth[n]);
-        }
-        let _ = writeln!(out, "# HELP hlock_copyset_size Copyset size (last observed).");
-        let _ = writeln!(out, "# TYPE hlock_copyset_size gauge");
-        let mut nodes: Vec<&u32> = self.copyset_size.keys().collect();
-        nodes.sort_unstable();
-        for n in nodes {
-            let _ = writeln!(out, "hlock_copyset_size{{node=\"{n}\"}} {}", self.copyset_size[n]);
-        }
-
-        let summary = |out: &mut String, name: &str, help: &str, labels: &str, r: &Reservoir| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} summary");
-            let sep = if labels.is_empty() { "" } else { "," };
-            for q in [0.5, 0.9, 0.99, 0.999] {
-                if let Some(v) = r.percentile(q) {
-                    let _ = writeln!(out, "{name}{{{labels}{sep}quantile=\"{q}\"}} {v}");
-                }
-            }
-            if labels.is_empty() {
-                let _ = writeln!(out, "{name}_sum {}", r.sum());
-                let _ = writeln!(out, "{name}_count {}", r.count());
-            } else {
-                let _ = writeln!(out, "{name}_sum{{{labels}}} {}", r.sum());
-                let _ = writeln!(out, "{name}_count{{{labels}}} {}", r.count());
-            }
-        };
-        for m in ALL_MODES {
-            if let Some(r) = &self.latency_by_mode[mode_index(m)] {
-                summary(
-                    &mut out,
-                    "hlock_request_to_grant_micros",
-                    "Request-to-grant latency, by requested mode.",
-                    &format!("mode=\"{}\"", m.symbol()),
-                    r,
-                );
-            }
-        }
-        if let Some(r) = &self.freeze_duration {
-            summary(
-                &mut out,
-                "hlock_freeze_duration_micros",
-                "Time a node spent with a non-empty frozen set.",
-                "",
-                r,
-            );
-        }
-        if let Some(r) = &self.token_hops {
-            summary(
-                &mut out,
-                "hlock_token_hops",
-                "Forward/transfer messages observed per granted request.",
-                "",
-                r,
-            );
-        }
-        if let Some(r) = &self.recovery_latency {
-            summary(
-                &mut out,
-                "hlock_recovery_latency_micros",
-                "Suspicion-to-install latency per node per recovery round.",
-                "",
-                r,
-            );
-        }
-
-        let _ =
-            writeln!(out, "# HELP hlock_runtime_steps_total Effectful protocol steps dispatched.");
-        let _ = writeln!(out, "# TYPE hlock_runtime_steps_total counter");
-        let _ = writeln!(out, "hlock_runtime_steps_total {}", self.runtime.steps);
-        let _ = writeln!(
-            out,
-            "# HELP hlock_runtime_logical_messages_total Logical messages dispatched."
-        );
-        let _ = writeln!(out, "# TYPE hlock_runtime_logical_messages_total counter");
-        let _ =
-            writeln!(out, "hlock_runtime_logical_messages_total {}", self.runtime.logical_messages);
-        let _ = writeln!(out, "# HELP hlock_runtime_frames_total Coalesced frames dispatched.");
-        let _ = writeln!(out, "# TYPE hlock_runtime_frames_total counter");
-        let _ = writeln!(out, "hlock_runtime_frames_total {}", self.runtime.frames);
-        let _ = writeln!(out, "# HELP hlock_runtime_max_batch Largest batch seen, in messages.");
-        let _ = writeln!(out, "# TYPE hlock_runtime_max_batch gauge");
-        let _ = writeln!(out, "hlock_runtime_max_batch {}", self.runtime.max_batch);
-        let _ = writeln!(out, "# HELP hlock_coalesce_ratio Logical messages per frame.");
-        let _ = writeln!(out, "# TYPE hlock_coalesce_ratio gauge");
-        let _ = writeln!(out, "hlock_coalesce_ratio {}", self.runtime.coalesce_ratio());
-        if !self.shard_gauges.is_empty() {
-            let _ = writeln!(
-                out,
-                "# HELP hlock_shard_queue_depth Shard inbound queue depth (last observed)."
-            );
-            let _ = writeln!(out, "# TYPE hlock_shard_queue_depth gauge");
-            for (s, g) in self.shard_gauges.iter().enumerate() {
-                let _ = writeln!(out, "hlock_shard_queue_depth{{shard=\"{s}\"}} {}", g.queue_depth);
-            }
-            counter(&mut out, "hlock_shard_routed_total", "Messages routed to each shard.");
-            for (s, g) in self.shard_gauges.iter().enumerate() {
-                let _ = writeln!(out, "hlock_shard_routed_total{{shard=\"{s}\"}} {}", g.routed);
-            }
-            counter(&mut out, "hlock_shard_parks_total", "Shard worker parks on an empty queue.");
-            for (s, g) in self.shard_gauges.iter().enumerate() {
-                let _ = writeln!(out, "hlock_shard_parks_total{{shard=\"{s}\"}} {}", g.parks);
-            }
-        }
-        out
-    }
-}
-
-impl Observer for MetricsRegistry {
-    fn on_event(&mut self, at_micros: u64, event: &ProtocolEvent) {
-        match event {
-            ProtocolEvent::RequestIssued { span, mode, .. } => {
-                self.open_spans.insert(*span, OpenSpan { start: at_micros, mode: *mode, hops: 0 });
-            }
-            ProtocolEvent::RequestForwarded { span, .. }
-            | ProtocolEvent::TokenSent { span, .. } => {
-                if let Some(s) = self.open_spans.get_mut(span) {
-                    s.hops += 1;
-                }
-            }
-            ProtocolEvent::RequestQueued { node, queue_depth, .. } => {
-                self.queue_depth.insert(node.0, *queue_depth as u64);
-            }
-            ProtocolEvent::CopyGranted { node, copyset_size, .. } => {
-                self.copyset_size.insert(node.0, *copyset_size as u64);
-            }
-            ProtocolEvent::CopyRevoked { node, new_owned, .. } => {
-                if new_owned.is_none() {
-                    let g = self.copyset_size.entry(node.0).or_insert(0);
-                    *g = g.saturating_sub(1);
-                }
-            }
-            ProtocolEvent::Granted { span, mode, .. } => {
-                self.grants_by_mode[mode_index(*mode)] += 1;
-                if let Some(open) = self.open_spans.remove(span) {
-                    self.latency_by_mode[mode_index(open.mode)]
-                        .get_or_insert_with(Reservoir::default)
-                        .record(at_micros.saturating_sub(open.start));
-                    self.token_hops.get_or_insert_with(Reservoir::default).record(open.hops);
-                }
-            }
-            ProtocolEvent::RequestCancelled { span, .. } => {
-                self.cancellations += 1;
-                self.open_spans.remove(span);
-            }
-            ProtocolEvent::ModeFrozen { node, .. } => {
-                self.freeze_since.entry(node.0).or_insert(at_micros);
-            }
-            ProtocolEvent::ModeUnfrozen { node, modes, .. } => {
-                if modes.is_empty() {
-                    if let Some(since) = self.freeze_since.remove(&node.0) {
-                        self.freeze_duration
-                            .get_or_insert_with(Reservoir::default)
-                            .record(at_micros.saturating_sub(since));
-                    }
-                }
-            }
-            ProtocolEvent::ReleaseSent { .. } => self.releases_sent += 1,
-            ProtocolEvent::ReleaseSuppressed { .. } => self.releases_suppressed += 1,
-            ProtocolEvent::PathReversal { .. } => self.path_reversals += 1,
-            ProtocolEvent::AuditViolation { .. } => self.audit_violations += 1,
-            ProtocolEvent::MessageSent { kind, .. } => {
-                self.messages_by_kind[kind_index(*kind)] += 1;
-            }
-            ProtocolEvent::Delivered { kind, .. } => {
-                self.delivered_by_kind[kind_index(*kind)] += 1;
-            }
-            ProtocolEvent::Dropped { kind, .. } => {
-                self.dropped_by_kind[kind_index(*kind)] += 1;
-            }
-            ProtocolEvent::TimerFired { .. } => self.timers_fired += 1,
-            ProtocolEvent::RecoveryStarted { node, .. } => {
-                self.recoveries_started += 1;
-                self.recovery_since.entry(node.0).or_insert(at_micros);
-            }
-            ProtocolEvent::RecoveryCompleted { node, epoch } => {
-                self.recoveries_completed += 1;
-                self.recovery_epoch = self.recovery_epoch.max(*epoch);
-                if let Some(since) = self.recovery_since.remove(&node.0) {
-                    self.recovery_latency
-                        .get_or_insert_with(Reservoir::default)
-                        .record(at_micros.saturating_sub(since));
-                }
-            }
-            ProtocolEvent::TokenRegenerated { epoch, .. } => {
-                self.token_regenerations += 1;
-                self.recovery_epoch = self.recovery_epoch.max(*epoch);
-            }
-            ProtocolEvent::StaleEpochFenced { .. } => self.fenced += 1,
-            ProtocolEvent::Backpressure { dropped, .. } => {
-                self.backpressure_drops += 1;
-                self.backpressure_bytes += *dropped;
-            }
-            ProtocolEvent::RequestAborted { span, .. } => {
-                self.aborts += 1;
-                self.open_spans.remove(span);
-            }
-            ProtocolEvent::LinkDown { reason, .. } => {
-                let i = LinkDownReason::ALL.iter().position(|r| r == reason).unwrap_or(0);
-                self.link_down[i] += 1;
-            }
-            ProtocolEvent::TokenReceived { .. } | ProtocolEvent::Released { .. } => {}
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1688,160 +1147,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_tracks_latency_and_hops() {
-        let mut reg = MetricsRegistry::new();
-        reg.on_event(100, &issued(0, 1));
-        reg.on_event(
-            150,
-            &ProtocolEvent::RequestForwarded {
-                node: NodeId(1),
-                lock: LockId(0),
-                span: span(0, 1),
-                mode: Mode::Read,
-            },
-        );
-        reg.on_event(400, &granted(0, 1));
-        let lat = reg.latency(Mode::Read).unwrap();
-        assert_eq!(lat.count(), 1);
-        assert_eq!(lat.percentile(0.5), Some(300));
-        assert_eq!(reg.token_hops().unwrap().percentile(0.5), Some(1));
-        assert_eq!(reg.grants_total(), 1);
-        let text = reg.render();
-        assert!(text.contains("hlock_request_to_grant_micros{mode=\"R\",quantile=\"0.5\"} 300"));
-        assert!(text.contains("hlock_grants_total{mode=\"R\"} 1"));
-    }
-
-    #[test]
-    fn registry_counts_messages_and_suppressions() {
-        let mut reg = MetricsRegistry::new();
-        reg.on_event(
-            0,
-            &ProtocolEvent::MessageSent {
-                node: NodeId(0),
-                to: NodeId(1),
-                kind: MessageKind::Request,
-            },
-        );
-        reg.on_event(
-            0,
-            &ProtocolEvent::ReleaseSuppressed { node: NodeId(0), lock: LockId(0), owned: None },
-        );
-        let text = reg.render();
-        assert!(text.contains("hlock_messages_total{kind=\"request\"} 1"));
-        assert!(text.contains("hlock_releases_suppressed_total 1"));
-    }
-
-    #[test]
-    fn registry_merge_combines() {
-        let mut a = MetricsRegistry::new();
-        let mut b = MetricsRegistry::new();
-        a.on_event(0, &issued(0, 1));
-        a.on_event(10, &granted(0, 1));
-        b.on_event(0, &issued(1, 1));
-        b.on_event(30, &granted(1, 1));
-        let rt = RuntimeCounters { frames: 2, logical_messages: 4, ..Default::default() };
-        a.record_runtime(&rt);
-        b.record_runtime(&rt);
-        a.merge(&b);
-        assert_eq!(a.grants_total(), 2);
-        assert_eq!(a.latency(Mode::Read).unwrap().count(), 2);
-        let text = a.render();
-        assert!(text.contains("hlock_runtime_frames_total 4"));
-        assert!(text.contains("hlock_coalesce_ratio 2"));
-    }
-
-    #[test]
-    fn shard_gauges_render_and_merge() {
-        let mut a = MetricsRegistry::new();
-        assert!(!a.render().contains("hlock_shard_queue_depth"), "unsharded hosts emit nothing");
-        a.record_shard(0, ShardGauges { queue_depth: 3, routed: 10, parks: 2 });
-        a.record_shard(1, ShardGauges { queue_depth: 1, routed: 4, parks: 0 });
-        let mut b = MetricsRegistry::new();
-        b.record_shard(1, ShardGauges { queue_depth: 7, routed: 6, parks: 5 });
-        a.merge(&b);
-        assert_eq!(a.shard_gauges()[0], ShardGauges { queue_depth: 3, routed: 10, parks: 2 });
-        assert_eq!(a.shard_gauges()[1], ShardGauges { queue_depth: 7, routed: 10, parks: 5 });
-        let text = a.render();
-        assert!(text.contains("hlock_shard_queue_depth{shard=\"0\"} 3"));
-        assert!(text.contains("hlock_shard_routed_total{shard=\"1\"} 10"));
-        assert!(text.contains("hlock_shard_parks_total{shard=\"1\"} 5"));
-    }
-
-    #[test]
-    fn freeze_duration_measured_between_freeze_and_empty_unfreeze() {
-        let mut reg = MetricsRegistry::new();
-        let modes = ModeSet::from_modes([Mode::Read]);
-        reg.on_event(100, &ProtocolEvent::ModeFrozen { node: NodeId(2), lock: LockId(0), modes });
-        reg.on_event(
-            250,
-            &ProtocolEvent::ModeUnfrozen {
-                node: NodeId(2),
-                lock: LockId(0),
-                modes: ModeSet::EMPTY,
-            },
-        );
-        let r = reg.freeze_duration.as_ref().unwrap();
-        assert_eq!(r.count(), 1);
-        assert_eq!(r.percentile(0.5), Some(150));
-    }
-
-    #[test]
-    fn registry_tracks_recovery_lifecycle() {
-        let mut reg = MetricsRegistry::new();
-        reg.on_event(100, &ProtocolEvent::RecoveryStarted { node: NodeId(1), epoch: 1, dead: 1 });
-        reg.on_event(
-            130,
-            &ProtocolEvent::TokenRegenerated { node: NodeId(1), lock: LockId(0), epoch: 1 },
-        );
-        reg.on_event(250, &ProtocolEvent::RecoveryCompleted { node: NodeId(1), epoch: 1 });
-        reg.on_event(
-            300,
-            &ProtocolEvent::StaleEpochFenced { node: NodeId(1), from: NodeId(2), epoch: 0 },
-        );
-        assert_eq!(reg.recoveries(), (1, 1));
-        assert_eq!(reg.recovery_epoch(), 1);
-        assert_eq!(reg.fenced_total(), 1);
-        let text = reg.render();
-        assert!(text.contains("hlock_recoveries_started_total 1"));
-        assert!(text.contains("hlock_recoveries_completed_total 1"));
-        assert!(text.contains("hlock_token_regenerations_total 1"));
-        assert!(text.contains("hlock_fenced_total 1"));
-        assert!(text.contains("hlock_recovery_epoch 1"));
-        assert!(text.contains("hlock_recovery_latency_micros_count 1"));
-        assert!(text.contains("hlock_recovery_latency_micros_sum 150"));
-    }
-
-    #[test]
-    fn registry_tracks_backpressure() {
-        let mut reg = MetricsRegistry::new();
-        reg.on_event(
-            10,
-            &ProtocolEvent::Backpressure { node: NodeId(0), peer: NodeId(3), dropped: 64 },
-        );
-        reg.on_event(
-            20,
-            &ProtocolEvent::Backpressure { node: NodeId(0), peer: NodeId(3), dropped: 36 },
-        );
-        assert_eq!(reg.backpressure(), (2, 100));
-        let mut other = MetricsRegistry::new();
-        other.on_event(
-            30,
-            &ProtocolEvent::Backpressure { node: NodeId(1), peer: NodeId(0), dropped: 1 },
-        );
-        reg.merge(&other);
-        assert_eq!(reg.backpressure(), (3, 101));
-        let text = reg.render();
-        assert!(text.contains("hlock_backpressure_drops_total 3"));
-        assert!(text.contains("hlock_backpressure_bytes_total 101"));
-        let mut json = String::new();
-        ProtocolEvent::Backpressure { node: NodeId(0), peer: NodeId(3), dropped: 64 }
-            .write_json(10, &mut json);
-        assert!(json.contains("\"event\":\"backpressure\""));
-        assert!(json.contains("\"peer\":3"));
-        assert!(json.contains("\"dropped\":64"));
-    }
-
-    #[test]
     fn hlc_tick_is_monotone_even_when_time_stalls() {
         let mut c = HlcClock::new();
         let a = c.tick(100);
@@ -1909,13 +1214,12 @@ mod tests {
         assert!(aborted.closes_span());
         let evs = [issued(0, 1), aborted.clone()];
         assert_eq!(crate::InvariantAuditor::audit_stream(&evs), vec![]);
-        let mut reg = MetricsRegistry::new();
-        reg.on_event(0, &issued(0, 1));
-        reg.on_event(10, &aborted);
-        assert_eq!(reg.aborts_total(), 1);
-        assert!(reg.latency(Mode::Read).is_none(), "aborts must not record grant latency");
-        let text = reg.render();
-        assert!(text.contains("hlock_aborts_total 1"));
+        let mut meter = crate::Meter::new();
+        meter.on_event(0, &issued(0, 1));
+        meter.on_event(10, &aborted);
+        meter.on_event(20, &granted(0, 1));
+        assert_eq!(meter.total_requests(), 1);
+        assert_eq!(meter.total_grants(), 0, "aborts must not record grant latency");
         let mut json = String::new();
         aborted.write_json(10, &mut json);
         assert!(json.contains("\"event\":\"request_aborted\""));
@@ -1942,23 +1246,22 @@ mod tests {
         let mut json = String::new();
         anon.write_json(1, &mut json);
         assert!(json.contains("\"peer\":null"));
-        let mut reg = MetricsRegistry::new();
-        reg.on_event(0, &ev);
-        reg.on_event(0, &anon);
-        assert_eq!(reg.link_down_total(), 2);
-        let text = reg.render();
-        assert!(text.contains("hlock_link_down_total{reason=\"eof\"} 1"));
-        assert!(text.contains("hlock_link_down_total{reason=\"decode_failed\"} 1"));
+        let mut json = String::new();
+        ProtocolEvent::Backpressure { node: NodeId(0), peer: NodeId(3), dropped: 64 }
+            .write_json(10, &mut json);
+        assert!(json.contains("\"event\":\"backpressure\""));
+        assert!(json.contains("\"peer\":3"));
+        assert!(json.contains("\"dropped\":64"));
     }
 
     #[test]
     fn render_includes_p999_quantile() {
-        let mut reg = MetricsRegistry::new();
+        let mut meter = crate::Meter::new();
         for t in 0..100u64 {
-            reg.on_event(t, &issued(0, t));
-            reg.on_event(t + 1, &granted(0, t));
+            meter.on_event(t, &issued(0, t));
+            meter.on_event(t + 1, &granted(0, t));
         }
-        let text = reg.render();
+        let text = meter.render();
         assert!(text.contains("quantile=\"0.999\""), "missing p99.9 in:\n{text}");
     }
 

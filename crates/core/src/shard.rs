@@ -18,8 +18,9 @@
 //!   which lets the checker *prove* that shard routing never reorders
 //!   the messages of one lock (they hash to one shard, whose inbox is
 //!   FIFO) while messages of different locks interleave freely.
-//! * [`ShardCounters`] — per-shard routing statistics surfaced as
-//!   Prometheus gauges via [`crate::MetricsRegistry::record_shard`].
+//! * [`ShardCounters`] — per-shard routing statistics
+//!   ([`ShardedSpace::shard_counters`]); the TCP sharded host reports
+//!   the same numbers per worker as [`crate::ShardGauges`].
 //!
 //! Each shard owns a full-width [`LockSpace`] but only ever touches the
 //! locks that hash to it; the other per-lock state machines stay in
@@ -86,8 +87,7 @@ impl ShardSpec {
 /// Per-shard routing statistics kept by a [`ShardedSpace`].
 ///
 /// The parallel TCP runtime keeps the equivalent numbers per worker
-/// thread; both surface through
-/// [`crate::MetricsRegistry::record_shard`].
+/// thread, as [`crate::ShardGauges`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardCounters {
     /// Inbound messages routed to this shard's inbox.

@@ -11,8 +11,7 @@
 //!
 //! - [`transport`](crate) — the shared machinery: the per-node command
 //!   vocabulary, the single definition of protocol-event semantics every
-//!   host in this crate applies, grant mailboxes, counters, the
-//!   `/metrics` endpoint.
+//!   host in this crate applies, grant mailboxes, counters.
 //! - `conn` — sans-I/O connection state: bounded outboxes with
 //!   partial-write cursors, redial/failure-detector backoff.
 //! - `mux` — the I/O engine behind [`Cluster`]: a small worker pool
@@ -49,19 +48,18 @@ mod transport;
 pub use sharded::{ShardedCluster, ShardedNodeHandle};
 
 use hlock_core::{
-    ConcurrencyProtocol, Inspect, LockId, LockSpace, MessageKind, MetricsRegistry, Mode, NodeId,
-    Observer, Priority, ProtocolConfig, ProtocolEvent, RecoverySpace, RuntimeCounters,
-    SharedAuditor, Ticket,
+    ConcurrencyProtocol, Inspect, LockId, LockSpace, MessageKind, Mode, NodeId, Observer, Priority,
+    ProtocolConfig, ProtocolEvent, RecoverySpace, RuntimeCounters, SharedAuditor, Ticket,
 };
 use hlock_wire::WireCodec;
 use std::collections::HashMap;
 use std::fmt;
-use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
-use transport::{locked, serve_scrape, Counters, GrantTable, LoopEvent, MetricsServer};
+use transport::{Counters, GrantTable, LoopEvent};
 
 /// Transport-level failures.
 #[derive(Debug)]
@@ -103,47 +101,6 @@ impl std::error::Error for NetError {
 impl From<std::io::Error> for NetError {
     fn from(e: std::io::Error) -> Self {
         NetError::Io(e)
-    }
-}
-
-/// A cluster-wide [`MetricsRegistry`] shared by every node's event loop.
-///
-/// Cloning is cheap (an [`Arc`]); each clone observes into the same
-/// registry, so request-to-grant latency, message counts and audit
-/// violations aggregate across the whole mesh. The lock is taken per
-/// event *inside* [`Observer::on_event`] — never held across a dispatch
-/// — so node event loops cannot deadlock on it.
-#[derive(Clone, Default)]
-pub struct ClusterMetrics {
-    registry: Arc<Mutex<MetricsRegistry>>,
-}
-
-impl ClusterMetrics {
-    /// A fresh, empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Runs `f` with the registry locked (for queries or snapshots).
-    pub fn with<R>(&self, f: impl FnOnce(&mut MetricsRegistry) -> R) -> R {
-        f(&mut locked(&self.registry))
-    }
-
-    /// Renders the registry in Prometheus text exposition format.
-    pub fn render(&self) -> String {
-        locked(&self.registry).render()
-    }
-}
-
-impl fmt::Debug for ClusterMetrics {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ClusterMetrics").finish_non_exhaustive()
-    }
-}
-
-impl Observer for ClusterMetrics {
-    fn on_event(&mut self, at_micros: u64, event: &ProtocolEvent) {
-        locked(&self.registry).on_event(at_micros, event);
     }
 }
 
@@ -406,7 +363,6 @@ where
 /// An in-process TCP mesh of protocol nodes.
 pub struct Cluster<P: ConcurrencyProtocol> {
     nodes: Vec<Arc<NodeHandle<P>>>,
-    metrics_server: Option<MetricsServer>,
     /// The mux worker pool; joined at [`Cluster::shutdown`].
     mux: mux::MuxHandle,
 }
@@ -502,7 +458,7 @@ where
         observe: impl Fn(NodeId) -> Option<Box<dyn Observer + Send>>,
     ) -> Result<Cluster<P>, NetError> {
         let (nodes, handle) = mux::spawn_cluster(n, make, observe, None)?;
-        Ok(Cluster { nodes, metrics_server: None, mux: handle })
+        Ok(Cluster { nodes, mux: handle })
     }
 
     /// Spawns `n` nodes on the mux transport with the full runtime
@@ -516,8 +472,8 @@ where
     /// With `dump_dir` set, the first auditor finding dumps every
     /// node's window and [`NodeHandle::kill`] dumps the killed node's;
     /// [`SharedAuditor::dump`] dumps on demand. `observe` may add a
-    /// per-node sink downstream of the handle (e.g. a
-    /// [`ClusterMetrics`]).
+    /// per-node sink downstream of the handle (e.g. a shared
+    /// [`hlock_core::Meter`]).
     ///
     /// # Errors
     ///
@@ -550,7 +506,7 @@ where
             },
             Some(flight.clone()),
         )?;
-        Ok((Cluster { nodes, metrics_server: None, mux: handle }, flight))
+        Ok((Cluster { nodes, mux: handle }, flight))
     }
 
     /// Handle of node `i`.
@@ -601,59 +557,8 @@ where
         self.nodes.iter().map(|n| n.bytes_sent()).sum()
     }
 
-    /// Serves `metrics` over HTTP on an ephemeral localhost port in
-    /// Prometheus text exposition format; returns the bound address.
-    /// Every scrape also folds the per-node [`RuntimeCounters`] (summed
-    /// across the cluster) into the registry, so `hlock_runtime_*`
-    /// gauges are current. The listener stops on [`Cluster::shutdown`].
-    ///
-    /// # Errors
-    ///
-    /// Any socket error while binding.
-    pub fn serve_metrics(&mut self, metrics: ClusterMetrics) -> Result<SocketAddr, NetError> {
-        if let Some(server) = &self.metrics_server {
-            return Ok(server.addr);
-        }
-        let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let running = Arc::new(AtomicBool::new(true));
-        let nodes = self.nodes.clone();
-        let thread = {
-            let running = running.clone();
-            std::thread::spawn(move || {
-                while running.load(Ordering::SeqCst) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let mut total = RuntimeCounters::default();
-                            for node in &nodes {
-                                total.absorb(&node.runtime_counters());
-                            }
-                            serve_scrape(stream, &metrics, total);
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(25));
-                        }
-                        Err(_) => break,
-                    }
-                }
-            })
-        };
-        self.metrics_server = Some(MetricsServer { addr, running, thread: Some(thread) });
-        Ok(addr)
-    }
-
-    /// Address of the running `/metrics` listener, if any.
-    pub fn metrics_addr(&self) -> Option<SocketAddr> {
-        self.metrics_server.as_ref().map(|s| s.addr)
-    }
-
-    /// Stops every node and joins every transport thread (plus the
-    /// `/metrics` listener, if one was started).
-    pub fn shutdown(mut self) {
-        if let Some(server) = &mut self.metrics_server {
-            server.stop();
-        }
+    /// Stops every node and joins every transport thread.
+    pub fn shutdown(self) {
         for n in &self.nodes {
             n.stop();
         }
@@ -665,8 +570,7 @@ where
 mod tests {
     use super::*;
     use hlock_session::{SessionConfig, SessionSpace};
-    use std::io::{Read, Write};
-    use std::net::TcpStream;
+    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn hierarchical_cluster_read_write_cycle() {
@@ -1164,43 +1068,6 @@ mod tests {
             Ok(c) => c.shutdown(),
             Err(_) => panic!("all threads joined"),
         }
-    }
-
-    #[test]
-    fn metered_cluster_exports_prometheus_text() {
-        let metrics = ClusterMetrics::new();
-        let mut cluster = Cluster::spawn_observed(
-            3,
-            |i| LockSpace::new(NodeId(i as u32), 1, NodeId(0), ProtocolConfig::default()),
-            |_| Some(Box::new(metrics.clone()) as Box<dyn Observer + Send>),
-        )
-        .unwrap();
-        let addr = cluster.serve_metrics(metrics.clone()).unwrap();
-        assert_eq!(cluster.metrics_addr(), Some(addr));
-
-        let timeout = Duration::from_secs(10);
-        for i in [1usize, 2] {
-            let t = cluster.node(i).acquire(LockId(0), Mode::Write, timeout).unwrap();
-            cluster.node(i).release(LockId(0), t).unwrap();
-        }
-
-        // The shared registry saw the grants with their request spans.
-        assert!(metrics.with(|r| r.grants_total()) >= 2, "registry records cluster grants");
-
-        // Scrape like Prometheus would.
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").unwrap();
-        let mut response = String::new();
-        stream.read_to_string(&mut response).unwrap();
-        assert!(response.starts_with("HTTP/1.0 200 OK"), "{response}");
-        for metric in ["hlock_messages_total", "hlock_grants_total", "hlock_runtime_steps_total"] {
-            assert!(response.contains(metric), "missing {metric} in:\n{response}");
-        }
-
-        // Runtime counters flowed from the event loops into the scrape.
-        let steps: u64 = cluster.nodes.iter().map(|n| n.runtime_counters().steps).sum();
-        assert!(steps > 0, "event loops dispatched steps");
-        cluster.shutdown();
     }
 
     #[test]

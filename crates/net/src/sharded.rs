@@ -35,8 +35,8 @@
 //!   `crate::conn::DialBackoff` schedule from the same thread.
 //!
 //! Per-shard queue depth, routed-message and park counts surface as
-//! [`ShardGauges`] for the Prometheus registry
-//! ([`ShardedCluster::export_metrics`]).
+//! [`ShardGauges`] ([`ShardedNodeHandle::shard_gauges`]), which the repo
+//! benchmark's `sharded_pipeline` workload reads.
 //!
 //! The sharded runtime hosts the *raw* hierarchical protocol: the
 //! session layer keeps per-link sequence state that spans locks, which
@@ -47,7 +47,7 @@ use crate::conn::{DialBackoff, Outbox, Push, DEFAULT_OUTBOX_BYTES};
 use crate::transport::{
     apply_event, encode_hello, locked, wait_for, Counters, GrantTable, LoopEvent, PostEvent,
 };
-use crate::{ClusterMetrics, NetError};
+use crate::NetError;
 use hlock_core::{
     BatchHost, Classify, EffectSink, Envelope, HostRuntime, LockId, LockSpace, MessageKind, Mode,
     NodeId, Priority, ProtocolConfig, RuntimeCounters, ShardGauges, ShardSpec, Ticket,
@@ -505,30 +505,6 @@ impl ShardedCluster {
     /// Total wire bytes sent across the cluster.
     pub fn bytes_sent(&self) -> u64 {
         self.nodes.iter().map(|n| n.bytes_sent()).sum()
-    }
-
-    /// Folds the cluster's runtime counters (summed over nodes and
-    /// shards) and per-shard gauges (summed over nodes per shard index;
-    /// depth takes the max) into `metrics`, so `hlock_runtime_*` and
-    /// `hlock_shard_*` series appear on the standard scrape.
-    pub fn export_metrics(&self, metrics: &ClusterMetrics) {
-        let mut total = RuntimeCounters::default();
-        let shards = self.nodes.first().map_or(0, |n| n.spec.shards());
-        let mut per_shard = vec![ShardGauges::default(); shards];
-        for n in &self.nodes {
-            total.absorb(&n.runtime_counters());
-            for (s, g) in n.shard_gauges().into_iter().enumerate() {
-                per_shard[s].queue_depth = per_shard[s].queue_depth.max(g.queue_depth);
-                per_shard[s].routed += g.routed;
-                per_shard[s].parks += g.parks;
-            }
-        }
-        metrics.with(|r| {
-            r.record_runtime(&total);
-            for (s, g) in per_shard.iter().enumerate() {
-                r.record_shard(s, *g);
-            }
-        });
     }
 
     /// Stops every node and joins all of their threads. Every node is
@@ -1079,11 +1055,6 @@ mod tests {
         assert!(per_shard.iter().filter(|c| c.grants > 0).count() >= 2, "work spread over shards");
         let routed: u64 = cluster.node(1).shard_gauges().iter().map(|g| g.routed).sum();
         assert!(routed > 0);
-        let metrics = ClusterMetrics::new();
-        cluster.export_metrics(&metrics);
-        let text = metrics.render();
-        assert!(text.contains("hlock_shard_routed_total{shard=\"0\"}"), "{text}");
-        assert!(text.contains("hlock_runtime_steps_total"));
         cluster.shutdown();
     }
 

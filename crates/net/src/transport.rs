@@ -1,23 +1,19 @@
 //! Transport plumbing shared by every host in this crate: the event
 //! vocabulary the per-node loops consume ([`LoopEvent`]), the grant
 //! mailbox API callers block on ([`GrantTable`]), wire-level counters,
-//! the protocol-side event application shared by the readiness mux and
-//! the shard workers ([`apply_event`]), and the `/metrics` scrape
-//! endpoint.
+//! and the protocol-side event application shared by the readiness mux
+//! and the shard workers ([`apply_event`]).
 
 use crate::NetError;
 use hlock_core::{
     Classify, ConcurrencyProtocol, EffectSink, HostRuntime, LockId, MessageKind, Mode, NodeId,
-    Priority, ProtocolEvent, RuntimeCounters, Ticket,
+    Priority, ProtocolEvent, Ticket,
 };
 use hlock_wire::frame;
 use std::collections::hash_map::{Entry, HashMap};
-use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Locks `mutex`, poisoned or not — every lock of this crate is taken
@@ -398,50 +394,6 @@ impl Counters {
 /// Appends the link handshake frame announcing `me` to `buf`.
 pub(crate) fn encode_hello(buf: &mut Vec<u8>, me: NodeId) {
     frame::write_hello(buf, me);
-}
-
-/// A running `/metrics` HTTP listener (see
-/// [`crate::Cluster::serve_metrics`]).
-pub(crate) struct MetricsServer {
-    pub(crate) addr: SocketAddr,
-    pub(crate) running: Arc<AtomicBool>,
-    pub(crate) thread: Option<JoinHandle<()>>,
-}
-
-impl MetricsServer {
-    pub(crate) fn stop(&mut self) {
-        self.running.store(false, Ordering::SeqCst);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-/// Answers one `/metrics` scrape: folds `total` (the per-node runtime
-/// counters, summed) into the registry, renders it, and writes a minimal
-/// HTTP/1.0 response. Best-effort — scrape failures never disturb the
-/// cluster.
-pub(crate) fn serve_scrape(
-    mut stream: TcpStream,
-    metrics: &crate::ClusterMetrics,
-    total: RuntimeCounters,
-) {
-    // Drain (and ignore) the request line + headers, briefly.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let mut scratch = [0u8; 1024];
-    let _ = stream.read(&mut scratch);
-
-    let body = metrics.with(|r| {
-        r.record_runtime(&total);
-        r.render()
-    });
-    let response = format!(
-        "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
-        body.len(),
-        body
-    );
-    let _ = stream.write_all(response.as_bytes());
-    let _ = stream.shutdown(Shutdown::Both);
 }
 
 #[cfg(test)]

@@ -12,13 +12,12 @@
 //! [`LockSpace`]: hlock_core::LockSpace
 
 use crate::latency::LatencyModel;
-use crate::metrics::Metrics;
 use crate::time::{Duration, SimTime};
 use hlock_core::rng::Rng;
 use hlock_core::{
     audit_at_rest, audit_live, BatchHost, Classify, ConcurrencyProtocol, EffectSink, EpochScope,
-    HostRuntime, Inspect, LockId, Mode, NodeId, NullObserver, Observer, Priority, ProtocolEvent,
-    SpanId, Ticket,
+    HostRuntime, Inspect, LockId, Meter, Mode, NodeId, NullObserver, Observer, Priority,
+    ProtocolEvent, SpanId, Ticket,
 };
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap};
@@ -294,6 +293,9 @@ enum EventKind<M> {
     Timer { node: NodeId, timer: u64 },
     /// A protocol timer, requested via [`hlock_core::Effect::SetTimer`].
     ProtocolTimer { node: NodeId, token: u64 },
+    /// The end of a [`NodePause`]: queued from the start, so a run never
+    /// ends (and is never judged) while a node is still paused.
+    Resume { node: NodeId },
 }
 
 struct Event<M> {
@@ -323,7 +325,7 @@ impl<M> Ord for Event<M> {
 #[derive(Debug)]
 pub struct SimReport {
     /// Collected measurements.
-    pub metrics: Metrics,
+    pub metrics: Meter,
     /// Virtual time when the event queue drained.
     pub end_time: SimTime,
     /// Whether every node reported protocol quiescence at the end.
@@ -355,7 +357,7 @@ pub struct Sim<P: ConcurrencyProtocol, D> {
     rng: Rng,
     link_clock: HashMap<(NodeId, NodeId), SimTime>,
     outstanding: HashMap<(NodeId, LockId, Ticket), (SimTime, Mode)>,
-    metrics: Metrics,
+    metrics: Meter,
     fx: EffectSink<P::Message>,
     runtime: HostRuntime<P::Message>,
     /// Computes the encoded size of one outgoing batch (one wire frame),
@@ -414,7 +416,7 @@ where
             rng,
             link_clock: HashMap::new(),
             outstanding: HashMap::new(),
-            metrics: Metrics::new(),
+            metrics: Meter::new(),
             fx: EffectSink::new(),
             runtime: HostRuntime::new(),
             frame_sizer: None,
@@ -433,8 +435,9 @@ where
     /// events from the engine — stamped with virtual time in
     /// microseconds. Attach a `hlock_core::SharedAuditor` to audit and
     /// flight-record the run (its dump is the run's JSONL log, which the
-    /// `timeline` binary renders as a Chrome trace), a `MetricsRegistry`
-    /// to meter it, or a plain closure.
+    /// `timeline` binary renders as a Chrome trace), a `Meter` to meter
+    /// it from events, or a plain closure. The engine feeds
+    /// [`SimReport::metrics`] directly either way.
     #[must_use]
     pub fn with_observer(mut self, observer: impl Observer + 'static) -> Self {
         self.observer = Box::new(observer);
@@ -445,7 +448,7 @@ where
 
     /// Attaches a frame sizer: given the messages of one outgoing batch
     /// (delivered as one wire frame), returns its encoded size in bytes.
-    /// Enables [`Metrics::wire_bytes`] accounting; without it frames are
+    /// Enables [`Meter::wire_bytes`] accounting; without it frames are
     /// still counted but bytes stay zero.
     #[must_use]
     pub fn with_frame_sizer(mut self, sizer: impl Fn(&[P::Message]) -> u64 + 'static) -> Self {
@@ -537,6 +540,9 @@ where
             self.driver.start(node, &mut api);
             self.execute(node, api.commands)?;
         }
+        for pause in self.config.pauses.clone() {
+            self.push_event(pause.until, EventKind::Resume { node: pause.node });
+        }
         loop {
             let Some(Reverse(ev)) = self.events.pop() else {
                 // Queue drained. If live requests are wedged behind a
@@ -561,7 +567,9 @@ where
             self.check_watchdog()?;
             let event_node = match &ev.kind {
                 EventKind::Deliver { to, .. } => *to,
-                EventKind::Timer { node, .. } | EventKind::ProtocolTimer { node, .. } => *node,
+                EventKind::Timer { node, .. }
+                | EventKind::ProtocolTimer { node, .. }
+                | EventKind::Resume { node } => *node,
             };
             // Crash-stop: a dead node loses arriving messages and its
             // timers are discarded outright — it never runs again.
@@ -626,6 +634,7 @@ where
                     self.nodes[node.index()].on_timer(token, &mut self.fx);
                     self.process_effects(node)?;
                 }
+                EventKind::Resume { .. } => {}
             }
         }
         if let Some(report) = self.stuck_report() {
@@ -798,14 +807,23 @@ where
     /// watchdog first *suspects* it (via [`Sim::raise_suspicion`]) and
     /// re-arms, giving a recovery-capable protocol one full window to
     /// regenerate state and grant the survivors. Only when suspicion has
-    /// already been raised (or there is nobody to suspect) does the run
-    /// fail with a stuck-state report.
+    /// already been raised (or there is nobody to suspect), and no node
+    /// resumed from a pause within the last window, does the run fail
+    /// with a stuck-state report.
     fn check_watchdog(&mut self) -> Result<(), InvariantViolation> {
         let Some(window) = self.config.watchdog else { return Ok(()) };
         if !self.has_live_outstanding() || self.now - self.last_progress <= window {
             return Ok(());
         }
         if self.raise_suspicion(window)? {
+            return Ok(());
+        }
+        // A node that resumed from a pause gets one full window of its
+        // own to rejoin. Suspicion has had its turn first and
+        // `last_progress` is left alone, so the pause was still suspected
+        // like a death.
+        let now = self.now;
+        if self.config.pauses.iter().any(|p| p.until <= now && now - p.until <= window) {
             return Ok(());
         }
         let report = self.stuck_report().unwrap_or_default();

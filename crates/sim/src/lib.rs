@@ -13,7 +13,8 @@
 //! * [`Driver`] — the application model (issues requests, holds critical
 //!   sections, releases); implemented by `hlock-workload` for the
 //!   paper's airline-reservation experiment.
-//! * [`Metrics`] — everything needed to regenerate Figures 5, 6 and 7.
+//! * [`SimReport::metrics`] — a [`hlock_core::Meter`], everything needed
+//!   to regenerate Figures 5, 6 and 7, fed directly by the engine.
 //!
 //! ```
 //! use hlock_core::{LockSpace, NodeId, ProtocolConfig};
@@ -46,14 +47,12 @@
 
 mod engine;
 mod latency;
-mod metrics;
 mod time;
 
 pub use engine::{
     Driver, InvariantViolation, NodeCrash, NodePause, Partition, Sim, SimApi, SimConfig, SimReport,
 };
 pub use latency::{sample_exponential, LatencyModel};
-pub use metrics::Metrics;
 pub use time::{Duration, SimTime};
 
 // The simulator speaks the workspace-wide observability vocabulary;

@@ -2,6 +2,7 @@
 
 use core::fmt;
 use core::ops::{Add, AddAssign, Sub};
+pub use hlock_core::Duration;
 
 /// A point in virtual time, in microseconds since simulation start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -50,48 +51,6 @@ impl Sub<SimTime> for SimTime {
     type Output = Duration;
     fn sub(self, rhs: SimTime) -> Duration {
         Duration(self.0.saturating_sub(rhs.0))
-    }
-}
-
-/// A span of virtual time, in microseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct Duration(pub u64);
-
-impl Duration {
-    /// Zero duration.
-    pub const ZERO: Duration = Duration(0);
-
-    /// Builds a duration from whole milliseconds.
-    pub fn from_millis(ms: u64) -> Duration {
-        Duration(ms * 1_000)
-    }
-
-    /// Builds a duration from fractional milliseconds.
-    pub fn from_millis_f64(ms: f64) -> Duration {
-        Duration((ms.max(0.0) * 1_000.0).round() as u64)
-    }
-
-    /// This duration in (fractional) milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
-    /// Raw microseconds.
-    pub fn as_micros(self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Display for Duration {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.3}ms", self.as_millis_f64())
-    }
-}
-
-impl Add for Duration {
-    type Output = Duration;
-    fn add(self, rhs: Duration) -> Duration {
-        Duration(self.0 + rhs.0)
     }
 }
 

@@ -110,7 +110,7 @@ where
 /// `observer`, every [`ProtocolEvent`] of the run is streamed into it
 /// (stamped with virtual time in microseconds): attach a
 /// `hlock_core::SharedAuditor` to audit the run and dump its JSONL log,
-/// or a `MetricsRegistry` to meter it.
+/// or a `hlock_core::Meter` to meter it from events.
 ///
 /// # Errors
 ///
@@ -408,37 +408,9 @@ mod tests {
         assert!(r.session.retransmits > 0, "loss must have forced retransmissions");
     }
 
-    #[test]
-    fn observed_experiment_feeds_a_metrics_registry() {
-        use hlock_core::MetricsRegistry;
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
-        let registry = Rc::new(RefCell::new(MetricsRegistry::new()));
-        let sink = Rc::clone(&registry);
-        let obs = move |at: u64, e: &ProtocolEvent| sink.borrow_mut().on_event(at, e);
-        let r = run_experiment(
-            ProtocolKind::Hierarchical(ProtocolConfig::default()),
-            4,
-            &small_workload(),
-            LatencyModel::paper(),
-            0,
-            Some(Box::new(obs)),
-        )
-        .expect("safe");
-        assert!(r.quiescent);
-        let registry = registry.borrow();
-        // The registry's view agrees with the simulator's own metrics.
-        assert_eq!(registry.grants_total(), r.metrics.total_grants());
-        let text = registry.render();
-        assert!(text.contains("hlock_request_to_grant_micros"), "{text}");
-        assert!(text.contains("hlock_grants_total"), "{text}");
-    }
-
-    #[test]
-    fn upgrade_ops_complete_under_contention() {
-        // Force many upgrades to exercise Rule 7 under load.
-        let wl = WorkloadConfig {
+    /// The upgrade-heavy mix: many `U` holders upgrading to `W` (Rule 7).
+    fn upgrade_heavy() -> WorkloadConfig {
+        WorkloadConfig {
             entries: 4,
             ops_per_node: 8,
             seed: 3,
@@ -446,7 +418,62 @@ mod tests {
             cs_mean: Duration::from_millis(5),
             idle_mean: Duration::from_millis(50),
             spread_token_homes: false,
+        }
+    }
+
+    /// The event-fed meter and the simulator's directly fed one agree on
+    /// every figure: on the paper workload, on the upgrade-heavy mix, and
+    /// on a recovery run that crashes the token home (crash aborts,
+    /// recovery traffic, requests re-issued after the install).
+    #[test]
+    fn observed_experiment_feeds_a_metrics_registry() {
+        use hlock_core::{Meter, Mode};
+        use hlock_sim::{NodeCrash, SimTime};
+        use std::cell::RefCell;
+        use std::rc::Rc;
+
+        let meter = || {
+            let fed = Rc::new(RefCell::new(Meter::new()));
+            let sink = Rc::clone(&fed);
+            let obs = move |at: u64, e: &ProtocolEvent| sink.borrow_mut().on_event(at, e);
+            (fed, Some(Box::new(obs) as Box<dyn Observer>))
         };
+        let hierarchical = ProtocolKind::Hierarchical(ProtocolConfig::default());
+        let paper = WorkloadConfig::default();
+        let (fed, obs) = meter();
+        let r = run_experiment(hierarchical, 6, &paper, LatencyModel::paper(), 0, obs).unwrap();
+        assert!(r.quiescent);
+        assert_eq!(fed.borrow().disagreements(&r.metrics), Vec::<String>::new(), "paper");
+        let text = fed.borrow().render();
+        assert!(text.contains("hlock_request_to_grant_micros"), "{text}");
+        assert!(text.contains("hlock_grants_total"), "{text}");
+
+        let (fed, obs) = meter();
+        let r = run_experiment(hierarchical, 5, &upgrade_heavy(), LatencyModel::paper(), 1, obs)
+            .expect("safe under upgrade-heavy load");
+        assert!(r.quiescent);
+        assert!(r.metrics.latency_of(Mode::Write).count() > 0);
+        assert_eq!(fed.borrow().disagreements(&r.metrics), Vec::<String>::new(), "upgrades");
+
+        let (fed, obs) = meter();
+        let sim = SimConfig {
+            check_every: 1,
+            crashes: vec![NodeCrash { node: NodeId(0), at: SimTime::from_millis(400) }],
+            watchdog: Some(Duration::from_millis(60_000)),
+            ..SimConfig::default()
+        };
+        let wl = WorkloadConfig { entries: 4, ops_per_node: 6, seed: 13, ..Default::default() };
+        let homes =
+            |id, homes: &[NodeId]| LockSpace::with_homes(id, homes, ProtocolConfig::default());
+        let r = run_recovery_experiment(homes, 5, &wl, sim, obs).expect("recovered");
+        assert!(r.max_epoch >= 1 && r.report.quiescent);
+        assert_eq!(fed.borrow().disagreements(&r.report.metrics), Vec::<String>::new(), "crash");
+    }
+
+    #[test]
+    fn upgrade_ops_complete_under_contention() {
+        // Force many upgrades to exercise Rule 7 under load.
+        let wl = upgrade_heavy();
         let r = run_experiment(
             ProtocolKind::Hierarchical(ProtocolConfig::default()),
             5,

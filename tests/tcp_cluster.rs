@@ -5,7 +5,7 @@
 
 use hlock::core::rng::Rng;
 use hlock::core::{
-    LinkDownReason, LockId, LockSpace, MessageKind, Mode, NodeId, Observer, ProtocolConfig,
+    LinkDownReason, LockId, LockSpace, MessageKind, Meter, Mode, NodeId, Observer, ProtocolConfig,
     ProtocolEvent, Ticket,
 };
 use hlock::naimi::NaimiSpace;
@@ -185,6 +185,88 @@ fn message_stats_reported_per_kind() {
     use hlock::core::MessageKind;
     assert!(stats[&MessageKind::Request] >= 1);
     assert!(stats[&MessageKind::Token] >= 1);
+    cluster.shutdown();
+}
+
+/// A TCP cluster metered from its event stream: three nodes, each
+/// cycling `IR`/`R` then `IW`/`W` (table, then entry) from its own
+/// thread, every node's observer feeding one shared `Meter`. Once the
+/// cluster is quiet the meter's per-kind counts equal the transport's own
+/// `message_stats`, and requests equal grants equal the ops issued.
+/// Prints the run as a Figure-5-shaped row (`--nocapture`).
+#[test]
+fn a_metered_tcp_cluster_reports_a_figure_5_row() {
+    const NODES: usize = 3;
+    const CYCLES: u64 = 25;
+    const TABLE: LockId = LockId(0);
+    let meter = Arc::new(Mutex::new(Meter::new()));
+    let cluster = {
+        let meter = Arc::clone(&meter);
+        Cluster::spawn_observed(
+            NODES,
+            |i| LockSpace::new(NodeId(i as u32), 1 + NODES, NodeId(0), ProtocolConfig::default()),
+            move |_| {
+                let meter = Arc::clone(&meter);
+                Some(Box::new(move |at: u64, e: &ProtocolEvent| {
+                    meter.lock().unwrap().on_event(at, e);
+                }) as Box<dyn Observer + Send>)
+            },
+        )
+        .unwrap()
+    };
+    std::thread::scope(|s| {
+        for i in 0..NODES {
+            let node = cluster.node(i);
+            s.spawn(move || {
+                for c in 0..CYCLES {
+                    let entry = LockId(1 + ((i as u64 + c) % NODES as u64) as u32);
+                    for (intent, mode) in
+                        [(Mode::IntentRead, Mode::Read), (Mode::IntentWrite, Mode::Write)]
+                    {
+                        let t = node.acquire(TABLE, intent, TIMEOUT).unwrap();
+                        let e = node.acquire(entry, mode, TIMEOUT).unwrap();
+                        node.release(entry, e).unwrap();
+                        node.release(TABLE, t).unwrap();
+                    }
+                }
+            });
+        }
+    });
+    // Barrier: every node quiescent, and no message sent over a whole
+    // round of it — a release still in flight may make its receiver send.
+    let mut stats = cluster.message_stats();
+    loop {
+        for i in 0..NODES {
+            while !cluster.node(i).is_quiescent().unwrap() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        let now = cluster.message_stats();
+        if now == stats {
+            break;
+        }
+        stats = now;
+    }
+    let meter = meter.lock().unwrap();
+    for kind in MessageKind::ALL {
+        let sent = stats.get(&kind).copied().unwrap_or(0);
+        assert_eq!(meter.messages_of_kind(kind), sent, "{kind} messages: meter vs transport");
+    }
+    let ops = NODES as u64 * CYCLES * 4;
+    assert_eq!(meter.total_requests(), ops);
+    assert_eq!(meter.total_grants(), ops);
+    let by_kind: Vec<String> = MessageKind::ALL
+        .iter()
+        .filter(|&&k| meter.messages_of_kind(k) > 0)
+        .map(|&k| format!("{k} {:.3}", meter.messages_per_request_of_kind(k)))
+        .collect();
+    println!(
+        "figure 5 row, tcp, {NODES} nodes: {:.3} msgs/request ({}), mean latency {} µs over {ops} requests",
+        meter.messages_per_request(),
+        by_kind.join(", "),
+        meter.mean_latency().as_micros(),
+    );
+    drop(meter);
     cluster.shutdown();
 }
 
