@@ -1146,6 +1146,59 @@ mod tests {
         let _ = Reservoir::with_capacity(0);
     }
 
+    /// The meter, as the event-fed metrics registry, times a span from
+    /// `request_issued` to its closing `granted`. A forwarding hop is
+    /// neither a request nor a grant: token hops are not counted.
+    #[test]
+    fn registry_tracks_latency_and_hops() {
+        let mut reg = crate::Meter::new();
+        reg.on_event(100, &issued(0, 1));
+        reg.on_event(
+            150,
+            &ProtocolEvent::RequestForwarded {
+                node: NodeId(1),
+                lock: LockId(0),
+                span: span(0, 1),
+                mode: Mode::Read,
+            },
+        );
+        reg.on_event(400, &granted(0, 1));
+        let lat = reg.latency_of(Mode::Read);
+        assert_eq!(lat.count(), 1);
+        assert_eq!(lat.percentile(0.5), Some(300));
+        assert_eq!(reg.total_requests(), 1);
+        assert_eq!(reg.total_grants(), 1);
+        assert_eq!(reg.total_messages(), 0);
+        let text = reg.render();
+        assert!(text.contains("hlock_request_to_grant_micros{mode=\"R\",quantile=\"0.5\"} 300"));
+        assert!(text.contains("hlock_grants_total{mode=\"R\"} 1"));
+    }
+
+    /// `message_sent` is counted by kind and sender. A suppressed release
+    /// sends nothing, so it adds no message.
+    #[test]
+    fn registry_counts_messages_and_suppressions() {
+        let mut reg = crate::Meter::new();
+        reg.on_event(
+            0,
+            &ProtocolEvent::MessageSent {
+                node: NodeId(0),
+                to: NodeId(1),
+                kind: MessageKind::Request,
+            },
+        );
+        reg.on_event(
+            0,
+            &ProtocolEvent::ReleaseSuppressed { node: NodeId(0), lock: LockId(0), owned: None },
+        );
+        assert_eq!(reg.messages_of_kind(MessageKind::Request), 1);
+        assert_eq!(reg.messages_of_kind(MessageKind::Release), 0);
+        assert_eq!(reg.messages_sent_by(NodeId(0)), 1);
+        assert_eq!(reg.total_messages(), 1);
+        let text = reg.render();
+        assert!(text.contains("hlock_messages_total{kind=\"request\"} 1"));
+    }
+
     #[test]
     fn hlc_tick_is_monotone_even_when_time_stalls() {
         let mut c = HlcClock::new();
