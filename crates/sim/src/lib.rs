@@ -7,8 +7,11 @@
 //! the same latency process reproduces the protocol-level metrics —
 //! messages per request and request latency — that Figures 5–7 report.
 //!
-//! * [`Sim`] — the engine: virtual time, per-link FIFO delivery with a
-//!   sampled [`LatencyModel`], driver timers, effect execution, metrics
+//! * [`World`] — every node's state and the frames in flight, with no
+//!   clock: [`World::step`] applies one [`Step`]. The model checker
+//!   (`hlock-check`) searches over the same world.
+//! * [`Sim`] — the scheduler over a world: virtual time, per-link FIFO
+//!   delivery with a sampled [`LatencyModel`], driver timers, metrics
 //!   and optional global safety checking.
 //! * [`Driver`] — the application model (issues requests, holds critical
 //!   sections, releases); implemented by `hlock-workload` for the
@@ -48,12 +51,14 @@
 mod engine;
 mod latency;
 mod time;
+mod world;
 
 pub use engine::{
     Driver, InvariantViolation, NodeCrash, NodePause, Partition, Sim, SimApi, SimConfig, SimReport,
 };
 pub use latency::{sample_exponential, LatencyModel};
 pub use time::{Duration, SimTime};
+pub use world::{Action, Adversary, Flight, Out, Step, World};
 
 // The simulator speaks the workspace-wide observability vocabulary;
 // re-export it so `Sim::with_observer` users need only this crate.

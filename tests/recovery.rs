@@ -2,7 +2,7 @@
 //! crash-stop schedules against the recovery-wrapped hierarchical
 //! protocol, the liveness watchdog, and the false-suspicion rejoin path.
 
-use hlock::core::rng::check_cases;
+use hlock::core::rng::{check_cases, Rng};
 use hlock::core::{
     Inspect, LockId, LockSpace, Mode, NodeId, ProtocolConfig, RecoverySpace, Ticket,
 };
@@ -215,6 +215,17 @@ fn home_crash_voids_retained_intents() {
 /// delete this exception.
 const KNOWN_WEDGE: (u32, u64) = (9, 145);
 
+/// One run of the pause sweep: one of `nodes` nodes paused for 200 s,
+/// starting at 0.2–1.7 s, under a small airline workload.
+fn pause_case(nodes: u32, rng: &mut Rng) -> (NodePause, WorkloadConfig) {
+    let node = NodeId(rng.below(u64::from(nodes)) as u32);
+    let from = SimTime(rng.range(200_000..1_700_000));
+    let pause = NodePause { node, from, until: from + Duration::from_millis(200_000) };
+    let wl =
+        WorkloadConfig { entries: 4, ops_per_node: 6, seed: rng.next_u64(), ..Default::default() };
+    (pause, wl)
+}
+
 /// The pause sweep: one node of 3, 5 or 9 paused for 200 s starting at
 /// 0.2–1.7 s, under a 60 s watchdog. The pause is longer than the
 /// window, so the survivors falsely suspect the paused node and recover
@@ -230,15 +241,7 @@ fn false_suspicion_pause_sweep_passes_and_quiesces() {
         let (mut case, mut failed, mut wedged) = (0, 0, 0);
         check_cases(seeds, |rng| {
             case += 1;
-            let node = NodeId(rng.below(u64::from(nodes)) as u32);
-            let from = SimTime(rng.range(200_000..1_700_000));
-            let pause = NodePause { node, from, until: from + Duration::from_millis(200_000) };
-            let wl = WorkloadConfig {
-                entries: 4,
-                ops_per_node: 6,
-                seed: rng.next_u64(),
-                ..Default::default()
-            };
+            let (pause, wl) = pause_case(nodes, rng);
             let sim = SimConfig {
                 check_every: 1,
                 pauses: vec![pause],
@@ -267,4 +270,23 @@ fn false_suspicion_pause_sweep_passes_and_quiesces() {
         verdicts.push(format!("{nodes} nodes: {failed} failed, {wedged} not quiescent"));
     }
     assert!(first.is_none(), "of {seeds} pause runs each: {verdicts:?}; first: {first:?}");
+}
+
+/// Without a watchdog nobody suspects a paused node, so every frame that
+/// reaches it during the pause is lost for good, and a request that
+/// needed one waits forever. The recovery layer's keepalive probe
+/// re-arms while it waits; the run must still end, with a verdict that
+/// names what is outstanding. Case 145 of the 9-node sweep is one such
+/// run.
+#[test]
+fn a_run_wedged_by_lost_frames_ends_without_a_watchdog() {
+    let (pause, wl) = pause_case(9, &mut Rng::new(145));
+    let sim = SimConfig { check_every: 1, pauses: vec![pause], ..SimConfig::default() };
+    let started = std::time::Instant::now();
+    let err = run_recovery_experiment(flat, 9, &wl, sim, None)
+        .expect_err("lost frames wedge the run")
+        .to_string();
+    let bound = if cfg!(debug_assertions) { 10 } else { 1 };
+    assert!(started.elapsed().as_secs() < bound, "took {:?}", started.elapsed());
+    assert!(err.contains("not quiescent") && err.contains(" waits for L"), "{err}");
 }

@@ -118,7 +118,7 @@ fn model_checker_survives_adversarial_drop_budget() {
         ProtocolConfig::default(),
         SessionConfig::for_model_checking(),
     );
-    checker.max_drops = 1;
+    checker.adversary.max_drops = 1;
     let scenario = Scenario::new(2, 1).script(
         NodeId(1),
         vec![
