@@ -3,7 +3,7 @@
 //! [`ProtocolEvent`] vocabulary, with causally-linked request spans that
 //! open exactly once and close exactly once.
 
-use hlock::check::{Action, Checker, Scenario};
+use hlock::check::{Checker, Scenario};
 use hlock::core::{
     InvariantAuditor, LockId, LockSpace, Mode, NodeId, ProtocolConfig, ProtocolEvent, SpanId,
     Ticket,
@@ -82,15 +82,12 @@ fn sim_event_names() -> BTreeSet<String> {
 fn checker_event_names() -> BTreeSet<String> {
     let names: Rc<RefCell<BTreeSet<String>>> = Rc::default();
     let sink = Rc::clone(&names);
-    let scenario = Scenario::new(2, 1)
-        .script(
-            NodeId(0),
-            vec![Action::request(L, Mode::Write, Ticket(1)), Action::release(L, Ticket(1))],
-        )
-        .script(
-            NodeId(1),
-            vec![Action::request(L, Mode::Write, Ticket(2)), Action::release(L, Ticket(2))],
-        );
+    let scenario = Scenario::new(2, 1).hold(NodeId(0), L, Mode::Write, Ticket(1)).hold(
+        NodeId(1),
+        L,
+        Mode::Write,
+        Ticket(2),
+    );
     Checker::hierarchical(ProtocolConfig::default())
         .with_observer(move |_at: u64, e: &ProtocolEvent| {
             sink.borrow_mut().insert(e.name().to_string());

@@ -195,21 +195,12 @@ fn session_layer_composes_with_sharded_space() {
     // Same state-space hygiene as Checker::hierarchical_session: session
     // retransmit candidates make duplicate in-flight frames common.
     checker.collapse_duplicate_inflight = true;
-    let scenario = Scenario::new(2, 2)
-        .script(
-            NodeId(1),
-            vec![
-                Action::request(LockId(0), Mode::Write, Ticket(1)),
-                Action::release(LockId(0), Ticket(1)),
-            ],
-        )
-        .script(
-            NodeId(0),
-            vec![
-                Action::request(LockId(1), Mode::Read, Ticket(2)),
-                Action::release(LockId(1), Ticket(2)),
-            ],
-        );
+    let scenario = Scenario::new(2, 2).hold(NodeId(1), LockId(0), Mode::Write, Ticket(1)).hold(
+        NodeId(0),
+        LockId(1),
+        Mode::Read,
+        Ticket(2),
+    );
     checker.run(&scenario).expect("sessions over shards are safe");
 }
 
