@@ -505,7 +505,7 @@ where
         trace: &[String],
         label: &str,
     ) -> Result<(), CheckError> {
-        let findings = s.world.audit(scenario.locks, self.scope(), self.steps.get(), None);
+        let findings = s.world.audit(scenario.locks, self.scope(), self.steps.get(), false);
         match findings.into_iter().next() {
             Some(first) => Err(self.err(first.detail, trace, label)),
             None => Ok(()),
@@ -585,9 +585,7 @@ where
         // At rest: one live token per lock — after a recovery, the
         // regenerated (or surviving) one — and, while no node has crashed
         // or been recovered around, a consistent tree.
-        let mut report = |_, e: &ProtocolEvent| self.observe(e);
-        let at_rest = Some(&mut report as &mut dyn Observer);
-        match s.world.audit(scenario.locks, self.scope(), self.steps.get(), at_rest).first() {
+        match s.world.audit(scenario.locks, self.scope(), self.steps.get(), true).first() {
             Some(f) => Err(self.err(format!("terminal-state audit: {}", f.detail), trace, "end")),
             None => Ok(()),
         }

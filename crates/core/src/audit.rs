@@ -160,17 +160,13 @@ pub fn audit_live<P: Inspect + ?Sized>(
 /// [`EpochScope::PerEpoch`]). When the system is `whole` — `live` holds
 /// every node, none of them recovered around — the token is counted
 /// over all of them and [`audit_lock`] runs after it. Hosts run
-/// [`audit_live`] too.
-///
-/// Every finding is reported to `observer` as one
-/// [`ProtocolEvent::AuditViolation`] and returned, stamped `at`.
+/// [`audit_live`] too. Findings are returned stamped `at`.
 pub fn audit_at_rest<P: Inspect + ?Sized>(
     live: &[(NodeId, &P)],
     locks: usize,
     scope: EpochScope,
     whole: bool,
     at: u64,
-    observer: &mut dyn Observer,
 ) -> Vec<AuditFinding> {
     let newest = live.iter().map(|(_, n)| n.epoch()).max().unwrap_or(0);
     let counted = |n: &P| whole || scope == EpochScope::Global || n.epoch() == newest;
@@ -178,9 +174,8 @@ pub fn audit_at_rest<P: Inspect + ?Sized>(
     for l in 0..locks {
         let lock = LockId(l as u32);
         let tokens = live.iter().filter(|(_, n)| counted(n) && n.holds_token(lock)).count();
-        let mut found = Vec::new();
         if tokens != 1 {
-            found.push(AuditFinding {
+            findings.push(AuditFinding {
                 at,
                 invariant: "token_at_rest",
                 detail: format!("{tokens} live tokens for {lock} at quiescence"),
@@ -188,14 +183,8 @@ pub fn audit_at_rest<P: Inspect + ?Sized>(
         }
         let states: Vec<&LockNode> = live.iter().filter_map(|(_, n)| n.lock_node(lock)).collect();
         if whole && states.len() == live.len() {
-            found.extend(audit_lock(states).into_iter().map(|f| AuditFinding { at, ..f }));
+            findings.extend(audit_lock(states).into_iter().map(|f| AuditFinding { at, ..f }));
         }
-        for f in &found {
-            let detail = format!("{}: {}", f.invariant, f.detail);
-            let event = ProtocolEvent::AuditViolation { node: NodeId(0), lock, detail };
-            observer.on_event(at, &event);
-        }
-        findings.append(&mut found);
     }
     findings
 }
@@ -881,7 +870,7 @@ mod tests {
     use crate::config::ProtocolConfig;
     use crate::effect::{Effect, EffectSink};
     use crate::ids::{LockId, Ticket};
-    use crate::message::Payload;
+    use crate::message::Envelope;
     use crate::mode::Mode;
 
     const L: LockId = LockId(0);
@@ -896,11 +885,11 @@ mod tests {
     /// the protocol events of those steps (none unless `fx` is observing).
     fn pump(
         nodes: &mut [LockNode],
-        fx: &mut EffectSink<Payload>,
+        fx: &mut EffectSink<Envelope>,
         from: NodeId,
     ) -> Vec<ProtocolEvent> {
         let mut events = fx.take_events();
-        let mut queue: Vec<(NodeId, NodeId, Payload)> = fx
+        let mut queue: Vec<(NodeId, NodeId, Envelope)> = fx
             .drain()
             .filter_map(|e| match e {
                 Effect::Send { to, message } => Some((from, to, message)),
@@ -908,7 +897,7 @@ mod tests {
             })
             .collect();
         while let Some((src, dst, msg)) = queue.pop() {
-            nodes[dst.index()].on_message(src, msg, fx);
+            nodes[dst.index()].on_message(src, msg.payload, fx);
             events.extend(fx.take_events());
             queue.extend(fx.drain().filter_map(|e| match e {
                 Effect::Send { to, message } => Some((dst, to, message)),
@@ -1003,15 +992,10 @@ mod tests {
     fn oracle(nodes: &[Seen], scope: EpochScope, whole: Option<bool>) -> Vec<String> {
         let view: Vec<(NodeId, &Seen)> =
             nodes.iter().enumerate().map(|(i, n)| (NodeId(i as u32), n)).collect();
-        let mut events = crate::observe::VecObserver::default();
         let findings = match whole {
             None => audit_live(&view, 1, scope, 0),
-            Some(whole) => audit_at_rest(&view, 1, scope, whole, 0, &mut events),
+            Some(whole) => audit_at_rest(&view, 1, scope, whole, 0),
         };
-        if whole.is_some() {
-            let names: Vec<&str> = events.events.iter().map(|(_, e)| e.name()).collect();
-            assert_eq!(names, vec!["audit_violation"; findings.len()], "one event per finding");
-        }
         findings.iter().map(|f| format!("{}: {}", f.invariant, f.detail)).collect()
     }
 

@@ -110,11 +110,6 @@ impl PlanTracker {
         self.granted == self.plan.steps.len()
     }
 
-    /// Number of steps granted so far.
-    pub fn granted_steps(&self) -> usize {
-        self.granted
-    }
-
     /// The underlying plan.
     pub fn plan(&self) -> &LockPlan {
         &self.plan

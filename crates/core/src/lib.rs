@@ -81,7 +81,7 @@ pub use audit::{
     InvariantAuditor, SharedAuditor,
 };
 pub use config::ProtocolConfig;
-pub use effect::{Effect, EffectSink, StepEffect};
+pub use effect::{Effect, EffectSink};
 pub use error::ProtocolError;
 pub use hierarchy::{HierarchyStep, LockPlan, PlanTracker};
 pub use ids::{LockId, NodeId, Priority, Stamp, Ticket};
@@ -92,7 +92,7 @@ pub use metrics::{Duration, Meter};
 pub use mode::{
     can_downgrade, child_grant_table, compatibility_table, compatible_owned, freeze_table,
     frozen_modes, grantable, grantable_set, owned_strength, queue_forward_table, queue_or_forward,
-    stronger, token_can_serve, token_serve, Mode, ModeSet, QueueDecision, TokenServe, ALL_MODES,
+    stronger, token_serve, Mode, ModeSet, QueueDecision, TokenServe, ALL_MODES,
 };
 pub use node::LockNode;
 pub use observe::{

@@ -187,16 +187,6 @@ pub fn grantable(owned: Option<Mode>, requested: Mode) -> bool {
     }
 }
 
-/// Rule 3.2: may the **token** node owning `owned` serve a request for
-/// `requested` (either by copy grant or token transfer)?
-///
-/// Compatibility is necessary and sufficient at the token node; the
-/// owned/requested strength comparison then picks the serving flavour,
-/// see [`TokenServe`] and [`token_serve`].
-pub fn token_can_serve(owned: Option<Mode>, requested: Mode) -> bool {
-    compatible_owned(owned, requested)
-}
-
 /// How the token node serves a request it can serve (operational part of
 /// Rule 3.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -215,7 +205,7 @@ pub enum TokenServe {
 /// `U` and `IW` have equal strength; a request *equal* in strength to the
 /// owned mode is copy-granted (the rule transfers only on `owned < requested`).
 pub fn token_serve(owned: Option<Mode>, requested: Mode) -> Option<TokenServe> {
-    if !token_can_serve(owned, requested) {
+    if !compatible_owned(owned, requested) {
         return None;
     }
     if owned_strength(owned) < requested.strength() {

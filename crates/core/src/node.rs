@@ -41,7 +41,7 @@ use crate::config::ProtocolConfig;
 use crate::effect::EffectSink;
 use crate::error::ProtocolError;
 use crate::ids::{LockId, NodeId, Priority, Stamp, Ticket};
-use crate::message::Payload;
+use crate::message::{Envelope, Payload};
 use crate::mode::{
     compatible_owned, frozen_modes, grantable, grantable_set, owned_strength, queue_or_forward,
     stronger, Mode, ModeSet, QueueDecision,
@@ -338,7 +338,7 @@ impl LockNode {
     /// Reports grant of a local request: the effect plus the span-closing
     /// [`ProtocolEvent::Granted`] — always emitted together so every span
     /// closes exactly once.
-    fn grant_local(&self, ticket: Ticket, mode: Mode, fx: &mut EffectSink<Payload>) {
+    fn grant_local(&self, ticket: Ticket, mode: Mode, fx: &mut EffectSink<Envelope>) {
         fx.granted(self.lock, ticket, mode);
         fx.emit_with(|| ProtocolEvent::Granted {
             node: self.id,
@@ -348,26 +348,16 @@ impl LockNode {
         });
     }
 
-    /// Emits the freeze/unfreeze transition from `old` to the current
-    /// frozen set, if it changed.
-    fn emit_frozen_change(&self, old: ModeSet, fx: &mut EffectSink<Payload>) {
-        let new = self.frozen;
-        if new == old {
-            return;
-        }
-        if old.difference(new).is_empty() {
-            fx.emit_with(|| ProtocolEvent::ModeFrozen {
-                node: self.id,
-                lock: self.lock,
-                modes: new.difference(old),
-            });
-        } else {
-            fx.emit_with(|| ProtocolEvent::ModeUnfrozen {
-                node: self.id,
-                lock: self.lock,
-                modes: new,
-            });
-        }
+    /// Sends `payload` to `to` on this lock: every message of the
+    /// protocol leaves through here.
+    fn send(&self, to: NodeId, payload: Payload, fx: &mut EffectSink<Envelope>) {
+        fx.send(to, Envelope { lock: self.lock, payload });
+    }
+
+    /// Reports `new_owned` to the parent `to` (Rule 5).
+    fn send_release(&self, to: NodeId, new_owned: Option<Mode>, fx: &mut EffectSink<Envelope>) {
+        self.send(to, Payload::Release { new_owned }, fx);
+        fx.emit_with(|| ProtocolEvent::ReleaseSent { node: self.id, lock: self.lock, new_owned });
     }
 
     fn ticket_in_use(&self, ticket: Ticket) -> bool {
@@ -396,7 +386,7 @@ impl LockNode {
         &mut self,
         mode: Mode,
         ticket: Ticket,
-        fx: &mut EffectSink<Payload>,
+        fx: &mut EffectSink<Envelope>,
     ) -> Result<(), ProtocolError> {
         self.request_with_priority(mode, ticket, Priority::NORMAL, fx)
     }
@@ -413,7 +403,7 @@ impl LockNode {
         mode: Mode,
         ticket: Ticket,
         priority: Priority,
-        fx: &mut EffectSink<Payload>,
+        fx: &mut EffectSink<Envelope>,
     ) -> Result<(), ProtocolError> {
         if self.ticket_in_use(ticket) {
             return Err(ProtocolError::DuplicateTicket { ticket });
@@ -507,7 +497,7 @@ impl LockNode {
         &mut self,
         mode: Mode,
         ticket: Ticket,
-        fx: &mut EffectSink<Payload>,
+        fx: &mut EffectSink<Envelope>,
     ) -> Result<bool, ProtocolError> {
         if self.ticket_in_use(ticket) {
             return Err(ProtocolError::DuplicateTicket { ticket });
@@ -546,7 +536,7 @@ impl LockNode {
     pub fn release(
         &mut self,
         ticket: Ticket,
-        fx: &mut EffectSink<Payload>,
+        fx: &mut EffectSink<Envelope>,
     ) -> Result<Mode, ProtocolError> {
         let idx = self
             .held
@@ -578,7 +568,7 @@ impl LockNode {
     pub fn upgrade(
         &mut self,
         ticket: Ticket,
-        fx: &mut EffectSink<Payload>,
+        fx: &mut EffectSink<Envelope>,
     ) -> Result<(), ProtocolError> {
         let held_mode = self
             .held
@@ -637,7 +627,7 @@ impl LockNode {
         &mut self,
         ticket: Ticket,
         new_mode: Mode,
-        fx: &mut EffectSink<Payload>,
+        fx: &mut EffectSink<Envelope>,
     ) -> Result<(), ProtocolError> {
         let idx = self
             .held
@@ -672,7 +662,7 @@ impl LockNode {
     pub fn cancel(
         &mut self,
         ticket: Ticket,
-        fx: &mut EffectSink<Payload>,
+        fx: &mut EffectSink<Envelope>,
     ) -> Result<CancelOutcome, ProtocolError> {
         // Queue removal runs before the held check: a ticket mid-upgrade
         // both holds U and has a LocalUpgrade entry queued, and cancelling
@@ -711,7 +701,7 @@ impl LockNode {
     }
 
     /// Handles a protocol message from `from`.
-    pub fn on_message(&mut self, from: NodeId, payload: Payload, fx: &mut EffectSink<Payload>) {
+    pub fn on_message(&mut self, from: NodeId, payload: Payload, fx: &mut EffectSink<Envelope>) {
         match payload {
             Payload::Request { origin, mode, stamp, priority, span } => {
                 self.clock = self.clock.merged(stamp);
@@ -754,7 +744,7 @@ impl LockNode {
         stamp: Stamp,
         priority: Priority,
         span: Ticket,
-        fx: &mut EffectSink<Payload>,
+        fx: &mut EffectSink<Envelope>,
     ) {
         if origin == self.id {
             // Our own request found its way back (possible during token
@@ -819,7 +809,7 @@ impl LockNode {
         from: NodeId,
         mode: Mode,
         frozen: ModeSet,
-        fx: &mut EffectSink<Payload>,
+        fx: &mut EffectSink<Envelope>,
     ) {
         let Some(idx) = self.pending.iter().position(|p| p.mode == mode) else {
             // No matching pending request: a duplicate delivery (possible
@@ -834,29 +824,15 @@ impl LockNode {
         // to the propagation path" the paper's Figure 7 discussion
         // mentions).
         if self.parent != Some(from) {
-            if let Some(old) = self.parent {
-                fx.emit_with(|| ProtocolEvent::PathReversal {
-                    node: self.id,
-                    lock: self.lock,
-                    old_parent: old,
-                });
-                if self.reported_owned.is_some() {
-                    fx.send(old, Payload::Release { new_owned: None });
-                    fx.emit_with(|| ProtocolEvent::ReleaseSent {
-                        node: self.id,
-                        lock: self.lock,
-                        new_owned: None,
-                    });
-                }
+            if let Some(old) = self.parent.filter(|_| self.reported_owned.is_some()) {
+                self.send_release(old, None, fx);
             }
             self.parent = Some(from);
         }
         self.held.push((p.ticket, mode));
         self.reported_owned = stronger(self.reported_owned, Some(mode));
-        let old_frozen = self.frozen;
         self.frozen = frozen;
         self.clamp_frozen();
-        self.emit_frozen_change(old_frozen, fx);
         self.recall_retention(fx);
         if self.cancelled.remove(&p.ticket) {
             // The caller gave up on this request: accept the grant to
@@ -880,7 +856,7 @@ impl LockNode {
         mode: Mode,
         queue: Vec<QueueEntry>,
         sender_owned: Option<Mode>,
-        fx: &mut EffectSink<Payload>,
+        fx: &mut EffectSink<Envelope>,
     ) {
         let Some(idx) = self.pending.iter().position(|p| p.mode == mode) else {
             // Duplicate token delivery (at-least-once transport): the
@@ -893,12 +869,7 @@ impl LockNode {
         // parent, its `transfer_token` already dropped us.)
         if self.parent != Some(from) && self.reported_owned.is_some() {
             if let Some(old) = self.parent {
-                fx.send(old, Payload::Release { new_owned: None });
-                fx.emit_with(|| ProtocolEvent::ReleaseSent {
-                    node: self.id,
-                    lock: self.lock,
-                    new_owned: None,
-                });
+                self.send_release(old, None, fx);
             }
         }
         self.is_token = true;
@@ -944,7 +915,7 @@ impl LockNode {
         &mut self,
         from: NodeId,
         new_owned: Option<Mode>,
-        fx: &mut EffectSink<Payload>,
+        fx: &mut EffectSink<Envelope>,
     ) {
         match new_owned {
             Some(m) => {
@@ -965,30 +936,26 @@ impl LockNode {
     }
 
     /// `HandleFreeze` of Figure 4 (Rule 6).
-    fn handle_freeze(&mut self, from: NodeId, modes: ModeSet, fx: &mut EffectSink<Payload>) {
+    fn handle_freeze(&mut self, from: NodeId, modes: ModeSet, fx: &mut EffectSink<Envelope>) {
         if self.parent != Some(from) {
             return; // stale: freezing authority flows down the current tree
         }
-        let old = self.frozen;
         self.frozen = self.frozen.union(modes);
         // A freeze that crossed our release in flight (or over-estimated
         // what we can grant) is clamped away: nobody unfreezes bits we
         // cannot act on.
         self.clamp_frozen();
-        self.emit_frozen_change(old, fx);
         self.recall_retention(fx);
         self.propagate_freezes(fx);
     }
 
     /// Frozen-set replacement (unfreeze propagation).
-    fn handle_update(&mut self, from: NodeId, frozen: ModeSet, fx: &mut EffectSink<Payload>) {
+    fn handle_update(&mut self, from: NodeId, frozen: ModeSet, fx: &mut EffectSink<Envelope>) {
         if self.parent != Some(from) {
             return;
         }
-        let old = self.frozen;
         self.frozen = frozen;
         self.clamp_frozen();
-        self.emit_frozen_change(old, fx);
         self.recall_retention(fx);
         self.propagate_freezes(fx);
         // Thawed modes may unblock locally queued requests.
@@ -1006,7 +973,7 @@ impl LockNode {
         origin: NodeId,
         mode: Mode,
         span: Ticket,
-        fx: &mut EffectSink<Payload>,
+        fx: &mut EffectSink<Envelope>,
     ) {
         let owned = self.owned();
         debug_assert!(compatible_owned(owned, mode));
@@ -1030,14 +997,14 @@ impl LockNode {
         origin: NodeId,
         mode: Mode,
         span: Ticket,
-        fx: &mut EffectSink<Payload>,
+        fx: &mut EffectSink<Envelope>,
     ) {
         let entry = self.children.entry(origin).or_insert(mode);
         *entry = stronger(Some(*entry), Some(mode)).expect("nonempty");
         // The new child inherits the modes it must consider frozen.
         let relevant = self.frozen.intersection(grantable_set(Some(*entry)));
         self.child_frozen.insert(origin, relevant);
-        fx.send(origin, Payload::Grant { mode, frozen: self.frozen });
+        self.send(origin, Payload::Grant { mode, frozen: self.frozen }, fx);
         fx.emit_with(|| ProtocolEvent::CopyGranted {
             node: self.id,
             lock: self.lock,
@@ -1054,7 +1021,7 @@ impl LockNode {
         origin: NodeId,
         mode: Mode,
         span: Ticket,
-        fx: &mut EffectSink<Payload>,
+        fx: &mut EffectSink<Envelope>,
     ) {
         debug_assert!(self.is_token);
         // If the requester was our child, its entry moves with the token
@@ -1096,15 +1063,13 @@ impl LockNode {
         self.is_token = false;
         self.parent = Some(origin);
         self.reported_owned = sender_owned;
-        let old_frozen = self.frozen;
         self.frozen = ModeSet::EMPTY;
-        self.emit_frozen_change(old_frozen, fx);
         // Our queue (the freezing authority) travels with the token:
         // release our children from any freezes we issued. The new token
         // node re-freezes through us if the merged queue requires it.
         self.propagate_freezes(fx);
         let queue_len = queue.len();
-        fx.send(origin, Payload::Token { mode, queue, sender_owned });
+        self.send(origin, Payload::Token { mode, queue, sender_owned }, fx);
         fx.emit_with(|| ProtocolEvent::TokenSent {
             node: self.id,
             lock: self.lock,
@@ -1122,11 +1087,12 @@ impl LockNode {
         mode: Mode,
         stamp: Stamp,
         priority: Priority,
-        fx: &mut EffectSink<Payload>,
+        fx: &mut EffectSink<Envelope>,
     ) {
         let parent = self.parent.expect("non-token node has a parent");
         self.pending.push(PendingRequest { ticket, mode, stamp, priority });
-        fx.send(parent, Payload::Request { origin: self.id, mode, stamp, priority, span: ticket });
+        let request = Payload::Request { origin: self.id, mode, stamp, priority, span: ticket };
+        self.send(parent, request, fx);
     }
 
     /// Relays a remote request one hop toward the token (Rule 4.1),
@@ -1138,10 +1104,10 @@ impl LockNode {
         stamp: Stamp,
         priority: Priority,
         span: Ticket,
-        fx: &mut EffectSink<Payload>,
+        fx: &mut EffectSink<Envelope>,
     ) {
         let parent = self.parent.expect("non-token node has a parent");
-        fx.send(parent, Payload::Request { origin, mode, stamp, priority, span });
+        self.send(parent, Payload::Request { origin, mode, stamp, priority, span }, fx);
         fx.emit_with(|| ProtocolEvent::RequestForwarded {
             node: self.id,
             lock: self.lock,
@@ -1172,7 +1138,7 @@ impl LockNode {
         mode: Mode,
         stamp: Stamp,
         priority: Priority,
-        fx: &mut EffectSink<Payload>,
+        fx: &mut EffectSink<Envelope>,
     ) {
         let Some(idx) = self.pending.iter().position(|p| p.mode == mode) else {
             return; // already satisfied through another path
@@ -1181,7 +1147,8 @@ impl LockNode {
             // Still not the root: keep the request moving.
             let parent = self.parent.expect("non-token node has a parent");
             let span = self.pending[idx].ticket;
-            fx.send(parent, Payload::Request { origin: self.id, mode, stamp, priority, span });
+            let request = Payload::Request { origin: self.id, mode, stamp, priority, span };
+            self.send(parent, request, fx);
             return;
         }
         let p = self.pending.remove(idx);
@@ -1225,14 +1192,14 @@ impl LockNode {
 
     /// Ends the retention and reports the weakened ownership (one
     /// `Release` hop unless the subtree still owns the mode).
-    fn drop_retention(&mut self, fx: &mut EffectSink<Payload>) {
+    fn drop_retention(&mut self, fx: &mut EffectSink<Envelope>) {
         self.retained = None;
         self.after_ownership_change(fx);
     }
 
     /// Rule 5.3 recall: a frozen set that names the retained mode means a
     /// conflicting request waits at the token.
-    fn recall_retention(&mut self, fx: &mut EffectSink<Payload>) {
+    fn recall_retention(&mut self, fx: &mut EffectSink<Envelope>) {
         if self.retained.is_some_and(|kept| self.frozen.contains(kept)) {
             self.drop_retention(fx);
         }
@@ -1240,7 +1207,7 @@ impl LockNode {
 
     /// Common post-release path: recompute ownership, serve the queue,
     /// and tell the parent if our owned mode changed (Rule 5).
-    fn after_ownership_change(&mut self, fx: &mut EffectSink<Payload>) {
+    fn after_ownership_change(&mut self, fx: &mut EffectSink<Envelope>) {
         if self.is_token {
             self.serve_queue_token(fx);
             return;
@@ -1249,12 +1216,7 @@ impl LockNode {
         let changed = owned != self.reported_owned;
         if changed || !self.config.suppress_releases {
             if let Some(parent) = self.parent {
-                fx.send(parent, Payload::Release { new_owned: owned });
-                fx.emit_with(|| ProtocolEvent::ReleaseSent {
-                    node: self.id,
-                    lock: self.lock,
-                    new_owned: owned,
-                });
+                self.send_release(parent, owned, fx);
             }
             self.reported_owned = owned;
         } else if self.parent.is_some() {
@@ -1277,7 +1239,7 @@ impl LockNode {
     /// `Check_requests_on_queue` at the token node: serve head-first,
     /// stopping at the first request that cannot be served (strict FIFO),
     /// then refresh frozen modes.
-    fn serve_queue_token(&mut self, fx: &mut EffectSink<Payload>) {
+    fn serve_queue_token(&mut self, fx: &mut EffectSink<Envelope>) {
         debug_assert!(self.is_token);
         while let Some(head) = self.queue.head().copied() {
             let owned = self.owned();
@@ -1325,7 +1287,7 @@ impl LockNode {
     /// Queue service at a non-token node: grant what has become
     /// grantable; re-route entries whose absorption guarantee no longer
     /// holds; stop at entries that must keep waiting.
-    fn serve_queue_nontoken(&mut self, fx: &mut EffectSink<Payload>) {
+    fn serve_queue_nontoken(&mut self, fx: &mut EffectSink<Envelope>) {
         if self.is_token {
             // A grant/update may race with having just become the token.
             self.serve_queue_token(fx);
@@ -1381,25 +1343,21 @@ impl LockNode {
 
     /// Recomputes the frozen set from the local queue (token node only)
     /// and notifies children whose relevant slice changed.
-    fn refresh_frozen(&mut self, fx: &mut EffectSink<Payload>) {
+    fn refresh_frozen(&mut self, fx: &mut EffectSink<Envelope>) {
         if !self.is_token {
             return;
         }
-        let new = if self.config.freezing {
+        self.frozen = if self.config.freezing {
             self.queue.iter().fold(ModeSet::EMPTY, |acc, e| acc.union(frozen_modes(e.mode)))
         } else {
             ModeSet::EMPTY
         };
-        let old = self.frozen;
-        self.frozen = new;
-        self.emit_frozen_change(old, fx);
         self.propagate_freezes(fx);
     }
 
     /// Sends freeze/update notifications to children that are potential
     /// granters of modes whose frozen status changed (footnote a).
-    fn propagate_freezes(&mut self, fx: &mut EffectSink<Payload>) {
-        let mut outgoing: Vec<(NodeId, Payload)> = Vec::new();
+    fn propagate_freezes(&mut self, fx: &mut EffectSink<Envelope>) {
         for (&child, &child_owned) in &self.children {
             let relevant = self.frozen.intersection(grantable_set(Some(child_owned)));
             let told = self.child_frozen.get(&child).copied().unwrap_or(ModeSet::EMPTY);
@@ -1412,11 +1370,8 @@ impl LockNode {
             } else {
                 Payload::Update { frozen: relevant }
             };
-            outgoing.push((child, payload));
             self.child_frozen.insert(child, relevant);
-        }
-        for (child, payload) in outgoing {
-            fx.send(child, payload);
+            self.send(child, payload, fx);
         }
     }
 }
@@ -1444,20 +1399,23 @@ mod tests {
         eager_transfers: true,
     };
 
-    fn sink() -> EffectSink<Payload> {
+    fn sink() -> EffectSink<Envelope> {
         EffectSink::new()
     }
 
-    fn sends(fx: &mut EffectSink<Payload>) -> Vec<(NodeId, Payload)> {
+    fn sends(fx: &mut EffectSink<Envelope>) -> Vec<(NodeId, Payload)> {
         fx.drain()
             .filter_map(|e| match e {
-                Effect::Send { to, message } => Some((to, message)),
+                Effect::Send { to, message: Envelope { lock, payload } } => {
+                    assert_eq!(lock, L, "every message carries its lock");
+                    Some((to, payload))
+                }
                 _ => None,
             })
             .collect()
     }
 
-    fn grants(fx: &mut EffectSink<Payload>) -> Vec<(Ticket, Mode)> {
+    fn grants(fx: &mut EffectSink<Envelope>) -> Vec<(Ticket, Mode)> {
         fx.drain()
             .filter_map(|e| match e {
                 Effect::Granted { ticket, mode, .. } => Some((ticket, mode)),
@@ -1668,7 +1626,7 @@ mod tests {
         let to_d: Vec<_> = out
             .iter()
             .filter_map(|e| match e {
-                Effect::Send { to, message } if *to == NodeId(3) => Some(message.clone()),
+                Effect::Send { to, message } if *to == NodeId(3) => Some(message.payload.clone()),
                 _ => None,
             })
             .collect();

@@ -28,7 +28,7 @@
 
 use crate::ids::{LockId, NodeId, Priority, Ticket};
 use crate::message::MessageKind;
-use crate::mode::{Mode, ModeSet};
+use crate::mode::Mode;
 use crate::rng::Rng;
 use core::fmt;
 
@@ -69,9 +69,9 @@ impl fmt::Display for SpanId {
 /// One protocol lifecycle transition, as observed at a single node.
 ///
 /// The first group is emitted by the node state machine itself (through
-/// the effect sink); the `MessageSent` / `Delivered` / `Dropped` /
-/// `TimerFired` group is emitted by the host runtime and the hosts, so
-/// every host counts transport activity identically.
+/// the effect sink); the `MessageSent` / `Delivered` / `Dropped` group
+/// is emitted by the host runtime and the hosts, so every host counts
+/// transport activity identically.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProtocolEvent {
     /// A local caller issued a request; opens the span.
@@ -160,25 +160,6 @@ pub enum ProtocolEvent {
         /// Mode granted with the transfer.
         mode: Mode,
     },
-    /// Modes were frozen at the observing node (Rule 6).
-    ModeFrozen {
-        /// Observing node.
-        node: NodeId,
-        /// Lock concerned.
-        lock: LockId,
-        /// The modes newly frozen.
-        modes: ModeSet,
-    },
-    /// The observing node's frozen set was replaced (unfreeze
-    /// propagation); `modes` is the *remaining* frozen set.
-    ModeUnfrozen {
-        /// Observing node.
-        node: NodeId,
-        /// Lock concerned.
-        lock: LockId,
-        /// The frozen set still in effect (often empty).
-        modes: ModeSet,
-    },
     /// A release notification was sent to the parent.
     ReleaseSent {
         /// Observing node.
@@ -197,16 +178,6 @@ pub enum ProtocolEvent {
         lock: LockId,
         /// The (unchanged) owned mode.
         owned: Option<Mode>,
-    },
-    /// The observing node switched parents (its grant arrived from a
-    /// node other than the one it had reported ownership to).
-    PathReversal {
-        /// Observing node.
-        node: NodeId,
-        /// Lock concerned.
-        lock: LockId,
-        /// The parent being replaced.
-        old_parent: NodeId,
     },
     /// A local request was granted; closes the span.
     Granted {
@@ -240,18 +211,6 @@ pub enum ProtocolEvent {
         /// The cancelled request's span.
         span: SpanId,
     },
-    /// An [`crate::audit_at_rest`] finding, reported through the event
-    /// stream by the simulator / model checker at quiescence.
-    AuditViolation {
-        /// Node reporting the audit (host-chosen; `NodeId(0)` for
-        /// whole-system audits).
-        node: NodeId,
-        /// Lock concerned.
-        lock: LockId,
-        /// The finding's invariant label and description,
-        /// `"<invariant>: <detail>"`.
-        detail: String,
-    },
     /// A logical protocol message left the observing node (emitted by
     /// [`crate::HostRuntime::dispatch_observed`], once per message of
     /// every batch).
@@ -280,13 +239,6 @@ pub enum ProtocolEvent {
         from: NodeId,
         /// Message classification.
         kind: MessageKind,
-    },
-    /// A protocol timer fired at the observing node (emitted by hosts).
-    TimerFired {
-        /// Observing node.
-        node: NodeId,
-        /// The protocol's correlation token.
-        token: u64,
     },
     /// The observing node started (or joined) a recovery round targeting
     /// `epoch`, suspecting `dead` nodes of having crashed.
@@ -405,19 +357,14 @@ impl ProtocolEvent {
             ProtocolEvent::CopyRevoked { .. } => "copy_revoked",
             ProtocolEvent::TokenSent { .. } => "token_sent",
             ProtocolEvent::TokenReceived { .. } => "token_received",
-            ProtocolEvent::ModeFrozen { .. } => "mode_frozen",
-            ProtocolEvent::ModeUnfrozen { .. } => "mode_unfrozen",
             ProtocolEvent::ReleaseSent { .. } => "release_sent",
             ProtocolEvent::ReleaseSuppressed { .. } => "release_suppressed",
-            ProtocolEvent::PathReversal { .. } => "path_reversal",
             ProtocolEvent::Granted { .. } => "granted",
             ProtocolEvent::Released { .. } => "released",
             ProtocolEvent::RequestCancelled { .. } => "request_cancelled",
-            ProtocolEvent::AuditViolation { .. } => "audit_violation",
             ProtocolEvent::MessageSent { .. } => "message_sent",
             ProtocolEvent::Delivered { .. } => "delivered",
             ProtocolEvent::Dropped { .. } => "dropped",
-            ProtocolEvent::TimerFired { .. } => "timer_fired",
             ProtocolEvent::RecoveryStarted { .. } => "recovery_started",
             ProtocolEvent::RecoveryCompleted { .. } => "recovery_completed",
             ProtocolEvent::TokenRegenerated { .. } => "token_regenerated",
@@ -438,19 +385,14 @@ impl ProtocolEvent {
             | ProtocolEvent::CopyRevoked { node, .. }
             | ProtocolEvent::TokenSent { node, .. }
             | ProtocolEvent::TokenReceived { node, .. }
-            | ProtocolEvent::ModeFrozen { node, .. }
-            | ProtocolEvent::ModeUnfrozen { node, .. }
             | ProtocolEvent::ReleaseSent { node, .. }
             | ProtocolEvent::ReleaseSuppressed { node, .. }
-            | ProtocolEvent::PathReversal { node, .. }
             | ProtocolEvent::Granted { node, .. }
             | ProtocolEvent::Released { node, .. }
             | ProtocolEvent::RequestCancelled { node, .. }
-            | ProtocolEvent::AuditViolation { node, .. }
             | ProtocolEvent::MessageSent { node, .. }
             | ProtocolEvent::Delivered { node, .. }
             | ProtocolEvent::Dropped { node, .. }
-            | ProtocolEvent::TimerFired { node, .. }
             | ProtocolEvent::RecoveryStarted { node, .. }
             | ProtocolEvent::RecoveryCompleted { node, .. }
             | ProtocolEvent::TokenRegenerated { node, .. }
@@ -556,11 +498,6 @@ impl ProtocolEvent {
                 span_json(out, lock, span);
                 let _ = write!(out, ",\"mode\":\"{}\"", mode.symbol());
             }
-            ProtocolEvent::ModeFrozen { lock, modes, .. }
-            | ProtocolEvent::ModeUnfrozen { lock, modes, .. } => {
-                let _ = write!(out, ",\"lock\":{},\"modes\":", lock.0);
-                push_json_str(out, &modes.to_string());
-            }
             ProtocolEvent::ReleaseSent { lock, new_owned, .. } => {
                 let _ = write!(out, ",\"lock\":{}", lock.0);
                 owned_json(out, "new_owned", new_owned);
@@ -568,9 +505,6 @@ impl ProtocolEvent {
             ProtocolEvent::ReleaseSuppressed { lock, owned, .. } => {
                 let _ = write!(out, ",\"lock\":{}", lock.0);
                 owned_json(out, "owned", owned);
-            }
-            ProtocolEvent::PathReversal { lock, old_parent, .. } => {
-                let _ = write!(out, ",\"lock\":{},\"old_parent\":{}", lock.0, old_parent.0);
             }
             ProtocolEvent::Granted { lock, span, mode, .. } => {
                 span_json(out, lock, span);
@@ -588,19 +522,12 @@ impl ProtocolEvent {
             ProtocolEvent::RequestCancelled { lock, span, .. } => {
                 span_json(out, lock, span);
             }
-            ProtocolEvent::AuditViolation { lock, detail, .. } => {
-                let _ = write!(out, ",\"lock\":{},\"detail\":", lock.0);
-                push_json_str(out, detail);
-            }
             ProtocolEvent::MessageSent { to, kind, .. } => {
                 let _ = write!(out, ",\"to\":{},\"kind\":\"{}\"", to.0, kind.label());
             }
             ProtocolEvent::Delivered { from, kind, .. }
             | ProtocolEvent::Dropped { from, kind, .. } => {
                 let _ = write!(out, ",\"from\":{},\"kind\":\"{}\"", from.0, kind.label());
-            }
-            ProtocolEvent::TimerFired { token, .. } => {
-                let _ = write!(out, ",\"token\":{token}");
             }
             ProtocolEvent::RecoveryStarted { epoch, dead, .. } => {
                 let _ = write!(out, ",\"epoch\":{epoch},\"dead\":{dead}");
@@ -640,25 +567,6 @@ impl fmt::Display for ProtocolEvent {
         self.write_json(0, &mut s);
         f.write_str(&s)
     }
-}
-
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Receives the event stream of a run, in dispatch order.
@@ -1083,18 +991,6 @@ mod tests {
         assert!(out.contains("\"span_ticket\":2"));
         assert!(out.contains("\"mode\":\"R\""));
         assert!(out.ends_with('}'));
-    }
-
-    #[test]
-    fn json_strings_are_escaped() {
-        let ev = ProtocolEvent::AuditViolation {
-            node: NodeId(0),
-            lock: LockId(1),
-            detail: "bad \"state\"\nline2".into(),
-        };
-        let mut out = String::new();
-        ev.write_json(0, &mut out);
-        assert!(out.contains("bad \\\"state\\\"\\nline2"));
     }
 
     #[test]

@@ -58,7 +58,7 @@
 //! documented in `docs/FAULT_TOLERANCE.md`.
 
 use crate::config::ProtocolConfig;
-use crate::effect::{Effect, EffectSink};
+use crate::effect::EffectSink;
 use crate::error::ProtocolError;
 use crate::ids::{LockId, NodeId, Priority, Ticket};
 use crate::message::{Envelope, LockReport, RecoveryBody, RecoveryEnvelope};
@@ -308,26 +308,17 @@ impl<P: Recoverable> RecoverySpace<P> {
             .expect("this node is never in its own dead set")
     }
 
-    fn take_scratch(&mut self, fx: &EffectSink<RecoveryEnvelope>) -> EffectSink<Envelope> {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.set_observing(fx.observing());
-        scratch
-    }
-
-    /// Re-emits inner effects, stamping every send with the current
-    /// epoch; grants, timers and events pass through unchanged.
-    fn flush(&mut self, fx: &mut EffectSink<RecoveryEnvelope>) {
-        self.scratch.forward_events_into(fx);
+    /// Runs `step` on the wrapped space and re-emits its output into
+    /// `fx`, stamping every send with the current epoch.
+    fn relay<R>(
+        &mut self,
+        fx: &mut EffectSink<RecoveryEnvelope>,
+        step: impl FnOnce(&mut P, &mut EffectSink<Envelope>) -> R,
+    ) -> R {
         let epoch = self.epoch;
-        for effect in self.scratch.drain() {
-            match effect {
-                Effect::Send { to, message } => {
-                    fx.send(to, RecoveryEnvelope { epoch, body: RecoveryBody::App(message) });
-                }
-                Effect::Granted { lock, ticket, mode } => fx.granted(lock, ticket, mode),
-                Effect::SetTimer { token, delay_micros } => fx.set_timer(token, delay_micros),
-            }
-        }
+        fx.relay(&mut self.inner, &mut self.scratch, step, |_, to, message, fx| {
+            fx.send(to, RecoveryEnvelope { epoch, body: RecoveryBody::App(message) });
+        })
     }
 
     /// Re-sends the cached install to a peer observed sending stale
@@ -562,24 +553,26 @@ impl<P: Recoverable> RecoverySpace<P> {
         // upgrades still hold `U` at live nodes (kept by the rebuild);
         // at a voided node the `U` is gone, so the upgrade becomes a
         // plain `W` request.
-        let mut scratch = self.take_scratch(fx);
         for (l, (requests, upgrades)) in outstanding.into_iter().enumerate() {
             let lock = LockId(l as u32);
-            for (ticket, mode, priority) in requests {
-                let _ =
-                    self.inner.request_with_priority(lock, mode, ticket, priority, &mut scratch);
-            }
-            for ticket in upgrades {
-                if fresh {
-                    let _ = self.inner.upgrade(lock, ticket, &mut scratch);
-                } else {
+            if !fresh {
+                for &ticket in &upgrades {
                     self.voided.remove(&(lock, ticket));
-                    let _ = self.inner.request(lock, Mode::Write, ticket, &mut scratch);
                 }
             }
+            self.relay(fx, |p, fx| {
+                for (ticket, mode, priority) in requests {
+                    let _ = p.request_with_priority(lock, mode, ticket, priority, fx);
+                }
+                for ticket in upgrades {
+                    let _ = if fresh {
+                        p.upgrade(lock, ticket, fx)
+                    } else {
+                        p.request(lock, Mode::Write, ticket, fx)
+                    };
+                }
+            });
         }
-        self.scratch = scratch;
-        self.flush(fx);
         // Replay API calls accepted during the freeze, in order.
         for op in std::mem::take(&mut self.deferred) {
             match op {
@@ -611,10 +604,7 @@ impl<P: Recoverable> RecoverySpace<P> {
                 Ordering::Greater => self.future.push((from, e, envelope)),
                 Ordering::Equal => {
                     self.dead.remove(&from);
-                    let mut scratch = self.take_scratch(fx);
-                    self.inner.on_message(from, envelope, &mut scratch);
-                    self.scratch = scratch;
-                    self.flush(fx);
+                    self.relay(fx, |p, fx| p.on_message(from, envelope, fx));
                 }
             }
         }
@@ -666,10 +656,7 @@ impl<P: Recoverable> RecoverySpace<P> {
                 // Current-epoch traffic from a suspected peer proves the
                 // suspicion false: heal it so future elections count it.
                 self.dead.remove(&from);
-                let mut scratch = self.take_scratch(fx);
-                self.inner.on_message(from, envelope, &mut scratch);
-                self.scratch = scratch;
-                self.flush(fx);
+                self.relay(fx, |p, fx| p.on_message(from, envelope, fx));
             }
         }
     }
@@ -836,10 +823,8 @@ impl<P: Recoverable> ConcurrencyProtocol for RecoverySpace<P> {
             self.deferred.push(DeferredOp::Request { lock, mode, ticket, priority });
             return Ok(());
         }
-        let mut scratch = self.take_scratch(fx);
-        let result = self.inner.request_with_priority(lock, mode, ticket, priority, &mut scratch);
-        self.scratch = scratch;
-        self.flush(fx);
+        let result =
+            self.relay(fx, |p, fx| p.request_with_priority(lock, mode, ticket, priority, fx));
         self.maybe_arm_probe(fx);
         result
     }
@@ -857,11 +842,7 @@ impl<P: Recoverable> ConcurrencyProtocol for RecoverySpace<P> {
             self.deferred.push(DeferredOp::Release { lock, ticket });
             return Ok(());
         }
-        let mut scratch = self.take_scratch(fx);
-        let result = self.inner.release(lock, ticket, &mut scratch);
-        self.scratch = scratch;
-        self.flush(fx);
-        result
+        self.relay(fx, |p, fx| p.release(lock, ticket, fx))
     }
 
     fn upgrade(
@@ -879,10 +860,7 @@ impl<P: Recoverable> ConcurrencyProtocol for RecoverySpace<P> {
             self.deferred.push(DeferredOp::Upgrade { lock, ticket });
             return Ok(());
         }
-        let mut scratch = self.take_scratch(fx);
-        let result = self.inner.upgrade(lock, ticket, &mut scratch);
-        self.scratch = scratch;
-        self.flush(fx);
+        let result = self.relay(fx, |p, fx| p.upgrade(lock, ticket, fx));
         self.maybe_arm_probe(fx);
         result
     }
@@ -900,11 +878,7 @@ impl<P: Recoverable> ConcurrencyProtocol for RecoverySpace<P> {
         if self.is_recovering() {
             return Ok(false); // frozen nodes cannot grant locally right now
         }
-        let mut scratch = self.take_scratch(fx);
-        let result = self.inner.try_request(lock, mode, ticket, &mut scratch);
-        self.scratch = scratch;
-        self.flush(fx);
-        result
+        self.relay(fx, |p, fx| p.try_request(lock, mode, ticket, fx))
     }
 
     fn downgrade(
@@ -921,11 +895,7 @@ impl<P: Recoverable> ConcurrencyProtocol for RecoverySpace<P> {
             self.deferred.push(DeferredOp::Downgrade { lock, ticket, new_mode });
             return Ok(());
         }
-        let mut scratch = self.take_scratch(fx);
-        let result = self.inner.downgrade(lock, ticket, new_mode, &mut scratch);
-        self.scratch = scratch;
-        self.flush(fx);
-        result
+        self.relay(fx, |p, fx| p.downgrade(lock, ticket, new_mode, fx))
     }
 
     fn cancel(
@@ -949,11 +919,7 @@ impl<P: Recoverable> ConcurrencyProtocol for RecoverySpace<P> {
         if self.voided.remove(&(lock, ticket)) {
             return Ok(CancelOutcome::Cancelled);
         }
-        let mut scratch = self.take_scratch(fx);
-        let result = self.inner.cancel(lock, ticket, &mut scratch);
-        self.scratch = scratch;
-        self.flush(fx);
-        result
+        self.relay(fx, |p, fx| p.cancel(lock, ticket, fx))
     }
 
     fn on_message(
@@ -1010,17 +976,11 @@ impl<P: Recoverable> ConcurrencyProtocol for RecoverySpace<P> {
         if self.is_recovering() {
             return;
         }
-        let mut scratch = self.take_scratch(fx);
-        self.inner.on_timer(token, &mut scratch);
-        self.scratch = scratch;
-        self.flush(fx);
+        self.relay(fx, |p, fx| p.on_timer(token, fx));
     }
 
     fn on_link_reset(&mut self, peer: NodeId, fx: &mut EffectSink<RecoveryEnvelope>) {
-        let mut scratch = self.take_scratch(fx);
-        self.inner.on_link_reset(peer, &mut scratch);
-        self.scratch = scratch;
-        self.flush(fx);
+        self.relay(fx, |p, fx| p.on_link_reset(peer, fx));
     }
 
     fn is_quiescent(&self) -> bool {
@@ -1100,8 +1060,8 @@ impl<P: Recoverable> Inspect for RecoverySpace<P> {
     }
 }
 
-/// Equality and hashing over recovery-relevant state (the scratch sink
-/// is excluded, as in [`LockSpace`]); used by the model checker's state
+/// Equality and hashing over recovery-relevant state (the scratch sink,
+/// empty between steps, is excluded); used by the model checker's state
 /// fingerprints.
 impl<P: Recoverable + PartialEq> PartialEq for RecoverySpace<P> {
     fn eq(&self, other: &Self) -> bool {
@@ -1141,6 +1101,7 @@ impl<P: Recoverable + std::hash::Hash> std::hash::Hash for RecoverySpace<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::effect::Effect;
     use crate::runtime::HostRuntime;
     use std::collections::VecDeque;
 

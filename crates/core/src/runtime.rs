@@ -2,9 +2,9 @@
 //!
 //! Every host (simulator, model checker, TCP transport) used to hand-roll
 //! its own `match Effect` dispatch loop, and the copies drifted. The
-//! [`HostRuntime`] owns that loop once: it drains an [`EffectSink`]
-//! through the step/flush boundary ([`EffectSink::drain_batched_into`]),
-//! hands each coalesced [`StepEffect`] to a host-specific [`BatchHost`]
+//! [`HostRuntime`] owns that loop once: it drains an [`EffectSink`] at
+//! the step boundary, coalesces the step's sends per destination, hands
+//! each batch, grant and timer to a host-specific [`BatchHost`]
 //! callback, and keeps per-step counters (logical messages, frames,
 //! coalesce ratio) so every host reports batching the same way.
 //!
@@ -32,7 +32,7 @@
 //! assert_eq!(rt.counters().frames, 1);
 //! ```
 
-use crate::effect::{EffectSink, StepEffect};
+use crate::effect::{Effect, EffectSink};
 use crate::ids::{LockId, NodeId, Ticket};
 use crate::message::Classify;
 use crate::mode::Mode;
@@ -109,7 +109,9 @@ impl RuntimeCounters {
 /// every protocol step; the runtime batches, counts and forwards.
 #[derive(Debug, Clone)]
 pub struct HostRuntime<M> {
-    scratch: Vec<StepEffect<M>>,
+    /// One step's effects with its sends coalesced: each `Send` carries
+    /// every message of the step to its destination.
+    scratch: Vec<Effect<Vec<M>>>,
     counters: RuntimeCounters,
 }
 
@@ -126,34 +128,11 @@ impl<M> HostRuntime<M> {
     }
 
     /// Drains one step's effects from `fx`, coalescing sends per
-    /// destination, and invokes `host` for each resulting step effect in
+    /// destination, and invokes `host` for each batch, grant and timer in
     /// order. The whole sink is flushed: batches never split a step and
     /// never span two steps.
     pub fn dispatch<H: BatchHost<M>>(&mut self, fx: &mut EffectSink<M>, host: &mut H) {
-        if fx.is_empty() {
-            return;
-        }
-        self.counters.steps += 1;
-        debug_assert!(self.scratch.is_empty(), "scratch leaked from a previous dispatch");
-        fx.drain_batched_into(&mut self.scratch);
-        for effect in self.scratch.drain(..) {
-            match effect {
-                StepEffect::Batch { to, messages } => {
-                    self.counters.frames += 1;
-                    self.counters.logical_messages += messages.len() as u64;
-                    self.counters.max_batch = self.counters.max_batch.max(messages.len() as u64);
-                    host.on_batch(to, messages);
-                }
-                StepEffect::Granted { lock, ticket, mode } => {
-                    self.counters.grants += 1;
-                    host.on_granted(lock, ticket, mode);
-                }
-                StepEffect::SetTimer { token, delay_micros } => {
-                    self.counters.timers += 1;
-                    host.on_set_timer(token, delay_micros);
-                }
-            }
-        }
+        self.run(fx, host, |_, _| {});
     }
 
     /// Like [`HostRuntime::dispatch`], but also drains the sink's
@@ -180,33 +159,69 @@ impl<M> HostRuntime<M> {
         for event in fx.take_events() {
             obs.on_event(now_micros, &event);
         }
+        let observing = fx.observing();
+        self.run(fx, host, |to, messages| {
+            if observing {
+                for m in messages {
+                    let event = ProtocolEvent::MessageSent { node, to, kind: m.kind() };
+                    obs.on_event(now_micros, &event);
+                }
+            }
+        });
+    }
+
+    /// The one effect loop behind both dispatches. A batch sits at the
+    /// position of the step's *first* send to its destination and keeps
+    /// the emission order of its messages, so per-link FIFO holds; grants
+    /// and timers keep their relative positions. `sent` sees each batch
+    /// just before `host` does.
+    fn run<H: BatchHost<M>>(
+        &mut self,
+        fx: &mut EffectSink<M>,
+        host: &mut H,
+        mut sent: impl FnMut(NodeId, &[M]),
+    ) {
         if fx.is_empty() {
             return;
         }
         self.counters.steps += 1;
         debug_assert!(self.scratch.is_empty(), "scratch leaked from a previous dispatch");
-        fx.drain_batched_into(&mut self.scratch);
+        for effect in fx.drain() {
+            match effect {
+                Effect::Send { to, message } => {
+                    // Steps fan out to a handful of peers at most, so a
+                    // linear scan beats a hash map here.
+                    let batch = self.scratch.iter_mut().find_map(|e| match e {
+                        Effect::Send { to: t, message: batch } if *t == to => Some(batch),
+                        _ => None,
+                    });
+                    match batch {
+                        Some(batch) => batch.push(message),
+                        None => self.scratch.push(Effect::Send { to, message: vec![message] }),
+                    }
+                }
+                Effect::Granted { lock, ticket, mode } => {
+                    self.scratch.push(Effect::Granted { lock, ticket, mode });
+                }
+                Effect::SetTimer { token, delay_micros } => {
+                    self.scratch.push(Effect::SetTimer { token, delay_micros });
+                }
+            }
+        }
         for effect in self.scratch.drain(..) {
             match effect {
-                StepEffect::Batch { to, messages } => {
+                Effect::Send { to, message: messages } => {
                     self.counters.frames += 1;
                     self.counters.logical_messages += messages.len() as u64;
                     self.counters.max_batch = self.counters.max_batch.max(messages.len() as u64);
-                    if fx.observing() {
-                        for m in &messages {
-                            obs.on_event(
-                                now_micros,
-                                &ProtocolEvent::MessageSent { node, to, kind: m.kind() },
-                            );
-                        }
-                    }
+                    sent(to, &messages);
                     host.on_batch(to, messages);
                 }
-                StepEffect::Granted { lock, ticket, mode } => {
+                Effect::Granted { lock, ticket, mode } => {
                     self.counters.grants += 1;
                     host.on_granted(lock, ticket, mode);
                 }
-                StepEffect::SetTimer { token, delay_micros } => {
+                Effect::SetTimer { token, delay_micros } => {
                     self.counters.timers += 1;
                     host.on_set_timer(token, delay_micros);
                 }
@@ -281,11 +296,6 @@ impl<M> HostRuntime<M> {
     pub fn counters(&self) -> &RuntimeCounters {
         &self.counters
     }
-
-    /// Resets the counters (the scratch buffer is kept).
-    pub fn reset_counters(&mut self) {
-        self.counters = RuntimeCounters::default();
-    }
 }
 
 #[cfg(test)]
@@ -334,6 +344,36 @@ mod tests {
         assert_eq!(c.timers, 1);
         assert_eq!(c.max_batch, 2);
         assert!((c.coalesce_ratio() - 1.5).abs() < 1e-9);
+    }
+
+    /// The order `host` sees: a batch at its step's first send to that
+    /// peer, grants and timers where they were emitted.
+    #[test]
+    fn dispatch_keeps_each_batch_at_its_first_send() {
+        #[derive(Default)]
+        struct Log(Vec<String>);
+        impl BatchHost<u8> for Log {
+            fn on_batch(&mut self, to: NodeId, messages: Vec<u8>) {
+                self.0.push(format!("{to} {messages:?}"));
+            }
+            fn on_granted(&mut self, lock: LockId, _: Ticket, _: Mode) {
+                self.0.push(format!("granted {lock}"));
+            }
+            fn on_set_timer(&mut self, token: u64, _: u64) {
+                self.0.push(format!("timer {token}"));
+            }
+        }
+        let mut fx = EffectSink::new();
+        fx.send(NodeId(2), 10);
+        fx.granted(LockId(0), Ticket(1), Mode::Read);
+        fx.send(NodeId(3), 11);
+        fx.send(NodeId(2), 12);
+        fx.set_timer(7, 100);
+        fx.send(NodeId(3), 13);
+        let mut log = Log::default();
+        HostRuntime::new().dispatch(&mut fx, &mut log);
+        assert!(fx.is_empty());
+        assert_eq!(log.0, ["n2 [10, 12]", "granted L0", "n3 [11, 13]", "timer 7"]);
     }
 
     #[test]
@@ -418,7 +458,12 @@ mod tests {
         use crate::observe::{ProtocolEvent, VecObserver};
         let mut fx: EffectSink<u8> = EffectSink::new();
         fx.set_observing(true);
-        fx.emit_with(|| ProtocolEvent::TimerFired { node: NodeId(3), token: 7 });
+        // A suppressed release is an event without an effect.
+        fx.emit_with(|| ProtocolEvent::ReleaseSuppressed {
+            node: NodeId(3),
+            lock: LockId(0),
+            owned: Some(Mode::IntentRead),
+        });
         let mut rt = HostRuntime::new();
         let mut host = Recorder::default();
         let mut obs = VecObserver::default();

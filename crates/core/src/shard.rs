@@ -353,8 +353,7 @@ impl Inspect for ShardedSpace {
 
 /// Equality over protocol state only: the shard map and each shard's
 /// lock state. Inboxes are always empty between steps (every entry point
-/// drains fully) and counters are observability, so both are excluded —
-/// exactly as [`LockSpace`] excludes its scratch sink.
+/// drains fully) and counters are observability, so both are excluded.
 impl PartialEq for ShardedSpace {
     fn eq(&self, other: &Self) -> bool {
         self.spec == other.spec && self.shards == other.shards

@@ -2,10 +2,10 @@
 //! [`crate::LockNode`] state machine for every lock in the system.
 
 use crate::config::ProtocolConfig;
-use crate::effect::{Effect, EffectSink};
+use crate::effect::EffectSink;
 use crate::error::ProtocolError;
 use crate::ids::{LockId, NodeId, Priority, Ticket};
-use crate::message::{Envelope, Payload};
+use crate::message::Envelope;
 use crate::mode::Mode;
 use crate::node::LockNode;
 use crate::protocol::{CancelOutcome, ConcurrencyProtocol, Inspect};
@@ -13,8 +13,9 @@ use crate::protocol::{CancelOutcome, ConcurrencyProtocol, Inspect};
 /// All per-lock protocol state of one node.
 ///
 /// Lock ids are dense (`0..lock_count`); every lock starts with the same
-/// token home. The type implements [`ConcurrencyProtocol`], wrapping each
-/// per-lock [`Payload`] into an [`Envelope`].
+/// token home. The type implements [`ConcurrencyProtocol`] by handing
+/// each call to the lock's state machine, which sends [`Envelope`]s
+/// stamped with its lock.
 ///
 /// ```
 /// use hlock_core::{ConcurrencyProtocol, EffectSink, LockId, LockSpace, Mode,
@@ -25,11 +26,10 @@ use crate::protocol::{CancelOutcome, ConcurrencyProtocol, Inspect};
 /// assert_eq!(fx.len(), 1); // granted locally: node 0 is the token home
 /// # Ok::<(), hlock_core::ProtocolError>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LockSpace {
     id: NodeId,
     locks: Vec<LockNode>,
-    scratch: EffectSink<Payload>,
 }
 
 impl LockSpace {
@@ -51,7 +51,7 @@ impl LockSpace {
             .enumerate()
             .map(|(l, &home)| LockNode::new(id, LockId(l as u32), home, config))
             .collect();
-        LockSpace { id, locks, scratch: EffectSink::new() }
+        LockSpace { id, locks }
     }
 
     /// Number of locks managed.
@@ -78,10 +78,10 @@ impl LockSpace {
 
     /// Issues a whole multi-lock acquisition plan as **one protocol
     /// step**: every `(lock, mode, ticket)` request is processed in
-    /// order, with all effects accumulated in the same sink. Drained
-    /// through [`EffectSink::drain_batched`], the step yields at most one
-    /// batch per peer — a hierarchical CCS acquire that sends IR + R
-    /// along a shared path costs one wire frame, not one per level.
+    /// order, with all effects accumulated in the same sink. Dispatched
+    /// through [`crate::HostRuntime`], the step yields at most one batch
+    /// per peer — a hierarchical CCS acquire that sends IR + R along a
+    /// shared path costs one wire frame, not one per level.
     ///
     /// # Errors
     ///
@@ -129,30 +129,6 @@ impl LockSpace {
             );
         }
     }
-
-    /// Takes the scratch sink for one per-lock call, mirroring the outer
-    /// sink's observing flag so [`crate::ProtocolEvent`]s are collected
-    /// exactly when the host asked for them.
-    fn take_scratch(&mut self, fx: &EffectSink<Envelope>) -> EffectSink<Payload> {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.set_observing(fx.observing());
-        scratch
-    }
-
-    /// Re-emits scratch effects, wrapping payloads in envelopes; protocol
-    /// events pass through unchanged (they already carry their lock id).
-    fn flush(&mut self, lock: LockId, fx: &mut EffectSink<Envelope>) {
-        self.scratch.forward_events_into(fx);
-        for effect in self.scratch.drain() {
-            match effect {
-                Effect::Send { to, message } => {
-                    fx.send(to, Envelope { lock, payload: message });
-                }
-                Effect::Granted { lock, ticket, mode } => fx.granted(lock, ticket, mode),
-                Effect::SetTimer { token, delay_micros } => fx.set_timer(token, delay_micros),
-            }
-        }
-    }
 }
 
 impl ConcurrencyProtocol for LockSpace {
@@ -169,11 +145,7 @@ impl ConcurrencyProtocol for LockSpace {
         ticket: Ticket,
         fx: &mut EffectSink<Envelope>,
     ) -> Result<(), ProtocolError> {
-        let mut scratch = self.take_scratch(fx);
-        let result = self.lock_mut(lock)?.request(mode, ticket, &mut scratch);
-        self.scratch = scratch;
-        self.flush(lock, fx);
-        result
+        self.lock_mut(lock)?.request(mode, ticket, fx)
     }
 
     fn request_with_priority(
@@ -184,12 +156,7 @@ impl ConcurrencyProtocol for LockSpace {
         priority: Priority,
         fx: &mut EffectSink<Envelope>,
     ) -> Result<(), ProtocolError> {
-        let mut scratch = self.take_scratch(fx);
-        let result =
-            self.lock_mut(lock)?.request_with_priority(mode, ticket, priority, &mut scratch);
-        self.scratch = scratch;
-        self.flush(lock, fx);
-        result
+        self.lock_mut(lock)?.request_with_priority(mode, ticket, priority, fx)
     }
 
     fn release(
@@ -198,11 +165,7 @@ impl ConcurrencyProtocol for LockSpace {
         ticket: Ticket,
         fx: &mut EffectSink<Envelope>,
     ) -> Result<(), ProtocolError> {
-        let mut scratch = self.take_scratch(fx);
-        let result = self.lock_mut(lock)?.release(ticket, &mut scratch).map(|_| ());
-        self.scratch = scratch;
-        self.flush(lock, fx);
-        result
+        self.lock_mut(lock)?.release(ticket, fx).map(|_| ())
     }
 
     fn upgrade(
@@ -211,11 +174,7 @@ impl ConcurrencyProtocol for LockSpace {
         ticket: Ticket,
         fx: &mut EffectSink<Envelope>,
     ) -> Result<(), ProtocolError> {
-        let mut scratch = self.take_scratch(fx);
-        let result = self.lock_mut(lock)?.upgrade(ticket, &mut scratch);
-        self.scratch = scratch;
-        self.flush(lock, fx);
-        result
+        self.lock_mut(lock)?.upgrade(ticket, fx)
     }
 
     fn try_request(
@@ -225,11 +184,7 @@ impl ConcurrencyProtocol for LockSpace {
         ticket: Ticket,
         fx: &mut EffectSink<Envelope>,
     ) -> Result<bool, ProtocolError> {
-        let mut scratch = self.take_scratch(fx);
-        let result = self.lock_mut(lock)?.try_request(mode, ticket, &mut scratch);
-        self.scratch = scratch;
-        self.flush(lock, fx);
-        result
+        self.lock_mut(lock)?.try_request(mode, ticket, fx)
     }
 
     fn downgrade(
@@ -239,11 +194,7 @@ impl ConcurrencyProtocol for LockSpace {
         new_mode: Mode,
         fx: &mut EffectSink<Envelope>,
     ) -> Result<(), ProtocolError> {
-        let mut scratch = self.take_scratch(fx);
-        let result = self.lock_mut(lock)?.downgrade(ticket, new_mode, &mut scratch);
-        self.scratch = scratch;
-        self.flush(lock, fx);
-        result
+        self.lock_mut(lock)?.downgrade(ticket, new_mode, fx)
     }
 
     fn cancel(
@@ -252,43 +203,19 @@ impl ConcurrencyProtocol for LockSpace {
         ticket: Ticket,
         fx: &mut EffectSink<Envelope>,
     ) -> Result<CancelOutcome, ProtocolError> {
-        let mut scratch = self.take_scratch(fx);
-        let result = self.lock_mut(lock)?.cancel(ticket, &mut scratch);
-        self.scratch = scratch;
-        self.flush(lock, fx);
-        result
+        self.lock_mut(lock)?.cancel(ticket, fx)
     }
 
     fn on_message(&mut self, from: NodeId, message: Envelope, fx: &mut EffectSink<Envelope>) {
         let lock = message.lock;
-        let idx = lock.index();
-        debug_assert!(idx < self.locks.len(), "message for unknown lock {lock}");
-        if idx >= self.locks.len() {
-            return;
+        debug_assert!(lock.index() < self.locks.len(), "message for unknown lock {lock}");
+        if let Some(node) = self.locks.get_mut(lock.index()) {
+            node.on_message(from, message.payload, fx);
         }
-        let mut scratch = self.take_scratch(fx);
-        self.locks[idx].on_message(from, message.payload, &mut scratch);
-        self.scratch = scratch;
-        self.flush(lock, fx);
     }
 
     fn is_quiescent(&self) -> bool {
         self.locks.iter().all(LockNode::is_quiescent)
-    }
-}
-
-impl PartialEq for LockSpace {
-    fn eq(&self, other: &Self) -> bool {
-        self.id == other.id && self.locks == other.locks
-    }
-}
-
-impl Eq for LockSpace {}
-
-impl std::hash::Hash for LockSpace {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.id.hash(state);
-        self.locks.hash(state);
     }
 }
 
@@ -323,6 +250,7 @@ impl Inspect for LockSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::effect::Effect;
 
     #[test]
     fn locks_are_independent() {
@@ -425,7 +353,15 @@ mod tests {
 
     #[test]
     fn request_batch_coalesces_shared_path_into_one_batch_per_peer() {
-        use crate::effect::StepEffect;
+        use crate::runtime::{BatchHost, HostRuntime};
+        struct Frames(Vec<(NodeId, Vec<Envelope>)>);
+        impl BatchHost<Envelope> for Frames {
+            fn on_batch(&mut self, to: NodeId, messages: Vec<Envelope>) {
+                self.0.push((to, messages));
+            }
+            fn on_granted(&mut self, _: LockId, _: Ticket, _: Mode) {}
+            fn on_set_timer(&mut self, _: u64, _: u64) {}
+        }
         let cfg = ProtocolConfig::default();
         // Both locks' tokens live at node 0; node 1 acquires IR on the
         // table plus R on an entry — the paper's CCS lock-set pattern.
@@ -437,13 +373,59 @@ mod tests {
         )
         .unwrap();
         assert_eq!(fx.len(), 2, "two logical request messages");
-        let batched = fx.drain_batched();
-        assert_eq!(batched.len(), 1, "one frame to the shared token home");
-        let StepEffect::Batch { to, messages } = &batched[0] else { panic!("expected batch") };
+        let mut frames = Frames(Vec::new());
+        HostRuntime::new().dispatch(&mut fx, &mut frames);
+        assert_eq!(frames.0.len(), 1, "one frame to the shared token home");
+        let (to, messages) = &frames.0[0];
         assert_eq!(*to, NodeId(0));
         assert_eq!(messages.len(), 2);
         assert_eq!(messages[0].lock, LockId(0));
         assert_eq!(messages[1].lock, LockId(1));
+    }
+
+    /// Every message a step sends carries the lock it was sent on: the
+    /// lock's state machine stamps it, on every kind of message.
+    #[test]
+    fn every_envelope_carries_its_lock() {
+        const L: LockId = LockId(2);
+        let cfg = ProtocolConfig::default();
+        let mut spaces: Vec<LockSpace> =
+            (0..3).map(|i| LockSpace::new(NodeId(i), 3, NodeId(0), cfg)).collect();
+        let mut fx = EffectSink::new();
+        let mut kinds = std::collections::BTreeSet::new();
+        // Readers at nodes 1 and 2, then a writer at node 1: copy grants,
+        // freezes, releases and a token transfer, all on lock 2.
+        let calls: [(usize, Option<Mode>, u64); 5] = [
+            (1, Some(Mode::Read), 1),
+            (2, Some(Mode::Read), 2),
+            (1, Some(Mode::Write), 3),
+            (1, None, 1),
+            (2, None, 2),
+        ];
+        for (node, mode, ticket) in calls {
+            let space = &mut spaces[node];
+            match mode {
+                Some(mode) => space.request(L, mode, Ticket(ticket), &mut fx).unwrap(),
+                None => space.release(L, Ticket(ticket), &mut fx).unwrap(),
+            }
+            let mut from = NodeId(node as u32);
+            let mut queue = std::collections::VecDeque::new();
+            loop {
+                for effect in fx.drain() {
+                    if let Effect::Send { to, message } = effect {
+                        assert_eq!(message.lock, L, "{message:?} from {from} to {to}");
+                        kinds.insert(crate::message::Classify::kind(&message).label());
+                        queue.push_back((from, to, message));
+                    }
+                }
+                let Some((src, to, message)) = queue.pop_front() else { break };
+                spaces[to.index()].on_message(src, message, &mut fx);
+                from = to;
+            }
+        }
+        assert!(spaces[1].lock_state(L).is_token(), "the writer took the token");
+        let crossed: Vec<&str> = kinds.into_iter().collect();
+        assert_eq!(crossed, ["freeze", "grant", "release", "request", "token"]);
     }
 
     #[test]

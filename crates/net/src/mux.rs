@@ -1152,11 +1152,9 @@ where
             let Reverse((_, seq)) = self.deadlines.pop().expect("peeked");
             match self.payloads.remove(&seq) {
                 Some(Dl::Timer { slot, token }) => self.with_slot(slot, |w, node| {
-                    let me = node.io.me;
                     {
                         let mut core = locked(&node.core);
                         let core = &mut *core;
-                        core.fx.emit_with(|| ProtocolEvent::TimerFired { node: me, token });
                         core.protocol.on_timer(token, &mut core.fx);
                     }
                     w.mark_dirty(slot, &mut node.io);

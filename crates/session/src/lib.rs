@@ -355,42 +355,30 @@ impl<P: ConcurrencyProtocol> SessionSpace<P> {
         }
     }
 
-    /// Runs `f` with the wrapped protocol and the scratch sink, then
-    /// flushes the results into `fx`. The scratch sink inherits `fx`'s
-    /// observing flag so protocol events ([`hlock_core::ProtocolEvent`])
-    /// emitted by the inner state machine survive the session wrapper.
+    /// Runs `f` with the wrapped protocol and re-emits its output into
+    /// `fx`: every send becomes a sequenced `Data` frame; grants, inner
+    /// timers and protocol events pass through.
     fn with_inner<R>(
         &mut self,
         fx: &mut EffectSink<SessionFrame<P::Message>>,
         f: impl FnOnce(&mut P, &mut EffectSink<P::Message>) -> R,
     ) -> R {
         let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.set_observing(fx.observing());
-        let out = f(&mut self.inner, &mut scratch);
+        let step = |s: &mut Self, inner_fx: &mut EffectSink<P::Message>| {
+            let out = f(&mut s.inner, inner_fx);
+            debug_assert!(
+                inner_fx.as_slice().iter().all(
+                    |e| !matches!(e, Effect::SetTimer { token, .. } if timer_peer(*token).is_some())
+                ),
+                "wrapped protocol used a session-namespace timer token"
+            );
+            out
+        };
+        let out = fx.relay(self, &mut scratch, step, |s, to, message, fx| {
+            s.send_data(to, message, fx);
+        });
         self.scratch = scratch;
-        self.flush_inner(fx);
         out
-    }
-
-    /// Translates the wrapped protocol's queued effects into session
-    /// frames, passing grants, inner timers and protocol events through.
-    fn flush_inner(&mut self, fx: &mut EffectSink<SessionFrame<P::Message>>) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.forward_events_into(fx);
-        for effect in scratch.drain() {
-            match effect {
-                Effect::Send { to, message } => self.send_data(to, message, fx),
-                Effect::Granted { lock, ticket, mode } => fx.granted(lock, ticket, mode),
-                Effect::SetTimer { token, delay_micros } => {
-                    debug_assert!(
-                        timer_peer(token).is_none(),
-                        "wrapped protocol used a session-namespace timer token"
-                    );
-                    fx.set_timer(token, delay_micros);
-                }
-            }
-        }
-        self.scratch = scratch;
     }
 
     /// Accepts one incoming frame: applies its cumulative ack, delivers

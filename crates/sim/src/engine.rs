@@ -17,7 +17,7 @@ use crate::world::{Action, Out, Step, World};
 use hlock_core::rng::Rng;
 use hlock_core::{
     Classify, ConcurrencyProtocol, EpochScope, Inspect, LockId, Meter, Mode, NodeId, NullObserver,
-    Observer, Priority, ProtocolError, ProtocolEvent, Ticket, PROBE_TIMER_TOKEN,
+    Observer, Priority, ProtocolError, Ticket, PROBE_TIMER_TOKEN,
 };
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap};
@@ -405,9 +405,10 @@ where
         }
     }
 
-    /// Attaches an [`Observer`] receiving every [`ProtocolEvent`] of the
-    /// run — protocol lifecycle transitions from the nodes, transport
-    /// events from the world — stamped with virtual time in
+    /// Attaches an [`Observer`] receiving every
+    /// [`ProtocolEvent`](hlock_core::ProtocolEvent) of the run — protocol
+    /// lifecycle transitions from the nodes, transport events from the
+    /// world — stamped with virtual time in
     /// microseconds. Attach a `hlock_core::SharedAuditor` to audit and
     /// flight-record the run (its dump is the run's JSONL log, which the
     /// `timeline` binary renders as a Chrome trace), a `Meter` to meter
@@ -545,10 +546,6 @@ where
                     }
                 }
                 Due::App { node, timer } => {
-                    if self.observing {
-                        let event = ProtocolEvent::TimerFired { node, token: timer };
-                        self.observer.on_event(self.now.0, &event);
-                    }
                     self.api.now = self.now;
                     self.driver.on_timer(node, timer, &mut self.api);
                     self.execute(node)?;
@@ -864,7 +861,7 @@ where
         // watchdog suspects it like a crash.
         let scope = EpochScope::for_run(!self.config.pauses.is_empty());
         let (locks, now) = (self.config.lock_count, self.now);
-        if let Some(first) = self.world.audit(locks, scope, now.0, None).first() {
+        if let Some(first) = self.world.audit(locks, scope, now.0, false).first() {
             return Err(InvariantViolation(first.to_string()));
         }
         let unsuspected_crash = self
@@ -875,7 +872,7 @@ where
         if !at_end || unsuspected_crash || !self.world.live().all(|n| n.is_quiescent()) {
             return Ok(());
         }
-        let findings = self.world.audit(locks, scope, now.0, Some(&mut *self.observer));
+        let findings = self.world.audit(locks, scope, now.0, true);
         match findings.first() {
             Some(first) => Err(InvariantViolation(format!(
                 "quiescent-state audit failed ({} findings): {first}",

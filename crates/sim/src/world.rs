@@ -14,8 +14,8 @@
 use crate::time::Duration;
 use hlock_core::{
     audit_at_rest, audit_live, AuditFinding, BatchHost, Classify, ConcurrencyProtocol, EffectSink,
-    EpochScope, HostRuntime, Inspect, LockId, Mode, NodeId, Observer, Priority, ProtocolError,
-    ProtocolEvent, SpanId, Ticket,
+    EpochScope, HostRuntime, Inspect, LockId, Mode, NodeId, Priority, ProtocolError, ProtocolEvent,
+    SpanId, Ticket,
 };
 use std::collections::hash_map::DefaultHasher;
 use std::collections::VecDeque;
@@ -447,7 +447,6 @@ impl<P: ConcurrencyProtocol + Inspect> World<P> {
             }
             Step::Timer { node, token } => {
                 self.timers[node.index()].retain(|&t| t != token);
-                self.fx.emit_with(|| ProtocolEvent::TimerFired { node, token });
                 self.spaces[node.index()].on_timer(token, &mut self.fx);
                 node
             }
@@ -497,8 +496,7 @@ impl<P: ConcurrencyProtocol + Inspect> World<P> {
     }
 
     /// The safety oracle, called from here by every host: `audit_live`
-    /// over the live spaces, or with `at_rest = Some(observer)`
-    /// `audit_at_rest`, which also reports each finding to `observer`. The
+    /// over the live spaces, or `audit_at_rest` when `at_rest`. The
     /// tree's structure is audited too while no node has crashed or been
     /// falsely suspected, so no recovery has rebuilt it.
     pub fn audit(
@@ -506,13 +504,14 @@ impl<P: ConcurrencyProtocol + Inspect> World<P> {
         locks: usize,
         scope: EpochScope,
         at: u64,
-        at_rest: Option<&mut dyn Observer>,
+        at_rest: bool,
     ) -> Vec<AuditFinding> {
         let live: Vec<(NodeId, &P)> = self.live().map(|s| (s.node_id(), s)).collect();
         let whole = !self.crashed.contains(&true) && self.false_suspects == 0;
-        match at_rest {
-            None => audit_live(&live, locks, scope, at),
-            Some(observer) => audit_at_rest(&live, locks, scope, whole, at, observer),
+        if at_rest {
+            audit_at_rest(&live, locks, scope, whole, at)
+        } else {
+            audit_live(&live, locks, scope, at)
         }
     }
 

@@ -6,7 +6,7 @@
 //! API call is one step, and every frame it puts on the wire is
 //! delivered, oldest first, by another. Watch the paper's machinery
 //! appear: a token transfer, a concurrent copy grant, release
-//! suppression, and a zero-message local acquisition.
+//! suppression and retention, and a zero-message local acquisition.
 //!
 //! ```text
 //! cargo run --example quickstart
@@ -63,9 +63,10 @@ fn main() {
     println!("   suppresses the release message entirely:");
     assert_eq!(run(2, Action::release(LOCK, Ticket(3))), 0, "release was suppressed");
 
-    println!("\n5) final releases propagate exactly one release message each:");
-    run(2, Action::release(LOCK, Ticket(2)));
-    run(1, Action::release(LOCK, Ticket(1)));
+    println!("\n5) the last releases send nothing either: node 2 keeps its last IR");
+    println!("   (Rule 5.3, sticky intention-read) and node 1 holds the token:");
+    assert_eq!(run(2, Action::release(LOCK, Ticket(2))), 0, "the IR was retained");
+    assert_eq!(run(1, Action::release(LOCK, Ticket(1))), 0, "the token node has no parent");
 
     assert!(world.spaces().iter().all(|n| n.is_quiescent()));
     println!("\nall quiescent; the token now rests at node 1.");

@@ -483,30 +483,22 @@ mod retention {
             fx: &mut EffectSink<Hop>,
             call: impl FnOnce(&mut LockSpace, &mut EffectSink<Envelope>) -> R,
         ) -> R {
-            let mut scratch = EffectSink::new();
-            scratch.set_observing(fx.observing());
-            let result = call(&mut self.inner, &mut scratch);
-            scratch.forward_events_into(fx);
-            for effect in scratch.drain() {
-                let serves_the_write = match &effect {
-                    Effect::Send { message, .. } => {
-                        message.lock == TABLE
-                            && matches!(message.payload, Payload::Token { mode: Mode::Write, .. })
-                    }
-                    Effect::Granted { lock, mode, .. } => *lock == TABLE && *mode == Mode::Write,
-                    Effect::SetTimer { .. } => false,
-                };
-                if let Some(arrived) = self.write_arrived.take_if(|_| serves_the_write) {
-                    MAX_RECALL_CHAIN.fetch_max(self.depth - arrived, Ordering::Relaxed);
-                    RECALLS.fetch_add(u64::from(self.depth > arrived), Ordering::Relaxed);
+            let (before, depth) = (fx.len(), self.depth);
+            let result =
+                fx.relay(&mut self.inner, &mut EffectSink::new(), call, |_, to, inner, fx| {
+                    fx.send(to, Hop { depth, inner });
+                });
+            let serves_the_write = fx.as_slice()[before..].iter().any(|effect| match effect {
+                Effect::Send { message, .. } => {
+                    message.inner.lock == TABLE
+                        && matches!(message.inner.payload, Payload::Token { mode: Mode::Write, .. })
                 }
-                match effect {
-                    Effect::Send { to, message } => {
-                        fx.send(to, Hop { depth: self.depth, inner: message });
-                    }
-                    Effect::Granted { lock, ticket, mode } => fx.granted(lock, ticket, mode),
-                    Effect::SetTimer { token, delay_micros } => fx.set_timer(token, delay_micros),
-                }
+                Effect::Granted { lock, mode, .. } => *lock == TABLE && *mode == Mode::Write,
+                Effect::SetTimer { .. } => false,
+            });
+            if let Some(arrived) = self.write_arrived.take_if(|_| serves_the_write) {
+                MAX_RECALL_CHAIN.fetch_max(self.depth - arrived, Ordering::Relaxed);
+                RECALLS.fetch_add(u64::from(self.depth > arrived), Ordering::Relaxed);
             }
             result
         }

@@ -28,19 +28,14 @@ const VOCABULARY: &[&str] = &[
     "copy_revoked",
     "token_sent",
     "token_received",
-    "mode_frozen",
-    "mode_unfrozen",
     "release_sent",
     "release_suppressed",
-    "path_reversal",
     "granted",
     "released",
     "request_cancelled",
-    "audit_violation",
     "message_sent",
     "delivered",
     "dropped",
-    "timer_fired",
     "recovery_started",
     "recovery_completed",
     "token_regenerated",

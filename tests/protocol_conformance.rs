@@ -6,7 +6,7 @@
 
 use hlock::core::{
     audit_at_rest, CancelOutcome, ConcurrencyProtocol, Effect, EffectSink, EpochScope, Inspect,
-    LockId, LockSpace, Mode, NodeId, NullObserver, ProtocolConfig, ProtocolError, Ticket,
+    LockId, LockSpace, Mode, NodeId, ProtocolConfig, ProtocolError, Ticket,
 };
 use hlock::naimi::NaimiSpace;
 use hlock::raymond::RaymondSpace;
@@ -108,7 +108,7 @@ fn conformance<P: ConcurrencyProtocol + Inspect>(mut nodes: Vec<P>, name: &str) 
     //    token, and a consistent tree for the hierarchical protocol.
     assert!(nodes.iter().all(|n| n.is_quiescent()), "{name}");
     let live: Vec<(NodeId, &P)> = nodes.iter().map(|n| (n.node_id(), n)).collect();
-    let findings = audit_at_rest(&live, 1, EpochScope::Global, true, 0, &mut NullObserver);
+    let findings = audit_at_rest(&live, 1, EpochScope::Global, true, 0);
     assert!(findings.is_empty(), "{name}: {findings:?}");
     // 8. One more full cycle to prove the system is still live.
     nodes[1].request(L, Mode::Write, Ticket(3), &mut fx).unwrap();
